@@ -19,7 +19,6 @@ from .core import (
     precompute_crossproducts,
     predict_coefficients,
     restricted_loglik,
-    svc_share,
 )
 from .gwr import GwrFit, gwr_fit_at, select_bandwidth
 from .simlab import (
@@ -88,5 +87,4 @@ __all__ = [
     "scale_eigenvalues",
     "select_bandwidth",
     "spline_basis",
-    "svc_share",
 ]

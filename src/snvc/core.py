@@ -35,11 +35,10 @@ VARIANCE_FLOOR = 1e-12
 
 ALPHA_BOUNDS = (-5.0, 10.0)
 
-# log tau^2 is clamped here to keep exp() finite during the search.
+# Search bounds on log tau^2; they keep exp() finite.
 _LOG_TAU2_BOUNDS = (-46.0, 46.0)
 
 _MAX_EVALS_TOTAL = 2000
-_N_STARTS = 2
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,6 @@ class LoglikResult:
     b_hat: np.ndarray
     u_hat: np.ndarray
     sigma2_hat: float
-    logdet: float
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,8 @@ class CoefficientField:
     total: np.ndarray  # (N, K)
     sd_svc: np.ndarray  # (K,)
     sd_nvc: np.ndarray  # (K,)
-    svc_share: np.ndarray  # (K,)
-    constant_coefficient: np.ndarray  # (K,) bool
+    svc_share: np.ndarray  # (K,) sd_svc / (sd_svc + sd_nvc); 1.0 where constant
+    constant_coefficient: np.ndarray  # (K,) bool, no variation at all
 
 
 def build_design(
@@ -361,7 +359,6 @@ def restricted_loglik(
         b_hat=sol[:k],
         u_hat=sol[k:],
         sigma2_hat=sigma2_hat,
-        logdet=logdet,
     )
 
 
@@ -387,28 +384,23 @@ class _ParamLayout:
     def size(self) -> int:
         return len(self.idx_log_tau2_s) + len(self.idx_alpha) + len(self.idx_log_tau2_n)
 
-    def groups_by_covariate(self) -> list[list[int]]:
-        seen: dict[int, list[int]] = {}
-        for k, i in self.idx_log_tau2_s.items():
-            seen.setdefault(k, []).append(i)
-        for k, i in self.idx_alpha.items():
-            seen.setdefault(k, []).append(i)
-        for k, i in self.idx_log_tau2_n.items():
-            seen.setdefault(k, []).append(i)
-        return [sorted(v) for _, v in sorted(seen.items())]
+    def bounds(self) -> list[tuple[float, float]]:
+        out = [_LOG_TAU2_BOUNDS] * self.size
+        for i in self.idx_alpha.values():
+            out[i] = ALPHA_BOUNDS
+        return out
 
     def decode(self, t: np.ndarray, n_cov: int) -> VarianceParams:
-        lo, hi = _LOG_TAU2_BOUNDS
         tau2_s = np.zeros(n_cov)
         tau2_n = np.zeros(n_cov)
         alpha = np.zeros(n_cov)
         for k, i in self.idx_log_tau2_s.items():
-            tau2_s[k] = math.exp(min(max(t[i], lo), hi))
+            tau2_s[k] = math.exp(t[i])
             alpha[k] = self.fixed_alpha
         for k, i in self.idx_alpha.items():
-            alpha[k] = min(max(t[i], ALPHA_BOUNDS[0]), ALPHA_BOUNDS[1])
+            alpha[k] = t[i]
         for k, i in self.idx_log_tau2_n.items():
-            tau2_n[k] = math.exp(min(max(t[i], lo), hi))
+            tau2_n[k] = math.exp(t[i])
         return VarianceParams(sigma2=1.0, tau2_s=tau2_s, alpha=alpha, tau2_n=tau2_n)
 
 
@@ -435,16 +427,18 @@ def fit_reml(
     cp: Crossproducts,
     spec: ModelSpec,
     spatial: SpatialBasis | None,
-    max_evals: int = _MAX_EVALS_TOTAL,
 ) -> FittedModel:
     """Maximize the restricted log-likelihood over the variance parameters.
 
-    Nelder-Mead over transformed parameters from two fixed starts (ratio
-    tau/sigma of 0.1 with alpha 1, and ratio 1 with alpha 0); when the
-    parameter count exceeds 12, cyclic per-covariate sweeps replace the
-    joint simplex.  Deterministic given identical inputs.  If the evaluation
-    budget runs out first, the best point found is returned with
-    ``converged = False``.
+    Bounded L-BFGS-B with finite-difference gradients searches log variance
+    ratios (tau/sigma)^2 and alpha inside ``_LOG_TAU2_BOUNDS`` and
+    ``ALPHA_BOUNDS``, once from each of two fixed starts (ratio tau/sigma of
+    0.1 with alpha 1, and ratio 1 with alpha 0), each with half of the
+    evaluation budget.  The start with the higher likelihood wins, and
+    ``converged`` is its L-BFGS-B stopping test: the relative change of the
+    objective or the largest projected-gradient component fell below scipy's
+    tolerance before the budget ran out.  Deterministic given identical
+    inputs.
     """
     n_cov = spec.n_covariates
     n_eig = spatial.n_components if spatial is not None else 0
@@ -463,22 +457,14 @@ def fit_reml(
             out[blk.covariate] = eig_scaling_cache[a]
         return out
 
-    state = {"n_evals": 0, "best_f": math.inf, "best_t": None}
-
     def objective(t: np.ndarray) -> float:
-        state["n_evals"] += 1
         theta = layout.decode(t, n_cov)
         try:
             res = restricted_loglik(cp, spec, theta, scalings_for(theta))
         except NumericalBreakdown:
             return math.inf
         f = -res.loglik
-        if math.isnan(f):
-            return math.inf
-        if f < state["best_f"]:
-            state["best_f"] = f
-            state["best_t"] = np.array(t)
-        return f
+        return math.inf if math.isnan(f) else f
 
     if layout.size == 0:
         # No random effects: the model is plain least squares.
@@ -497,68 +483,23 @@ def fit_reml(
             t0[i] = a0
         starts.append(t0)
 
-    budget_per_start = max_evals // _N_STARTS
-    converged = True
-    for t0 in starts:
-        if layout.size <= 12:
-            ok = _simplex(objective, t0, budget_per_start)
-        else:
-            ok = _cyclic_sweeps(objective, t0, layout, budget_per_start)
-        converged = converged and ok
-
-    best_t = state["best_t"]
-    if best_t is None:
+    runs = [
+        scipy.optimize.minimize(
+            objective,
+            t0,
+            method="L-BFGS-B",
+            bounds=layout.bounds(),
+            options={"maxfun": _MAX_EVALS_TOTAL // len(starts)},
+        )
+        for t0 in starts
+    ]
+    best = min(runs, key=lambda r: r.fun)
+    if not math.isfinite(best.fun):
         raise NumericalBreakdown("no admissible variance point was found")
-    theta_ratio = layout.decode(best_t, n_cov)
+    theta_ratio = layout.decode(best.x, n_cov)
     res = restricted_loglik(cp, spec, theta_ratio, scalings_for(theta_ratio))
-    state["n_evals"] += 1
-    return _finalize(cp, spec, theta_ratio, res, state["n_evals"], converged)
-
-
-def _simplex(objective, t0: np.ndarray, budget: int) -> bool:
-    f0 = objective(t0)
-    fatol = 1e-6 * max(1.0, abs(f0) if math.isfinite(f0) else 1.0)
-    res = scipy.optimize.minimize(
-        objective,
-        t0,
-        method="Nelder-Mead",
-        options={"maxfev": budget, "fatol": fatol, "xatol": 1e-4},
-    )
-    return bool(res.success)
-
-
-def _cyclic_sweeps(objective, t0: np.ndarray, layout: _ParamLayout, budget: int) -> bool:
-    """Optimize each covariate's 1-3 parameters in turn until gains stall."""
-    groups = layout.groups_by_covariate()
-    t = np.array(t0)
-    f_cur = objective(t)
-    used = 1
-    gain_tol = 1e-5
-    while used < budget:
-        f_sweep_start = f_cur
-        for idx in groups:
-            sub_budget = min(60 * len(idx), budget - used)
-            if sub_budget <= len(idx) + 1:
-                return False
-
-            def sub_obj(s):
-                tt = np.array(t)
-                tt[idx] = s
-                return objective(tt)
-
-            res = scipy.optimize.minimize(
-                sub_obj,
-                t[idx],
-                method="Nelder-Mead",
-                options={"maxfev": sub_budget, "fatol": 1e-7 * max(1.0, abs(f_cur)), "xatol": 1e-4},
-            )
-            used += res.nfev
-            if res.fun < f_cur:
-                f_cur = res.fun
-                t[idx] = res.x
-        if f_sweep_start - f_cur < gain_tol:
-            return True
-    return False
+    n_evals = sum(r.nfev for r in runs) + 1
+    return _finalize(cp, spec, theta_ratio, res, n_evals, bool(best.success))
 
 
 def _finalize(
@@ -642,7 +583,9 @@ def predict_coefficients(
     total = mean[None, :] + svc + nvc
     sd_svc = svc.std(axis=0, ddof=1)
     sd_nvc = nvc.std(axis=0, ddof=1)
-    shares, constant = _share_from_sds(sd_svc, sd_nvc)
+    denom = sd_svc + sd_nvc
+    constant = denom == 0.0
+    shares = np.where(constant, 1.0, sd_svc / np.where(constant, 1.0, denom))
     return CoefficientField(
         covariate_names=spec.covariate_names,
         mean=mean,
@@ -656,30 +599,12 @@ def predict_coefficients(
     )
 
 
-def _share_from_sds(sd_svc: np.ndarray, sd_nvc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    denom = sd_svc + sd_nvc
-    constant = denom == 0.0
-    shares = np.where(constant, 1.0, sd_svc / np.where(constant, 1.0, denom))
-    return shares, constant
-
-
-def svc_share(field: CoefficientField) -> np.ndarray:
-    """Share of each coefficient's variation carried by its spatial part.
-
-    sd(svc) / (sd(svc) + sd(nvc)); a coefficient with no variation at all is
-    reported as 1.0 and flagged in ``field.constant_coefficient``.
-    """
-    shares, _ = _share_from_sds(field.sd_svc, field.sd_nvc)
-    return shares
-
-
 def fit_snvc(
     X: np.ndarray,
     y: np.ndarray,
     spec: ModelSpec,
     spatial: SpatialBasis | None,
     nvc_bases: list[NvcBasis | None] | None = None,
-    max_evals: int = _MAX_EVALS_TOTAL,
 ) -> tuple[FittedModel, CoefficientField]:
     """Design assembly, crossproducts, REML fit, and coefficient field in one call.
 
@@ -697,7 +622,7 @@ def fit_snvc(
         ]
     design = build_design(X, spec, spatial, nvc_bases)
     cp = precompute_crossproducts(design, y)
-    fit = fit_reml(cp, spec, spatial, max_evals=max_evals)
+    fit = fit_reml(cp, spec, spatial)
     field = predict_coefficients(
         fit, spatial, nvc_bases, require_converged=False, n_sites=X.shape[0]
     )
