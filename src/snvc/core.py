@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -293,6 +293,47 @@ def _v_diagonal(
     return v
 
 
+def _check_fixed_block(XtX: np.ndarray) -> None:
+    """Raise ``SingularFixedBlock`` unless X'X is numerically positive definite."""
+    fixed_eigs = np.linalg.eigvalsh(XtX)
+    if fixed_eigs[0] <= 1e-12 * max(fixed_eigs[-1], np.finfo(float).tiny):
+        raise SingularFixedBlock("X'X is rank-deficient")
+
+
+def _factor_joint(
+    cp: Crossproducts, v: np.ndarray, g: np.ndarray
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """Assemble the joint system into ``g``, factor it in place and solve it.
+
+    ``g`` is a Fortran-ordered (K+P) x (K+P) buffer.  Returns the restricted
+    log-likelihood, the solution (b, u), the profiled variance, and the clean
+    lower Cholesky factor, which shares ``g``'s memory.
+    """
+    n, k, p = cp.n_obs, cp.n_fixed, cp.n_random
+    g[:k, :k] = cp.XtX
+    g[:k, k:] = cp.XtE * v
+    g[k:, :k] = g[:k, k:].T
+    np.multiply(v[:, None] * cp.EtE, v[None, :], out=g[k:, k:])
+    g[k + np.arange(p), k + np.arange(p)] += 1.0
+    rhs = np.concatenate([cp.Xty, v * cp.Ety])
+
+    factor, info = lapack.dpotrf(g, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalBreakdown("joint system factorization failed")
+    sol, _ = lapack.dpotrs(factor, rhs, lower=1)
+
+    quad = cp.yty - float(rhs @ sol)  # residual SS + ||u||^2
+    sigma2_hat = quad / (n - k)
+    if not sigma2_hat > VARIANCE_FLOOR:
+        raise NumericalBreakdown(
+            f"profiled variance {sigma2_hat:.3e} is at or below the floor {VARIANCE_FLOOR}"
+        )
+
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    loglik = -0.5 * logdet - 0.5 * (n - k) * (1.0 + math.log(2.0 * math.pi * sigma2_hat))
+    return loglik, sol, sigma2_hat, factor
+
+
 def restricted_loglik(
     cp: Crossproducts,
     spec: ModelSpec,
@@ -323,37 +364,11 @@ def restricted_loglik(
         falls below the degeneracy floor.
     """
     theta.validate_against(spec)
-    n, k = cp.n_obs, cp.n_fixed
-    p = cp.n_random
-
-    fixed_eigs = np.linalg.eigvalsh(cp.XtX)
-    if fixed_eigs[0] <= 1e-12 * max(fixed_eigs[-1], np.finfo(float).tiny):
-        raise SingularFixedBlock("X'X is rank-deficient")
-
+    _check_fixed_block(cp.XtX)
     v = _v_diagonal(cp.blocks, theta, scalings)
-    g = np.empty((k + p, k + p))
-    g[:k, :k] = cp.XtX
-    g[:k, k:] = cp.XtE * v
-    g[k:, :k] = g[:k, k:].T
-    g[k:, k:] = (v[:, None] * cp.EtE) * v[None, :]
-    g[k + np.arange(p), k + np.arange(p)] += 1.0
-    rhs = np.concatenate([cp.Xty, v * cp.Ety])
-
-    try:
-        factor = scipy.linalg.cho_factor(g, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalBreakdown("joint system factorization failed") from exc
-    sol = scipy.linalg.cho_solve(factor, rhs)
-
-    quad = cp.yty - float(rhs @ sol)  # residual SS + ||u||^2
-    sigma2_hat = quad / (n - k)
-    if not sigma2_hat > VARIANCE_FLOOR:
-        raise NumericalBreakdown(
-            f"profiled variance {sigma2_hat:.3e} is at or below the floor {VARIANCE_FLOOR}"
-        )
-
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    loglik = -0.5 * logdet - 0.5 * (n - k) * (1.0 + math.log(2.0 * math.pi * sigma2_hat))
+    size = cp.n_fixed + cp.n_random
+    loglik, sol, sigma2_hat, _ = _factor_joint(cp, v, np.empty((size, size), order="F"))
+    k = cp.n_fixed
     return LoglikResult(
         loglik=loglik,
         b_hat=sol[:k],
@@ -423,6 +438,124 @@ def _build_layout(cp: Crossproducts, spec: ModelSpec, n_eigvals: int) -> _ParamL
     return _ParamLayout(idx_log_tau2_s=idx_s, idx_alpha=idx_a, idx_log_tau2_n=idx_n)
 
 
+class RemlProblem:
+    """The restricted log-likelihood and its gradient over the searched vector.
+
+    Built once per fit: the rank check on X'X, the log eigenvalue ratios
+    log(lambda_l / lambda_1) and the map from the searched parameters to the
+    log scaling diagonal are the same at every evaluation, and the (K+P)
+    square system buffer is reused.  With v the diagonal of V,
+
+        log v = C' t + offset,
+
+    where row j of ``C`` holds d log v / d t_j: 1/2 on the block of each log
+    variance ratio and (1/2) log(lambda_l / lambda_1) on the block of alpha.
+    ``offset`` carries the fixed alpha of blocks whose alpha is not searched.
+
+    Raises
+    ------
+    SingularFixedBlock
+        X'X is not positive definite.
+    """
+
+    def __init__(self, cp: Crossproducts, spec: ModelSpec, spatial: SpatialBasis | None):
+        _check_fixed_block(cp.XtX)
+        self.cp = cp
+        n_eig = spatial.n_components if spatial is not None else 0
+        self.layout = layout = _build_layout(cp, spec, n_eig)
+        self._C = np.zeros((layout.size, cp.n_random))
+        self._offset = np.zeros(cp.n_random)
+        if n_eig:
+            half_log_ratio = 0.5 * np.log(spatial.eigvals / spatial.eigvals[0])
+        for blk in cp.blocks:
+            cols = slice(blk.start, blk.stop)
+            k = blk.covariate
+            if blk.kind == "nvc":
+                self._C[layout.idx_log_tau2_n[k], cols] = 0.5
+                continue
+            self._C[layout.idx_log_tau2_s[k], cols] = 0.5
+            if k in layout.idx_alpha:
+                self._C[layout.idx_alpha[k], cols] = half_log_ratio[: blk.size]
+            else:
+                self._offset[cols] = layout.fixed_alpha * half_log_ratio[: blk.size]
+        size = cp.n_fixed + cp.n_random
+        self._g = np.empty((size, size), order="F")
+
+    def value_and_grad(self, t: np.ndarray) -> tuple[float, np.ndarray]:
+        """Log-likelihood at ``t`` and its exact gradient, from one factor.
+
+        With (b, u) the solution of the joint system G and sigma2_hat the
+        profiled variance,
+
+            d loglik / d log v_i = u_i^2 / sigma2_hat - 1 + (G^-1)_ii
+
+        for random-effect column i, and the chain rule through ``C`` gives
+        the gradient in t.  The lower-right P x P block of L^-1 is the
+        inverse of the lower-right block of the Cholesky factor L, so
+        diag(G^-1) on the random-effect columns is the column sums of
+        squares of that inverted block.
+
+        Raises
+        ------
+        NumericalBreakdown
+            As ``restricted_loglik``.
+        """
+        v = np.exp(t @ self._C + self._offset)
+        loglik, sol, sigma2_hat, factor = _factor_joint(self.cp, v, self._g)
+        k = self.cp.n_fixed
+        l22_inv, info = lapack.dtrtri(factor[k:, k:], lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalBreakdown("triangular inverse of the joint factor failed")
+        u = sol[k:]
+        score = u * u / sigma2_hat - 1.0 + np.einsum("ij,ij->j", l22_inv, l22_inv)
+        return loglik, self._C @ score
+
+    def starts(self) -> list[np.ndarray]:
+        """Ratio tau/sigma of 0.1 with alpha 1, and ratio 1 with alpha 0."""
+        layout = self.layout
+        out = []
+        for log_ratio2, a0 in ((math.log(0.1**2), 1.0), (0.0, 0.0)):
+            t0 = np.zeros(layout.size)
+            for i in layout.idx_log_tau2_s.values():
+                t0[i] = log_ratio2
+            for i in layout.idx_log_tau2_n.values():
+                t0[i] = log_ratio2
+            for i in layout.idx_alpha.values():
+                t0[i] = a0
+            out.append(t0)
+        return out
+
+
+def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int) -> scipy.optimize.OptimizeResult:
+    """One bounded L-BFGS-B run from ``t0``; ``nfev`` counts value-and-gradient calls.
+
+    A breakdown is reported to L-BFGS-B as an infinite objective, which its
+    line search may take as a stop that it calls successful; a run that met
+    one is therefore marked unsuccessful.
+    """
+    broke = False
+
+    def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal broke
+        try:
+            value, grad = problem.value_and_grad(t)
+        except NumericalBreakdown:
+            broke = True
+            return math.inf, np.zeros_like(t)
+        return -value, -grad
+
+    run = scipy.optimize.minimize(
+        objective,
+        t0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=problem.layout.bounds(),
+        options={"maxfun": maxfun},
+    )
+    run.success = run.success and not broke
+    return run
+
+
 def fit_reml(
     cp: Crossproducts,
     spec: ModelSpec,
@@ -430,76 +563,40 @@ def fit_reml(
 ) -> FittedModel:
     """Maximize the restricted log-likelihood over the variance parameters.
 
-    Bounded L-BFGS-B with finite-difference gradients searches log variance
-    ratios (tau/sigma)^2 and alpha inside ``_LOG_TAU2_BOUNDS`` and
-    ``ALPHA_BOUNDS``, once from each of two fixed starts (ratio tau/sigma of
-    0.1 with alpha 1, and ratio 1 with alpha 0), each with half of the
-    evaluation budget.  The start with the higher likelihood wins, and
-    ``converged`` is its L-BFGS-B stopping test: the relative change of the
-    objective or the largest projected-gradient component fell below scipy's
-    tolerance before the budget ran out.  Deterministic given identical
-    inputs.
+    Bounded L-BFGS-B with the analytic gradient of ``RemlProblem`` searches
+    log variance ratios (tau/sigma)^2 and alpha inside ``_LOG_TAU2_BOUNDS``
+    and ``ALPHA_BOUNDS``, once from each of two fixed starts (ratio tau/sigma
+    of 0.1 with alpha 1, and ratio 1 with alpha 0), each with half of the
+    evaluation budget.  One evaluation is one value-and-gradient call, which
+    costs one Cholesky factor and one triangular inverse; ``n_loglik_evals``
+    counts them plus the final ``restricted_loglik`` call.  The start with the
+    higher likelihood wins, and ``converged`` is its L-BFGS-B stopping test
+    (the relative change of the objective or the largest projected-gradient
+    component fell below scipy's tolerance before the budget ran out), unless
+    that start met a ``NumericalBreakdown``: L-BFGS-B can stop at such a point
+    and call it success, so a winning start that met one is never converged.
+    Deterministic given identical inputs.
     """
-    n_cov = spec.n_covariates
-    n_eig = spatial.n_components if spatial is not None else 0
-    layout = _build_layout(cp, spec, n_eig)
+    problem = RemlProblem(cp, spec, spatial)
+    layout = problem.layout
+    t_best, n_evals, converged = np.empty(0), 1, True
+    if layout.size:
+        starts = problem.starts()
+        runs = [_search(problem, t0, _MAX_EVALS_TOTAL // len(starts)) for t0 in starts]
+        best = min(runs, key=lambda r: r.fun)
+        if not math.isfinite(best.fun):
+            raise NumericalBreakdown("no admissible variance point was found")
+        t_best = best.x
+        n_evals += sum(r.nfev for r in runs)
+        converged = bool(best.success)
 
-    eig_scaling_cache: dict[float, EigenScaling] = {}
-
-    def scalings_for(theta: VarianceParams) -> list[EigenScaling | None]:
-        out: list[EigenScaling | None] = [None] * n_cov
-        for blk in cp.blocks:
-            if blk.kind != "svc":
-                continue
-            a = float(theta.alpha[blk.covariate])
-            if a not in eig_scaling_cache:
-                eig_scaling_cache[a] = scale_eigenvalues(spatial, a)
-            out[blk.covariate] = eig_scaling_cache[a]
-        return out
-
-    def objective(t: np.ndarray) -> float:
-        theta = layout.decode(t, n_cov)
-        try:
-            res = restricted_loglik(cp, spec, theta, scalings_for(theta))
-        except NumericalBreakdown:
-            return math.inf
-        f = -res.loglik
-        return math.inf if math.isnan(f) else f
-
-    if layout.size == 0:
-        # No random effects: the model is plain least squares.
-        theta = layout.decode(np.empty(0), n_cov)
-        res = restricted_loglik(cp, spec, theta, [None] * n_cov)
-        return _finalize(cp, spec, theta, res, n_evals=1, converged=True)
-
-    starts = []
-    for log_ratio2, a0 in ((math.log(0.1**2), 1.0), (0.0, 0.0)):
-        t0 = np.zeros(layout.size)
-        for i in layout.idx_log_tau2_s.values():
-            t0[i] = log_ratio2
-        for i in layout.idx_log_tau2_n.values():
-            t0[i] = log_ratio2
-        for i in layout.idx_alpha.values():
-            t0[i] = a0
-        starts.append(t0)
-
-    runs = [
-        scipy.optimize.minimize(
-            objective,
-            t0,
-            method="L-BFGS-B",
-            bounds=layout.bounds(),
-            options={"maxfun": _MAX_EVALS_TOTAL // len(starts)},
-        )
-        for t0 in starts
+    theta_ratio = layout.decode(t_best, spec.n_covariates)
+    scalings = [
+        scale_eigenvalues(spatial, float(theta_ratio.alpha[k])) if spec.has_svc[k] else None
+        for k in range(spec.n_covariates)
     ]
-    best = min(runs, key=lambda r: r.fun)
-    if not math.isfinite(best.fun):
-        raise NumericalBreakdown("no admissible variance point was found")
-    theta_ratio = layout.decode(best.x, n_cov)
-    res = restricted_loglik(cp, spec, theta_ratio, scalings_for(theta_ratio))
-    n_evals = sum(r.nfev for r in runs) + 1
-    return _finalize(cp, spec, theta_ratio, res, n_evals, bool(best.success))
+    res = restricted_loglik(cp, spec, theta_ratio, scalings)
+    return _finalize(cp, spec, theta_ratio, res, n_evals, converged)
 
 
 def _finalize(
@@ -541,18 +638,16 @@ def predict_coefficients(
     fit: FittedModel,
     spatial: SpatialBasis | None,
     nvc_bases: list[NvcBasis | None],
-    require_converged: bool = True,
     n_sites: int | None = None,
 ) -> CoefficientField:
     """Per-site coefficient decomposition from the fitted effects.
 
     The spatial part of covariate k is (tau_s/sigma) E Lambda^(alpha/2) u_k,
     the non-spatial part (tau_n/sigma) E_k u_k; the total adds the constant
-    mean.  Set ``require_converged=False`` to decompose an unconverged fit.
-    ``n_sites`` is only needed when the model has no basis at all.
+    mean.  Any fit is decomposed, converged or not; callers that need a
+    converged fit check ``FittedModel.converged``.  ``n_sites`` is only
+    needed when the model has no basis at all.
     """
-    if require_converged and not fit.converged:
-        raise ValueError("fit did not converge; pass require_converged=False to override")
     spec, theta = fit.spec, fit.theta
     n_cov = spec.n_covariates
     if spatial is not None:
@@ -623,7 +718,5 @@ def fit_snvc(
     design = build_design(X, spec, spatial, nvc_bases)
     cp = precompute_crossproducts(design, y)
     fit = fit_reml(cp, spec, spatial)
-    field = predict_coefficients(
-        fit, spatial, nvc_bases, require_converged=False, n_sites=X.shape[0]
-    )
+    field = predict_coefficients(fit, spatial, nvc_bases, n_sites=X.shape[0])
     return fit, field

@@ -2,9 +2,12 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snvc.core import (
     ModelSpec,
+    RemlProblem,
     VarianceParams,
     build_design,
     fit_reml,
@@ -262,6 +265,96 @@ class TestRestrictedLoglik:
         assert inspect.signature(restricted_loglik).parameters["cp"].annotation == "Crossproducts"
 
 
+def five_covariate_data(seed=20):
+    """K = 5 with 14 searched parameters: tau2_s and alpha for all five
+    covariates, tau2_n for the four non-intercept ones."""
+    rng = np.random.default_rng(seed)
+    n = 100
+    sites = SiteSet(rng.uniform(0, 10, (n, 2)))
+    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 4))])
+    y = X @ np.array([1.0, 0.5, -0.5, 1.0, 0.0]) + X[:, 1] * basis.eigvecs[:, 0]
+    y += rng.normal(size=n)
+    spec = ModelSpec(("intercept", "a", "b", "c", "d"), (True,) * 5, (False,) + (True,) * 4, (6,) * 5)
+    return X, y, spec, basis
+
+
+def reml_problem_k1():
+    """K = 1 with tau2_s, alpha and tau2_n searched."""
+    rng = np.random.default_rng(21)
+    n = 80
+    sites = SiteSet(rng.uniform(0, 10, (n, 2)))
+    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+    x = 1.0 + rng.normal(size=n)
+    nb = spline_basis(x, n_basis=6)
+    y = x * (1.0 + basis.eigvecs[:, 0]) + rng.normal(size=n)
+    spec = ModelSpec(("x",), (True,), (True,), (6,))
+    cp = precompute_crossproducts(build_design(x[:, None], spec, basis, [nb]), y)
+    return RemlProblem(cp, spec, basis), cp, spec, basis
+
+
+def reml_problem_k5():
+    X, y, spec, basis = five_covariate_data()
+    nbs = [spline_basis(X[:, k], 6) if spec.has_nvc[k] else None for k in range(5)]
+    cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
+    return RemlProblem(cp, spec, basis), cp, spec, basis
+
+
+@pytest.fixture(scope="module", params=[(reml_problem_k1, 3), (reml_problem_k5, 14)])
+def reml_case(request):
+    build, n_params = request.param
+    case = build()
+    assert case[0].layout.size == n_params
+    return case
+
+
+def interior_point(problem, unit):
+    """Map a point of the unit cube into a box well inside the search bounds."""
+    lo = np.full(problem.layout.size, -6.0)
+    hi = np.full(problem.layout.size, 6.0)
+    for i in problem.layout.idx_alpha.values():
+        lo[i], hi[i] = -3.0, 8.0
+    return lo + np.asarray(unit) * (hi - lo)
+
+
+class TestRemlProblem:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gradient_matches_central_differences(self, reml_case, data):
+        problem = reml_case[0]
+        size = problem.layout.size
+        unit = data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        t = interior_point(problem, unit)
+        _, grad = problem.value_and_grad(t)
+        h = 1e-5
+        numeric = np.array(
+            [
+                (problem.value_and_grad(t + h * e)[0] - problem.value_and_grad(t - h * e)[0]) / (2 * h)
+                for e in np.eye(size)
+            ]
+        )
+        assert np.linalg.norm(grad - numeric) <= 1e-5 * np.linalg.norm(numeric)
+
+    def test_value_equals_restricted_loglik(self, reml_case):
+        problem, cp, spec, basis = reml_case
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            t = interior_point(problem, rng.uniform(size=problem.layout.size))
+            theta = problem.layout.decode(t, spec.n_covariates)
+            scalings = [
+                scale_eigenvalues(basis, float(theta.alpha[k])) if spec.has_svc[k] else None
+                for k in range(spec.n_covariates)
+            ]
+            value, _ = problem.value_and_grad(t)
+            assert abs(value - restricted_loglik(cp, spec, theta, scalings).loglik) <= 1e-10
+
+    def test_singular_fixed_block_raised_at_construction(self):
+        spec, basis, X, nb, y, design, cp = reml_problem()
+        design_bad = build_design(np.column_stack([X[:, 0], X[:, 0]]), spec, basis, [None, nb])
+        with pytest.raises(SingularFixedBlock):
+            RemlProblem(precompute_crossproducts(design_bad, y), spec, basis)
+
+
 class TestFitReml:
     def test_pure_noise_shrinks_spatial_variance(self):
         # On pure noise the fitted spatial surface must be near-uniform:
@@ -331,6 +424,30 @@ class TestFitReml:
         np.testing.assert_array_equal(fit1.u_hat, fit2.u_hat)
         assert fit1.n_loglik_evals == fit2.n_loglik_evals
 
+    def test_breakdown_during_search_is_not_converged(self, monkeypatch):
+        # Every evaluation above a ceiling between the starts and the optimum
+        # breaks down.  L-BFGS-B stops at the last finite point and calls it
+        # success; the fit must not.
+        spec, basis, X, nb, y, design, cp = reml_problem(n=60, seed=12)
+        honest = fit_reml(cp, spec, basis)
+        assert honest.converged
+        problem = RemlProblem(cp, spec, basis)
+        start_best = max(problem.value_and_grad(t0)[0] for t0 in problem.starts())
+        ceiling = 0.5 * (start_best + honest.restricted_loglik)
+        assert start_best < ceiling < honest.restricted_loglik
+        original = RemlProblem.value_and_grad
+
+        def capped(self, t):
+            value, grad = original(self, t)
+            if value > ceiling:
+                raise NumericalBreakdown("forced breakdown above the ceiling")
+            return value, grad
+
+        monkeypatch.setattr(RemlProblem, "value_and_grad", capped)
+        fit = fit_reml(cp, spec, basis)
+        assert fit.restricted_loglik <= ceiling
+        assert fit.converged is False
+
     # Restricted log-likelihoods the earlier two-start Nelder-Mead search
     # reached (unconverged, about 2000 evaluations each) on N = 150 scenario
     # draws: seed 3, w_s = 0.5, keyed by (iteration, estimator).
@@ -361,18 +478,11 @@ class TestFitReml:
                 assert fit.restricted_loglik >= floor, (iteration, estimator)
 
     def test_five_covariates_fourteen_parameters(self):
-        rng = np.random.default_rng(20)
-        n = 100
-        sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-        basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
-        X = np.column_stack([np.ones(n), rng.normal(size=(n, 4))])
-        y = X @ np.array([1.0, 0.5, -0.5, 1.0, 0.0]) + X[:, 1] * basis.eigvecs[:, 0]
-        y += rng.normal(size=n)
-        # 14 searched parameters: tau2_s and alpha for all five, tau2_n for four
-        spec = ModelSpec(("intercept", "a", "b", "c", "d"), (True,) * 5, (False,) + (True,) * 4, (6,) * 5)
+        X, y, spec, basis = five_covariate_data()
         fit1, field1 = fit_snvc(X, y, spec, basis)
         fit2, field2 = fit_snvc(X, y, spec, basis)
         assert np.isfinite(fit1.restricted_loglik)
+        assert fit1.converged
         np.testing.assert_array_equal(field1.total, field1.mean[None, :] + field1.svc + field1.nvc)
         assert fit1.restricted_loglik == fit2.restricted_loglik
         assert fit1.n_loglik_evals == fit2.n_loglik_evals
