@@ -40,6 +40,12 @@ _LOG_TAU2_BOUNDS = (-46.0, 46.0)
 
 _MAX_EVALS_TOTAL = 2000
 
+# L-BFGS-B also stops when one step lowers the objective by less than this
+# fraction of its size.  scipy's default, 2.2e-9, is about 1e-6 on a
+# log-likelihood of a few hundred and can stop on a flat ridge with a gradient
+# of 1e-2 left; 1e-10 stays above the rounding level of the likelihood.
+_FTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -550,7 +556,7 @@ def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int) -> scipy.optimize
         jac=True,
         method="L-BFGS-B",
         bounds=problem.layout.bounds(),
-        options={"maxfun": maxfun},
+        options={"maxfun": maxfun, "ftol": _FTOL},
     )
     run.success = run.success and not broke
     return run
@@ -571,10 +577,11 @@ def fit_reml(
     costs one Cholesky factor and one triangular inverse; ``n_loglik_evals``
     counts them plus the final ``restricted_loglik`` call.  The start with the
     higher likelihood wins, and ``converged`` is its L-BFGS-B stopping test
-    (the relative change of the objective or the largest projected-gradient
-    component fell below scipy's tolerance before the budget ran out), unless
-    that start met a ``NumericalBreakdown``: L-BFGS-B can stop at such a point
-    and call it success, so a winning start that met one is never converged.
+    (the largest projected-gradient component fell below scipy's default, or
+    the relative change of the objective below ``_FTOL``, before the budget
+    ran out), unless that start met a ``NumericalBreakdown``: L-BFGS-B can
+    stop at such a point and call it success, so a winning start that met one
+    is never converged.
     Deterministic given identical inputs.
     """
     problem = RemlProblem(cp, spec, spatial)

@@ -355,6 +355,18 @@ class TestRemlProblem:
             RemlProblem(precompute_crossproducts(design_bad, y), spec, basis)
 
 
+def scenario_fit(w_s, iteration, estimator):
+    """Fit SVC_M or SNVC_M to one N = 150 scenario draw with seed 3."""
+    config = ScenarioConfig(n_sites=150, w_s=w_s, seed=3)
+    inst = gen_instance(config, iteration)
+    basis = moran_eigen_basis(build_proximity(inst.sites, mst_range(inst.sites))).truncated(
+        config.max_eigvecs
+    )
+    nvc = estimator == "SNVC_M"
+    spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, nvc, nvc))
+    return fit_snvc(inst.X, inst.y, spec, basis)[0]
+
+
 class TestFitReml:
     def test_pure_noise_shrinks_spatial_variance(self):
         # On pure noise the fitted spatial surface must be near-uniform:
@@ -372,6 +384,7 @@ class TestFitReml:
             design = build_design(X, spec, basis, [None])
             cp = precompute_crossproducts(design, y)
             fit = fit_reml(cp, spec, basis)
+            assert fit.converged, rep
             field = predict_coefficients(fit, basis, [None])
             if field.sd_svc[0] ** 2 < 0.05 * y.var(ddof=1):
                 hits += 1
@@ -463,19 +476,25 @@ class TestFitReml:
     }
 
     def test_scenario_corpus_converges_at_least_as_high_as_nelder_mead(self):
-        config = ScenarioConfig(n_sites=150, w_s=0.5, seed=3)
-        for iteration in range(4):
-            inst = gen_instance(config, iteration)
-            basis = moran_eigen_basis(
-                build_proximity(inst.sites, mst_range(inst.sites))
-            ).truncated(config.max_eigvecs)
-            for estimator in ("SVC_M", "SNVC_M"):
-                nvc = estimator == "SNVC_M"
-                spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, nvc, nvc))
-                fit, _ = fit_snvc(inst.X, inst.y, spec, basis)
-                assert fit.converged, (iteration, estimator)
-                floor = self.NELDER_MEAD_LOGLIK[iteration, estimator] - 1e-4
-                assert fit.restricted_loglik >= floor, (iteration, estimator)
+        for (iteration, estimator), loglik in self.NELDER_MEAD_LOGLIK.items():
+            fit = scenario_fit(0.5, iteration, estimator)
+            assert fit.converged, (iteration, estimator)
+            assert fit.restricted_loglik >= loglik - 1e-4, (iteration, estimator)
+
+    # Restricted log-likelihoods L-BFGS-B with a finite-difference gradient
+    # reached on N = 150 scenario draws with seed 3, keyed by (w_s, iteration,
+    # estimator).  Both surfaces have a flat ridge on which a loose
+    # relative-reduction test stops 0.35 and 0.04 short.
+    FINITE_DIFFERENCE_LOGLIK = {
+        (0.0, 1, "SVC_M"): -448.28891520812965,
+        (0.0, 4, "SNVC_M"): -326.8706977891288,
+    }
+
+    def test_flat_ridge_fits_reach_the_finite_difference_optimum(self):
+        for (w_s, iteration, estimator), loglik in self.FINITE_DIFFERENCE_LOGLIK.items():
+            fit = scenario_fit(w_s, iteration, estimator)
+            assert fit.converged, (w_s, iteration, estimator)
+            assert fit.restricted_loglik >= loglik - 1e-4, (w_s, iteration, estimator)
 
     def test_five_covariates_fourteen_parameters(self):
         X, y, spec, basis = five_covariate_data()
@@ -538,6 +557,7 @@ class TestPredictAndShares:
     def test_decomposition_exact(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=15)
         fit = fit_reml(cp, spec, basis)
+        assert fit.converged
         field = predict_coefficients(fit, basis, [None, nb])
         np.testing.assert_array_equal(field.total, field.mean[None, :] + field.svc + field.nvc)
         assert np.abs(field.svc.mean(axis=0)).max() < 1e-8
@@ -546,6 +566,7 @@ class TestPredictAndShares:
     def test_column_means_near_zero(self):
         spec, basis, X, nb, y, design, cp = reml_problem(n=50, seed=16)
         fit = fit_reml(cp, spec, basis)
+        assert fit.converged
         field = predict_coefficients(fit, basis, [None, nb])
         assert np.abs(field.svc[:, 0].mean()) < 1e-8
         assert np.abs(field.nvc[:, 1].mean()) < 1e-8
