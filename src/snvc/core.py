@@ -506,8 +506,7 @@ class RemlProblem:
         NumericalBreakdown
             As ``restricted_loglik``.
         """
-        v = np.exp(t @ self._C + self._offset)
-        loglik, sol, sigma2_hat, factor = _factor_joint(self.cp, v, self._g)
+        loglik, sol, sigma2_hat, factor = self.solve(t)
         k = self.cp.n_fixed
         l22_inv, info = lapack.dtrtri(factor[k:, k:], lower=1, overwrite_c=1)
         if info != 0:
@@ -515,6 +514,10 @@ class RemlProblem:
         u = sol[k:]
         score = u * u / sigma2_hat - 1.0 + np.einsum("ij,ij->j", l22_inv, l22_inv)
         return loglik, self._C @ score
+
+    def solve(self, t: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+        """``_factor_joint`` at the scaling ``v = exp(C' t + offset)``."""
+        return _factor_joint(self.cp, np.exp(t @ self._C + self._offset), self._g)
 
     def starts(self) -> list[np.ndarray]:
         """Ratio tau/sigma of 0.1 with alpha 1, and ratio 1 with alpha 0."""
@@ -575,7 +578,8 @@ def fit_reml(
     of 0.1 with alpha 1, and ratio 1 with alpha 0), each with half of the
     evaluation budget.  One evaluation is one value-and-gradient call, which
     costs one Cholesky factor and one triangular inverse; ``n_loglik_evals``
-    counts them plus the final ``restricted_loglik`` call.  The start with the
+    counts them plus the final factorisation at the winning point, which
+    gives the effects and the profiled variance.  The start with the
     higher likelihood wins, and ``converged`` is its L-BFGS-B stopping test
     (the largest projected-gradient component fell below scipy's default, or
     the relative change of the objective below ``_FTOL``, before the budget
@@ -597,39 +601,19 @@ def fit_reml(
         n_evals += sum(r.nfev for r in runs)
         converged = bool(best.success)
 
-    theta_ratio = layout.decode(t_best, spec.n_covariates)
-    scalings = [
-        scale_eigenvalues(spatial, float(theta_ratio.alpha[k])) if spec.has_svc[k] else None
-        for k in range(spec.n_covariates)
-    ]
-    res = restricted_loglik(cp, spec, theta_ratio, scalings)
-    return _finalize(cp, spec, theta_ratio, res, n_evals, converged)
-
-
-def _finalize(
-    cp: Crossproducts,
-    spec: ModelSpec,
-    theta_ratio: VarianceParams,
-    res: LoglikResult,
-    n_evals: int,
-    converged: bool,
-) -> FittedModel:
+    loglik, sol, s2, _ = problem.solve(t_best)
     # Searched parameters are variance ratios relative to sigma2 = 1; rescale
     # by the profiled sigma2 so the stored tau2 are absolute variances with
     # identical ratios (the likelihood value is unchanged).
-    s2 = res.sigma2_hat
-    theta = VarianceParams(
-        sigma2=s2,
-        tau2_s=theta_ratio.tau2_s * s2,
-        alpha=theta_ratio.alpha,
-        tau2_n=theta_ratio.tau2_n * s2,
-    )
+    ratio = layout.decode(t_best, spec.n_covariates)
+    theta = VarianceParams(sigma2=s2, tau2_s=ratio.tau2_s * s2, alpha=ratio.alpha, tau2_n=ratio.tau2_n * s2)
+    k = cp.n_fixed
     return FittedModel(
         spec=spec,
         theta=theta,
-        b_hat=res.b_hat,
-        u_hat=res.u_hat,
-        restricted_loglik=res.loglik,
+        b_hat=sol[:k],
+        u_hat=sol[k:],
+        restricted_loglik=loglik,
         n_loglik_evals=n_evals,
         converged=converged,
         blocks=cp.blocks,

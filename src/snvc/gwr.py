@@ -7,7 +7,11 @@ bandwidth (or neighbor count) is chosen by minimizing the corrected AIC
 
     AICc = 2 N ln(sigma_hat) + N ln(2 pi) + N (N + tr(S)) / (N - 2 - tr(S)),
 
-with sigma_hat^2 = RSS / N and S the hat matrix of the local fits.
+with sigma_hat^2 = RSS / N and S the hat matrix of the local fits.  A search
+computes the distances once (and, for the adaptive kernel, sorts each row
+once, so a neighbor count's radii are one column); each candidate forms all
+N local moment matrices X' diag(w_i) X as one product of the weight matrix
+with the per-site outer products x_j x_j'.
 """
 
 from __future__ import annotations
@@ -38,19 +42,30 @@ class GwrFit:
     rss: float
 
 
-def _weights(d: np.ndarray, kernel: str, bw) -> np.ndarray:
+def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None = None) -> np.ndarray:
+    """Kernel weights from the distances ``d``; ``d_sorted`` holds the rows of
+    ``d`` sorted ascending and is sorted here when not given."""
     if kernel == "exponential_fixed":
         if not bw > 0:
             raise ValueError("fixed bandwidth must be positive")
-        return np.exp(-d / float(bw))
-    # Adaptive: per-row range set by the m-th nearest neighbor (self excluded).
-    m = int(bw)
-    n = d.shape[0]
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"neighbor count must lie in [1, {n - 1}]")
-    r = np.partition(d, m, axis=1)[:, m]  # index 0 is the self distance
-    r = np.maximum(r, np.finfo(float).tiny)
-    return np.exp(-d / r[:, None])
+        scale = float(bw)
+    else:
+        # Adaptive: per-row range set by the m-th nearest neighbor (self excluded).
+        m = int(bw)
+        if not 1 <= m <= d.shape[0] - 1:
+            raise ValueError(f"neighbor count must lie in [1, {d.shape[0] - 1}]")
+        if d_sorted is None:
+            d_sorted = np.sort(d, axis=1)
+        scale = np.maximum(d_sorted[:, m], np.finfo(float).tiny)[:, None]  # column 0 is self
+    w = d / -scale  # exp(-d / scale) in one N x N buffer
+    return np.exp(w, out=w)
+
+
+def _design(X: np.ndarray, n: int, include_intercept: bool) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    return np.column_stack([np.ones(n), X]) if include_intercept else X
 
 
 def gwr_fit_at(
@@ -70,23 +85,29 @@ def gwr_fit_at(
     DegreesExhausted
         tr(S) >= N - 2, leaving AICc undefined.
     """
+    X = _design(X, sites.n_sites, include_intercept)
+    y = np.asarray(y, dtype=float).ravel()
+    return _fit_at(X, y, sites.distances(), None, kernel, bw, include_intercept)
+
+
+def _fit_at(
+    X: np.ndarray,
+    y: np.ndarray,
+    d: np.ndarray,
+    d_sorted: np.ndarray | None,
+    kernel: str,
+    bw,
+    include_intercept: bool,
+) -> GwrFit:
+    """``gwr_fit_at`` on a prepared design (intercept included) and geometry."""
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}")
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float).ravel()
-    n = sites.n_sites
-    if include_intercept:
-        X = np.column_stack([np.ones(n), X])
-    k = X.shape[1]
+    n, k = X.shape
+    w = _weights(d, kernel, bw, d_sorted)
 
-    d = sites.distances()
-    w = _weights(d, kernel, bw)
-
-    # One batched pass: A_i = X' diag(w_i) X, c_i = X' diag(w_i) y.
-    a = np.einsum("ij,jk,jl->ikl", w, X, X)
-    c = np.einsum("ij,jk,j->ik", w, X, y)
+    # A_i = X' diag(w_i) X and c_i = X' diag(w_i) y for every site at once.
+    a = (w @ (X[:, :, None] * X[:, None, :]).reshape(n, k * k)).reshape(n, k, k)
+    c = w @ (X * y[:, None])
     try:
         betas = np.linalg.solve(a, c[:, :, None])[:, :, 0]
         ainv_x = np.linalg.solve(a, X[:, :, None])[:, :, 0]
@@ -129,17 +150,19 @@ def select_bandwidth(
     Candidates whose local fits fail are skipped; if every candidate fails,
     NoFeasibleBandwidth is raised.
     """
-    X_arr = np.asarray(X, dtype=float)
-    if X_arr.ndim == 1:
-        X_arr = X_arr[:, None]
     n = sites.n_sites
-    k = X_arr.shape[1] + (1 if include_intercept else 0)
+    X = _design(X, n, include_intercept)
+    y = np.asarray(y, dtype=float).ravel()
+    k = X.shape[1]
     if n < k + 5:
         raise ValueError(f"need N >= K + 5 = {k + 5} sites, got {n}")
+    # Every candidate shares the distances and, for the adaptive kernel, their sorted rows.
+    d = sites.distances()
+    d_sorted = np.sort(d, axis=1) if kernel == "exponential_adaptive" else None
 
     def try_fit(bw):
         try:
-            return gwr_fit_at(sites, X_arr, y, kernel, bw, include_intercept)
+            return _fit_at(X, y, d, d_sorted, kernel, bw, include_intercept)
         except (SingularLocalFit, DegreesExhausted):
             return None
 
@@ -162,7 +185,7 @@ def select_bandwidth(
             raise NoFeasibleBandwidth("all neighbor counts failed")
         return best
 
-    maxdist = float(sites.distances().max())
+    maxdist = float(d.max())
     a, b = 0.01 * maxdist, maxdist
     return _golden_section(try_fit, a, b)
 

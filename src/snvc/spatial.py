@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import (
     AllSitesCoincident,
@@ -54,9 +55,8 @@ class SiteSet:
         return self.coords.shape[0]
 
     def distances(self) -> np.ndarray:
-        """Full N x N Euclidean distance matrix."""
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
+        """Full N x N Euclidean distance matrix, exactly symmetric."""
+        return cdist(self.coords, self.coords)
 
 
 @dataclass(frozen=True)

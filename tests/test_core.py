@@ -348,6 +348,25 @@ class TestRemlProblem:
             value, _ = problem.value_and_grad(t)
             assert abs(value - restricted_loglik(cp, spec, theta, scalings).loglik) <= 1e-10
 
+    def test_fit_equals_restricted_loglik_at_its_estimate(self, reml_case):
+        # fit_reml's final evaluation goes through RemlProblem; the public
+        # function must give the same likelihood, effects and variance.
+        _, cp, spec, basis = reml_case
+        fit = fit_reml(cp, spec, basis)
+        scalings = [
+            scale_eigenvalues(basis, float(fit.theta.alpha[k])) if spec.has_svc[k] else None
+            for k in range(spec.n_covariates)
+        ]
+        res = restricted_loglik(cp, spec, fit.theta, scalings)
+        assert abs(fit.restricted_loglik - res.loglik) <= 1e-10
+        assert fit.theta.sigma2 == pytest.approx(res.sigma2_hat, rel=1e-10)
+        np.testing.assert_allclose(
+            np.concatenate([fit.b_hat, fit.u_hat]),
+            np.concatenate([res.b_hat, res.u_hat]),
+            rtol=1e-8,
+            atol=1e-10,
+        )
+
     def test_singular_fixed_block_raised_at_construction(self):
         spec, basis, X, nb, y, design, cp = reml_problem()
         design_bad = build_design(np.column_stack([X[:, 0], X[:, 0]]), spec, basis, [None, nb])

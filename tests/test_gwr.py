@@ -69,6 +69,23 @@ class TestGwrFitAt:
             np.testing.assert_allclose(np.diag(w), 1.0, atol=1e-15)
             assert np.all(w > 0)
 
+    def test_adaptive_radius_from_sorted_rows_matches_partition(self):
+        # The search sorts each distance row once and reads the m-th neighbor
+        # distance as one column; that must be the order statistic
+        # np.partition gives, duplicate sites (zero radii) included.
+        coords = np.random.default_rng(12).uniform(0, 10, (30, 2))
+        coords[[5, 17]] = coords[2]
+        coords[20] = coords[9]
+        d = SiteSet(coords).distances()
+        d_sorted = np.sort(d, axis=1)
+        for m in range(1, 30):
+            r = np.partition(d, m, axis=1)[:, m]
+            assert np.array_equal(d_sorted[:, m], r)
+            with np.errstate(over="ignore"):  # zero radii scale by the tiny floor
+                expected = np.exp(-d / np.maximum(r, np.finfo(float).tiny)[:, None])
+                assert np.array_equal(_weights(d, "exponential_adaptive", m, d_sorted), expected)
+                assert np.array_equal(_weights(d, "exponential_adaptive", m), expected)
+
     def test_degrees_exhausted_for_tiny_bandwidth(self):
         sites, X, y = make_problem(seed=5)
         with pytest.raises((DegreesExhausted, SingularLocalFit)):
@@ -115,6 +132,15 @@ class TestSelectBandwidth:
         spacing = grid[1] - grid[0]
         assert abs(fit.bandwidth - best_grid) <= spacing + 1e-3 * maxdist
         assert fit.aicc <= min(aiccs) + 1e-6 * abs(min(aiccs))
+
+    @pytest.mark.parametrize("kernel", ["exponential_fixed", "exponential_adaptive"])
+    def test_search_answer_matches_gwr_fit_at(self, kernel):
+        sites, X, y = make_problem(n=40, seed=10)
+        fit = select_bandwidth(sites, X, y, kernel)
+        fresh = gwr_fit_at(sites, X, y, kernel, fit.bandwidth)
+        np.testing.assert_allclose(fit.local_coefs, fresh.local_coefs, rtol=1e-12, atol=0)
+        assert fit.trace_S == pytest.approx(fresh.trace_S, rel=1e-12)
+        assert fit.aicc == pytest.approx(fresh.aicc, rel=1e-12)
 
     def test_adaptive_scan_returns_minimum(self):
         sites, X, y = make_problem(n=30, seed=9)

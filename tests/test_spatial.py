@@ -17,6 +17,31 @@ def random_sites(n, seed, scale=10.0):
     return SiteSet(rng.uniform(0, scale, (n, 2)))
 
 
+def sites_with_duplicates(n=30, seed=12):
+    coords = np.random.default_rng(seed).uniform(0, 10, (n, 2))
+    coords[[5, 17]] = coords[2]
+    coords[20] = coords[9]
+    return SiteSet(coords)
+
+
+class TestDistances:
+    def test_symmetric_zero_diagonal_and_zero_between_duplicates(self):
+        d = sites_with_duplicates().distances()
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        assert d[2, 5] == d[2, 17] == d[5, 17] == d[9, 20] == 0.0
+        assert np.count_nonzero(d == 0.0) == 30 + 2 * 4
+
+    def test_matches_explicit_pairwise_formula(self):
+        sites = sites_with_duplicates()
+        d = sites.distances()
+        (n, _), c = sites.coords.shape, sites.coords
+        for i in range(n):
+            for j in range(n):
+                ref = np.sqrt((c[i, 0] - c[j, 0]) ** 2 + (c[i, 1] - c[j, 1]) ** 2)
+                assert abs(d[i, j] - ref) <= 1e-15 * ref
+
+
 class TestMstRange:
     def test_unit_square_uses_sides_not_diagonal(self):
         sites = SiteSet([[0, 0], [1, 0], [0, 1], [1, 1]])
