@@ -34,7 +34,6 @@ from .simlab import (
     run_scenario,
 )
 from .spatial import (
-    EigenScaling,
     ProximityMatrix,
     SiteSet,
     SpatialBasis,
@@ -44,7 +43,7 @@ from .spatial import (
     mst_range,
     scale_eigenvalues,
 )
-from .splines import NvcBasis, evaluate_nvc, spline_basis
+from .splines import NvcBasis, spline_basis
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "CoefficientField",
     "Crossproducts",
     "DesignMatrix",
-    "EigenScaling",
     "FittedModel",
     "GeneratedInstance",
     "GwrFit",
@@ -68,7 +66,6 @@ __all__ = [
     "build_proximity",
     "coef_correlations",
     "errors",
-    "evaluate_nvc",
     "fit_reml",
     "fit_snvc",
     "gen_coefficients",

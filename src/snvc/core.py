@@ -27,7 +27,7 @@ from .errors import (
     NumericalBreakdown,
     SingularFixedBlock,
 )
-from .spatial import EigenScaling, SpatialBasis, scale_eigenvalues
+from .spatial import SpatialBasis, scale_eigenvalues
 from .splines import NvcBasis, spline_basis
 
 # Profiled residual variances below this are treated as degenerate.
@@ -186,6 +186,7 @@ class FittedModel:
     restricted_loglik: float
     n_loglik_evals: int
     converged: bool
+    n_obs: int
     blocks: tuple[BlockLayout, ...] = field(repr=False, default=())
 
 
@@ -279,7 +280,7 @@ def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
 def _v_diagonal(
     blocks: tuple[BlockLayout, ...],
     theta: VarianceParams,
-    scalings: list[EigenScaling | None],
+    scalings: list[np.ndarray | None],
 ) -> np.ndarray:
     """Diagonal of the random-effect scaling matrix, per block (tau/sigma) units."""
     p = blocks[-1].stop if blocks else 0
@@ -291,7 +292,7 @@ def _v_diagonal(
             scaling = scalings[k]
             if scaling is None:
                 raise ValueError(f"missing eigen scaling for covariate {k}")
-            weights = np.sqrt(scaling.scaled_weights[: blk.size])
+            weights = np.sqrt(scaling[: blk.size])
             v[blk.start : blk.stop] = ratio * weights
         else:
             ratio = math.sqrt(theta.tau2_n[k] / theta.sigma2)
@@ -344,7 +345,7 @@ def restricted_loglik(
     cp: Crossproducts,
     spec: ModelSpec,
     theta: VarianceParams,
-    scalings: list[EigenScaling | None],
+    scalings: list[np.ndarray | None],
 ) -> LoglikResult:
     """Restricted log-likelihood with the residual variance profiled out.
 
@@ -358,8 +359,8 @@ def restricted_loglik(
         -log|system|/2 - (N-K)/2 * (1 + log(2 pi sigma2_hat)),
 
     where sigma2_hat = (residual SS + ||u||^2) / (N - K) expands through the
-    same crossproducts.  ``scalings[k]`` must carry the eigenvalue weights at
-    the current alpha_k for every covariate with an SVC term.
+    same crossproducts.  ``scalings[k]`` must be ``scale_eigenvalues(basis,
+    alpha_k)`` for every covariate with an SVC term.
 
     Raises
     ------
@@ -616,6 +617,7 @@ def fit_reml(
         restricted_loglik=loglik,
         n_loglik_evals=n_evals,
         converged=converged,
+        n_obs=cp.n_obs,
         blocks=cp.blocks,
     )
 
@@ -629,41 +631,28 @@ def predict_coefficients(
     fit: FittedModel,
     spatial: SpatialBasis | None,
     nvc_bases: list[NvcBasis | None],
-    n_sites: int | None = None,
 ) -> CoefficientField:
     """Per-site coefficient decomposition from the fitted effects.
 
     The spatial part of covariate k is (tau_s/sigma) E Lambda^(alpha/2) u_k,
     the non-spatial part (tau_n/sigma) E_k u_k; the total adds the constant
     mean.  Any fit is decomposed, converged or not; callers that need a
-    converged fit check ``FittedModel.converged``.  ``n_sites`` is only
-    needed when the model has no basis at all.
+    converged fit check ``FittedModel.converged``.
     """
     spec, theta = fit.spec, fit.theta
-    n_cov = spec.n_covariates
-    if spatial is not None:
-        n = spatial.n_sites
-    else:
-        nonempty = [b for b in nvc_bases if b is not None]
-        if nonempty:
-            n = nonempty[0].values.shape[0]
-        elif n_sites is not None:
-            n = n_sites
-        else:
-            raise ValueError("need a basis or n_sites to size the coefficient field")
-
-    svc = np.zeros((n, n_cov))
-    nvc = np.zeros((n, n_cov))
+    scalings = [
+        scale_eigenvalues(spatial, float(theta.alpha[k])) if spec.has_svc[k] else None
+        for k in range(spec.n_covariates)
+    ]
+    gamma = _v_diagonal(fit.blocks, theta, scalings) * fit.u_hat
+    svc = np.zeros((fit.n_obs, spec.n_covariates))
+    nvc = np.zeros((fit.n_obs, spec.n_covariates))
     for blk in fit.blocks:
         k = blk.covariate
-        u_blk = fit.u_hat[blk.start : blk.stop]
         if blk.kind == "svc":
-            ratio = math.sqrt(theta.tau2_s[k] / theta.sigma2)
-            weights = np.sqrt(scale_eigenvalues(spatial, float(theta.alpha[k])).scaled_weights)
-            svc[:, k] = spatial.eigvecs[:, : blk.size] @ (ratio * weights[: blk.size] * u_blk)
+            svc[:, k] = spatial.eigvecs[:, : blk.size] @ gamma[blk.start : blk.stop]
         else:
-            ratio = math.sqrt(theta.tau2_n[k] / theta.sigma2)
-            nvc[:, k] = nvc_bases[k].values @ (ratio * u_blk)
+            nvc[:, k] = nvc_bases[k].values @ gamma[blk.start : blk.stop]
 
     mean = np.asarray(fit.b_hat, dtype=float)
     total = mean[None, :] + svc + nvc
@@ -709,5 +698,5 @@ def fit_snvc(
     design = build_design(X, spec, spatial, nvc_bases)
     cp = precompute_crossproducts(design, y)
     fit = fit_reml(cp, spec, spatial)
-    field = predict_coefficients(fit, spatial, nvc_bases, n_sites=X.shape[0])
+    field = predict_coefficients(fit, spatial, nvc_bases)
     return fit, field

@@ -29,6 +29,10 @@ KERNELS = ("exponential_fixed", "exponential_adaptive")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BW_REL_TOL = 1e-3
 
+# Adaptive searches over more neighbor counts than this scan an even grid of
+# this many counts, then refine around the grid winner.
+_MAX_EXHAUSTIVE = 256
+
 
 @dataclass(frozen=True)
 class GwrFit:
@@ -190,11 +194,11 @@ def select_bandwidth(
     return _golden_section(try_fit, a, b)
 
 
-def _adaptive_candidates(lo: int, hi: int, max_exhaustive: int = 256) -> list[int]:
+def _adaptive_candidates(lo: int, hi: int) -> list[int]:
     count = hi - lo + 1
-    if count <= max_exhaustive:
+    if count <= _MAX_EXHAUSTIVE:
         return list(range(lo, hi + 1))
-    grid = np.unique(np.linspace(lo, hi, max_exhaustive).round().astype(int))
+    grid = np.unique(np.linspace(lo, hi, _MAX_EXHAUSTIVE).round().astype(int))
     return [int(m) for m in grid]
 
 

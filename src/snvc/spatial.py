@@ -14,7 +14,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -110,18 +110,6 @@ class SpatialBasis:
             range_r=self.range_r,
             n_total_nonzero=self.n_total_nonzero,
         )
-
-
-@dataclass(frozen=True)
-class EigenScaling:
-    """Eigenvalue weights ``(lambda_l / lambda_1)**alpha``.
-
-    Normalizing by the leading eigenvalue keeps the weights in (0, 1] for
-    alpha > 0; the absorbed overall scale moves into the matching tau^2.
-    """
-
-    alpha: float
-    scaled_weights: np.ndarray = field(repr=False)
 
 
 def mst_range(sites: SiteSet) -> float:
@@ -224,12 +212,15 @@ def moran_eigen_basis(
     )
 
 
-def scale_eigenvalues(basis: SpatialBasis, alpha: float) -> EigenScaling:
-    """Weights ``(lambda_l / lambda_1)**alpha`` for the retained eigenvalues."""
+def scale_eigenvalues(basis: SpatialBasis, alpha: float) -> np.ndarray:
+    """Weights ``(lambda_l / lambda_1)**alpha`` for the retained eigenvalues.
+
+    Normalizing by the leading eigenvalue keeps the weights in (0, 1] for
+    alpha > 0; the absorbed overall scale moves into the matching tau^2.
+    """
     if basis.n_components == 0:
         raise EmptyBasis("cannot scale an empty basis")
-    weights = (basis.eigvals / basis.eigvals[0]) ** alpha
-    return EigenScaling(alpha=float(alpha), scaled_weights=weights)
+    return (basis.eigvals / basis.eigvals[0]) ** alpha
 
 
 def moran_coefficient(z: np.ndarray, C: ProximityMatrix) -> float:

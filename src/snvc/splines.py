@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantCovariate, DimensionMismatch, TooFewDistinctValues
+from .errors import ConstantCovariate, TooFewDistinctValues
 
 FAMILIES = ("natural_cubic", "thin_plate_1d")
 
@@ -115,12 +115,3 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
         source_range=(float(x.min()), float(x.max())),
     )
 
-
-def evaluate_nvc(basis: NvcBasis, gamma: np.ndarray) -> np.ndarray:
-    """Coefficient curve ``E @ gamma``; mean zero because columns are centered."""
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    if gamma.shape[0] != basis.n_components:
-        raise DimensionMismatch(
-            f"gamma has length {gamma.shape[0]}, basis has {basis.n_components} columns"
-        )
-    return basis.values @ gamma

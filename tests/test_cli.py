@@ -168,6 +168,20 @@ class TestFitCommand:
         ])
         assert code == 3
 
+    def test_collinear_covariates_exit_four(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x1 = rng.normal(size=40)
+        rows = np.column_stack([rng.uniform(0, 10, (40, 2)), x1 + rng.normal(size=40), x1, 2.0 * x1])
+        path = tmp_path / "collinear.csv"
+        write_csv(path, ["px", "py", "price", "x1", "x2"], rows.tolist())
+        code = main([
+            "fit", "--data", str(path), "--y", "price", "--x", "x1,x2",
+            "--coords", "px,py", "--out", str(tmp_path / "r.json"),
+            "--coef-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 4
+        assert '"error": "SingularFixedBlock"' in capsys.readouterr().err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "x.csv"])  # required flags missing

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -348,6 +350,25 @@ class TestRemlProblem:
             value, _ = problem.value_and_grad(t)
             assert abs(value - restricted_loglik(cp, spec, theta, scalings).loglik) <= 1e-10
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        c=st.floats(1e-3, 1e3).flatmap(lambda m: st.sampled_from([m, -m])),
+    )
+    def test_scaling_the_response_shifts_the_value(self, reml_case, data, c):
+        # y -> c y multiplies the profiled variance by c^2 and leaves the
+        # variance ratios, so the value drops by (N - K) log|c| and the
+        # gradient is unchanged.
+        problem, cp, spec, basis = reml_case
+        size = problem.layout.size
+        t = interior_point(problem, data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+        cp_c = dataclasses.replace(cp, Xty=c * cp.Xty, Ety=c * cp.Ety, yty=c * c * cp.yty)
+        value, grad = problem.value_and_grad(t)
+        value_c, grad_c = RemlProblem(cp_c, spec, basis).value_and_grad(t)
+        expected = value - (cp.n_obs - cp.n_fixed) * math.log(abs(c))
+        assert abs(value_c - expected) <= 1e-10 * abs(expected)
+        assert np.linalg.norm(grad_c - grad) <= 1e-10 * np.linalg.norm(grad)
+
     def test_fit_equals_restricted_loglik_at_its_estimate(self, reml_case):
         # fit_reml's final evaluation goes through RemlProblem; the public
         # function must give the same likelihood, effects and variance.
@@ -374,13 +395,15 @@ class TestRemlProblem:
             RemlProblem(precompute_crossproducts(design_bad, y), spec, basis)
 
 
+def moran_basis(sites, max_eigvecs):
+    return moran_eigen_basis(build_proximity(sites, mst_range(sites))).truncated(max_eigvecs)
+
+
 def scenario_fit(w_s, iteration, estimator):
     """Fit SVC_M or SNVC_M to one N = 150 scenario draw with seed 3."""
     config = ScenarioConfig(n_sites=150, w_s=w_s, seed=3)
     inst = gen_instance(config, iteration)
-    basis = moran_eigen_basis(build_proximity(inst.sites, mst_range(inst.sites))).truncated(
-        config.max_eigvecs
-    )
+    basis = moran_basis(inst.sites, config.max_eigvecs)
     nvc = estimator == "SNVC_M"
     spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, nvc, nvc))
     return fit_snvc(inst.X, inst.y, spec, basis)[0]
@@ -515,6 +538,21 @@ class TestFitReml:
             assert fit.converged, (w_s, iteration, estimator)
             assert fit.restricted_loglik >= loglik - 1e-4, (w_s, iteration, estimator)
 
+    def test_duplicate_sites_fit(self):
+        # 30 of 120 sites repeat earlier coordinates: zero distances enter the
+        # MST range, the proximity matrix and the eigenvectors.
+        rng = np.random.default_rng(31)
+        coords = rng.uniform(0, 10, (90, 2))
+        sites = SiteSet(np.vstack([coords, coords[rng.choice(90, 30, replace=False)]]))
+        basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+        x = rng.uniform(0, 5, 120)
+        X = np.column_stack([np.ones(120), x])
+        y = 1.0 + basis.eigvecs[:, 0] + np.sin(x) * x + rng.normal(size=120)
+        spec = ModelSpec(("intercept", "x"), (True, True), (False, True), (6, 6))
+        fit, field = fit_snvc(X, y, spec, basis)
+        assert fit.converged
+        np.testing.assert_array_equal(field.total, field.mean[None, :] + field.svc + field.nvc)
+
     def test_five_covariates_fourteen_parameters(self):
         X, y, spec, basis = five_covariate_data()
         fit1, field1 = fit_snvc(X, y, spec, basis)
@@ -532,7 +570,7 @@ class TestPredictAndShares:
         spec, basis, X, nb, y, design, cp = reml_problem(seed=13)
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
         res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.0), None])
-        fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.blocks)
+        fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.n_obs, cp.blocks)
         field = predict_coefficients(fit, basis, [None, nb])
         assert np.all(field.svc == 0.0) and np.all(field.nvc == 0.0)
         np.testing.assert_array_equal(field.total, np.tile(field.mean, (30, 1)))
@@ -550,7 +588,7 @@ class TestPredictAndShares:
 
         def field_at(tau_s, tau_n):
             theta = VarianceParams(1.0, [tau_s**2], [1.0], [tau_n**2])
-            fit = FittedModel(spec, theta, np.zeros(1), u, 0.0, 1, True, design.blocks)
+            fit = FittedModel(spec, theta, np.zeros(1), u, 0.0, 1, True, design.n_obs, design.blocks)
             return predict_coefficients(fit, basis, [nb])
 
         unit = field_at(1.0, 1.0)
@@ -572,6 +610,29 @@ class TestPredictAndShares:
         fit, field = fit_snvc(X, y, spec, basis)
         assert field.svc_share[0] == 1.0
         assert field.sd_svc[0] > 0
+
+    def test_permuting_the_sites_permutes_the_field(self):
+        # At one variance point, permuting the sites, X and y together gives
+        # the same likelihood and the permuted coefficient field.
+        config = ScenarioConfig(n_sites=150, w_s=0.5, seed=3)
+        inst = gen_instance(config, 0)
+        spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, True, True))
+        theta = fit_snvc(inst.X, inst.y, spec, moran_basis(inst.sites, config.max_eigvecs))[0].theta
+
+        def at_theta(order):
+            sites, X, y = SiteSet(inst.sites.coords[order]), inst.X[order], inst.y[order]
+            basis = moran_basis(sites, config.max_eigvecs)
+            nbs = [spline_basis(X[:, k], spec.n_basis_nvc[k]) if spec.has_nvc[k] else None for k in range(3)]
+            cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
+            res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, a) for a in theta.alpha])
+            fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.n_obs, cp.blocks)
+            return res.loglik, predict_coefficients(fit, basis, nbs).total
+
+        perm = np.random.default_rng(0).permutation(150)
+        loglik, total = at_theta(np.arange(150))
+        loglik_p, total_p = at_theta(perm)
+        assert abs(loglik_p - loglik) <= 1e-10
+        assert np.abs(total_p - total[perm]).max() <= 1e-10 * np.abs(total).max()
 
     def test_decomposition_exact(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=15)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snvc.errors import AllSitesCoincident, ConstantVector, EmptyBasis, NonPositiveRange
 from snvc.spatial import (
@@ -143,15 +145,15 @@ class TestMoranEigenBasis:
 class TestScaleEigenvalues:
     def test_alpha_zero_gives_unit_weights(self):
         basis = _basis_with_eigvals([4.0, 1.0])
-        np.testing.assert_allclose(scale_eigenvalues(basis, 0.0).scaled_weights, [1.0, 1.0])
+        np.testing.assert_allclose(scale_eigenvalues(basis, 0.0), [1.0, 1.0])
 
     def test_alpha_one_gives_ratios(self):
         basis = _basis_with_eigvals([4.0, 1.0])
-        np.testing.assert_allclose(scale_eigenvalues(basis, 1.0).scaled_weights, [1.0, 0.25])
+        np.testing.assert_allclose(scale_eigenvalues(basis, 1.0), [1.0, 0.25])
 
     def test_alpha_two(self):
         basis = _basis_with_eigvals([4.0, 1.0])
-        np.testing.assert_allclose(scale_eigenvalues(basis, 2.0).scaled_weights, [1.0, 0.0625])
+        np.testing.assert_allclose(scale_eigenvalues(basis, 2.0), [1.0, 0.0625])
 
     def test_empty_basis_raises(self):
         basis = _basis_with_eigvals([])
@@ -216,6 +218,22 @@ class TestSpectralInvariants:
         )
         assert np.abs(lhs - rhs).max() < 1e-8
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        angle=st.floats(0.0, 2.0 * np.pi),
+        shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    )
+    def test_rigid_motion_keeps_range_and_eigenvalues(self, angle, shift):
+        sites = random_sites(40, seed=8)
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        moved = SiteSet(sites.coords @ rotation.T + np.asarray(shift))
+        r, r_moved = mst_range(sites), mst_range(moved)
+        assert abs(r_moved - r) <= 1e-12 * r
+        base = moran_eigen_basis(build_proximity(sites, r))
+        after = moran_eigen_basis(build_proximity(moved, r_moved))
+        assert after.n_components == base.n_components
+        assert np.abs(after.eigvals - base.eigvals).max() <= 1e-12 * base.eigvals[0]
+
     def test_orthonormal_and_centered_columns(self):
         sites = random_sites(60, seed=3)
         basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
@@ -247,7 +265,7 @@ class TestSpectralInvariants:
         rng = np.random.default_rng(2024)
         means = []
         for alpha in (0.0, 0.5, 1.0, 2.0):
-            weights = scale_eigenvalues(basis, alpha).scaled_weights
+            weights = scale_eigenvalues(basis, alpha)
             draws = []
             for _ in range(200):
                 gamma = rng.standard_normal(basis.n_components) * np.sqrt(weights)

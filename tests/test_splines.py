@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from snvc.errors import ConstantCovariate, DimensionMismatch, TooFewDistinctValues
-from snvc.splines import evaluate_nvc, spline_basis
+from snvc.errors import ConstantCovariate, TooFewDistinctValues
+from snvc.splines import spline_basis
 
 
 def test_constant_covariate_rejected():
@@ -63,7 +63,7 @@ def test_generated_curve_is_twice_continuously_differentiable(family):
     x = np.linspace(0.0, 400.0, 500)
     basis = spline_basis(x, n_basis=10, family=family)
     rng = np.random.default_rng(7)
-    curve = evaluate_nvc(basis, rng.standard_normal(basis.n_components))
+    curve = basis.values @ rng.standard_normal(basis.n_components)
 
     worst = _piecewise_cubic_breaks(x, curve, basis.knots)
     assert worst is not None
@@ -79,38 +79,13 @@ def test_natural_spline_curvature_vanishes_at_boundary_knots():
     x = np.linspace(0.0, 400.0, 500)
     basis = spline_basis(x, n_basis=10, family="natural_cubic")
     rng = np.random.default_rng(3)
-    curve = evaluate_nvc(basis, rng.standard_normal(basis.n_components))
+    curve = basis.values @ rng.standard_normal(basis.n_components)
 
     d2_scale = np.abs(np.gradient(np.gradient(curve, x), x)).max()
     for knot, seg in ((basis.knots[0], x <= basis.knots[1]), (basis.knots[-1], x >= basis.knots[-2])):
         coef = np.polynomial.polynomial.polyfit(x[seg] - knot, curve[seg], deg=3)
         p = np.polynomial.polynomial.Polynomial(coef)
         assert abs(p.deriv(2)(0.0)) < 1e-6 * d2_scale
-
-
-class TestEvaluateNvc:
-    def setup_method(self):
-        rng = np.random.default_rng(5)
-        self.basis = spline_basis(rng.uniform(0, 10, 120), n_basis=6)
-
-    def test_zero_gamma(self):
-        np.testing.assert_array_equal(
-            evaluate_nvc(self.basis, np.zeros(self.basis.n_components)), np.zeros(120)
-        )
-
-    def test_unit_gamma_selects_first_column(self):
-        e1 = np.zeros(self.basis.n_components)
-        e1[0] = 1.0
-        np.testing.assert_array_equal(evaluate_nvc(self.basis, e1), self.basis.values[:, 0])
-
-    def test_random_gamma_has_zero_mean(self):
-        rng = np.random.default_rng(6)
-        out = evaluate_nvc(self.basis, rng.standard_normal(self.basis.n_components))
-        assert abs(out.mean()) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            evaluate_nvc(self.basis, np.zeros(self.basis.n_components + 1))
 
 
 def test_variance_scales_linearly_in_tau():
