@@ -174,6 +174,7 @@ class FitReport:
     sd_nvc: tuple[float, ...]
     converged: bool
     n_loglik_evals: int
+    inactive_terms: tuple[str, ...]  # "name:svc" or "name:nvc"; their tau2 is exactly 0
     n_obs: int
     n_eigvecs: int
     n_dropped_rows: int
@@ -196,6 +197,7 @@ class FitReport:
             "sd_nvc": list(self.sd_nvc),
             "converged": self.converged,
             "n_loglik_evals": self.n_loglik_evals,
+            "inactive_terms": list(self.inactive_terms),
             "n_obs": self.n_obs,
             "n_eigvecs": self.n_eigvecs,
             "n_dropped_rows": self.n_dropped_rows,
@@ -221,6 +223,7 @@ class FitReport:
             sd_nvc=tuple(p["sd_nvc"]),
             converged=p["converged"],
             n_loglik_evals=p["n_loglik_evals"],
+            inactive_terms=tuple(p["inactive_terms"]),
             n_obs=p["n_obs"],
             n_eigvecs=p["n_eigvecs"],
             n_dropped_rows=p["n_dropped_rows"],
@@ -318,6 +321,7 @@ def fit_command(args) -> int:
         sd_nvc=tuple(float(v) for v in field.sd_nvc),
         converged=bool(fit.converged),
         n_loglik_evals=int(fit.n_loglik_evals),
+        inactive_terms=fit.inactive_terms,
         n_obs=n,
         n_eigvecs=spatial.n_components if spatial is not None else 0,
         n_dropped_rows=table.n_dropped,

@@ -40,11 +40,29 @@ _LOG_TAU2_BOUNDS = (-46.0, 46.0)
 
 _MAX_EVALS_TOTAL = 2000
 
+# The one-sided score of an inactive SVC block is maximised over this grid.
+_ALPHA_GRID = np.linspace(ALPHA_BOUNDS[0], ALPHA_BOUNDS[1], 31)
+
+# The search ends when no inactive block's one-sided score exceeds this
+# fraction of |loglik|.
+_SCORE_TOL = 1e-6
+
+# An active block whose largest column variance ratio (tau/sigma)^2 w_l falls
+# to this leaves the active set and is certified by its score instead.
+_COLLAPSED = 1e-8
+
+# Log variance ratios tried for a block that enters the active set.
+_ENTRY_LOG_RATIOS = np.log(10.0 ** np.arange(-4.0, 3.0, 2.0))
+
 # L-BFGS-B also stops when one step lowers the objective by less than this
 # fraction of its size.  scipy's default, 2.2e-9, is about 1e-6 on a
 # log-likelihood of a few hundred and can stop on a flat ridge with a gradient
 # of 1e-2 left; 1e-10 stays above the rounding level of the likelihood.
 _FTOL = 1e-10
+
+# Screening only chooses the active set, which the polish then searches from
+# fixed starts, so its L-BFGS-B runs stop at this looser tolerance.
+_SCREEN_FTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -135,6 +153,32 @@ class Crossproducts:
     def n_random(self) -> int:
         return self.EtE.shape[0]
 
+    def subset(self, blocks: tuple[BlockLayout, ...]) -> Crossproducts:
+        """The crossproducts of the model with only ``blocks``, laid out contiguously.
+
+        ``blocks`` are taken from ``self.blocks`` in layout order.
+        """
+        relaid, offset = [], 0
+        for blk in blocks:
+            relaid.append(BlockLayout(blk.covariate, blk.kind, offset, offset + blk.size))
+            offset += blk.size
+        cols = _columns(blocks)
+        return Crossproducts(
+            XtX=self.XtX,
+            XtE=self.XtE[:, cols],
+            EtE=self.EtE[np.ix_(cols, cols)],
+            Xty=self.Xty,
+            Ety=self.Ety[cols],
+            yty=self.yty,
+            n_obs=self.n_obs,
+            blocks=tuple(relaid),
+        )
+
+
+def _columns(blocks: tuple[BlockLayout, ...]) -> np.ndarray:
+    """Indices of the random-effect columns of ``blocks``, in order."""
+    return np.concatenate([np.arange(b.start, b.stop) for b in blocks] + [np.empty(0, dtype=int)])
+
 
 @dataclass(frozen=True)
 class VarianceParams:
@@ -188,6 +232,8 @@ class FittedModel:
     converged: bool
     n_obs: int
     blocks: tuple[BlockLayout, ...] = field(repr=False, default=())
+    # Terms with zero variance, as "name:svc" or "name:nvc", in layout order.
+    inactive_terms: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -318,10 +364,12 @@ def _factor_joint(
     """
     n, k, p = cp.n_obs, cp.n_fixed, cp.n_random
     g[:k, :k] = cp.XtX
-    g[:k, k:] = cp.XtE * v
+    np.multiply(cp.XtE, v, out=g[:k, k:])
     g[k:, :k] = g[:k, k:].T
-    np.multiply(v[:, None] * cp.EtE, v[None, :], out=g[k:, k:])
-    g[k + np.arange(p), k + np.arange(p)] += 1.0
+    # E'E and v v' are symmetric; their transposes share g's column order.
+    np.multiply(cp.EtE.T, np.outer(v, v).T, out=g[k:, k:])
+    diag = g.reshape(-1, order="F")[k * (k + p + 1) :: k + p + 1]
+    diag += 1.0
     rhs = np.concatenate([cp.Xty, v * cp.Ety])
 
     factor, info = lapack.dpotrf(g, lower=1, clean=1, overwrite_a=1)
@@ -336,7 +384,7 @@ def _factor_joint(
             f"profiled variance {sigma2_hat:.3e} is at or below the floor {VARIANCE_FLOOR}"
         )
 
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    logdet = 2.0 * float(np.log(factor.diagonal()).sum())
     loglik = -0.5 * logdet - 0.5 * (n - k) * (1.0 + math.log(2.0 * math.pi * sigma2_hat))
     return loglik, sol, sigma2_hat, factor
 
@@ -411,6 +459,13 @@ class _ParamLayout:
         for i in self.idx_alpha.values():
             out[i] = ALPHA_BOUNDS
         return out
+
+    def index(self, blk: BlockLayout) -> list[int]:
+        """Positions of ``blk``'s parameters: its log ratio, then its alpha if searched."""
+        k = blk.covariate
+        if blk.kind == "nvc":
+            return [self.idx_log_tau2_n[k]]
+        return [self.idx_log_tau2_s[k]] + ([self.idx_alpha[k]] if k in self.idx_alpha else [])
 
     def decode(self, t: np.ndarray, n_cov: int) -> VarianceParams:
         tau2_s = np.zeros(n_cov)
@@ -516,9 +571,13 @@ class RemlProblem:
         score = u * u / sigma2_hat - 1.0 + np.einsum("ij,ij->j", l22_inv, l22_inv)
         return loglik, self._C @ score
 
+    def scaling(self, t: np.ndarray) -> np.ndarray:
+        """The scaling diagonal ``v = exp(C' t + offset)``."""
+        return np.exp(t @ self._C + self._offset)
+
     def solve(self, t: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-        """``_factor_joint`` at the scaling ``v = exp(C' t + offset)``."""
-        return _factor_joint(self.cp, np.exp(t @ self._C + self._offset), self._g)
+        """``_factor_joint`` at the scaling ``v`` of ``t``."""
+        return _factor_joint(self.cp, self.scaling(t), self._g)
 
     def starts(self) -> list[np.ndarray]:
         """Ratio tau/sigma of 0.1 with alpha 1, and ratio 1 with alpha 0."""
@@ -536,7 +595,7 @@ class RemlProblem:
         return out
 
 
-def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int) -> scipy.optimize.OptimizeResult:
+def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> scipy.optimize.OptimizeResult:
     """One bounded L-BFGS-B run from ``t0``; ``nfev`` counts value-and-gradient calls.
 
     A breakdown is reported to L-BFGS-B as an infinite objective, which its
@@ -560,10 +619,188 @@ def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int) -> scipy.optimize
         jac=True,
         method="L-BFGS-B",
         bounds=problem.layout.bounds(),
-        options={"maxfun": maxfun, "ftol": _FTOL},
+        options={"maxfun": maxfun, "ftol": ftol},
     )
     run.success = run.success and not broke
     return run
+
+
+def _boundary_scores(
+    cp: Crossproducts,
+    active: tuple[BlockLayout, ...],
+    inactive: tuple[BlockLayout, ...],
+    v: np.ndarray,
+    point: tuple[float, np.ndarray, float, np.ndarray],
+    log_eig_ratio: np.ndarray,
+    alphas: np.ndarray,
+) -> list[np.ndarray]:
+    """One-sided scores d loglik / d r_b at r_b = 0 of the ``inactive`` blocks.
+
+    ``point`` is ``RemlProblem.solve``'s result, at scaling ``v``, for the
+    model with the ``active`` blocks of ``cp`` only.  Adding block b with
+    column variance ratios r_b w_l gives
+
+        d loglik / d r_b = 1/2 sum_l w_l (g_l^2 / sigma2_hat - m_l),
+
+    where g = E_b' P y is E_b' times the residual y - X b - E_a V u, and
+    m = diag(E_b' P E_b) is diag(E_b' E_b) less the column sums of squares
+    of L^-1 [X' E_b; V E_a' E_b], with L the active joint factor.  w is 1 for
+    an NVC block and (lambda_l / lambda_1)^alpha for an SVC block, so one
+    triangular solve serves every alpha.  Returns one array per inactive
+    block: its score for each of ``alphas`` (SVC), or its single score (NVC).
+    """
+    _, sol, sigma2_hat, factor = point
+    k = cp.n_fixed
+    cols_a, cols_i = _columns(active), _columns(inactive)
+    cross = cp.EtE[np.ix_(cols_a, cols_i)]
+    z, info = lapack.dtrtrs(factor, np.vstack([cp.XtE[:, cols_i], v[:, None] * cross]), lower=1)
+    if info != 0:
+        raise NumericalBreakdown("triangular solve with the joint factor failed")
+    g = cp.Ety[cols_i] - cp.XtE[:, cols_i].T @ sol[:k] - cross.T @ (v * sol[k:])
+    half = 0.5 * (g * g / sigma2_hat - cp.EtE[cols_i, cols_i] + np.einsum("ij,ij->j", z, z))
+    out, offset = [], 0
+    for blk in inactive:
+        part = half[offset : offset + blk.size]
+        offset += blk.size
+        if blk.kind == "nvc":
+            out.append(np.array([part.sum()]))
+        else:
+            out.append(np.exp(np.outer(alphas, log_eig_ratio[: blk.size])) @ part)
+    return out
+
+
+class _ActiveSet:
+    """The state of one active-set search.
+
+    ``values`` holds the searched parameters (log ratio, then alpha if
+    searched) of the active blocks; every other block of ``cp`` has variance
+    exactly 0.  ``problem`` is the ``RemlProblem`` over the active blocks,
+    rebuilt from one ``Crossproducts.subset`` whenever the set changes.
+    ``n_evals`` counts value-and-gradient calls and factorizations.
+    ``converged`` is the last L-BFGS-B run's stopping test, and ``tight``
+    says that run used ``_FTOL`` and nothing has entered since.
+    """
+
+    def __init__(self, cp: Crossproducts, spec: ModelSpec, spatial: SpatialBasis | None):
+        self.cp, self.spec, self.spatial = cp, spec, spatial
+        n_eig = spatial.n_components if spatial is not None else 0
+        self.alphas = _ALPHA_GRID if n_eig >= 3 else np.array([_ParamLayout.fixed_alpha])
+        self.log_eig_ratio = np.log(spatial.eigvals / spatial.eigvals[0]) if n_eig else np.empty(0)
+        self.values: dict[BlockLayout, np.ndarray] = {}
+        self.entry_alpha: dict[BlockLayout, float] = {}
+        self.dropped: set[BlockLayout] = set()  # a block is dropped at most once
+        self.n_evals, self.converged, self.tight, self.loglik = 0, True, True, -math.inf
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        self.active = tuple(b for b in self.cp.blocks if b in self.values)
+        self.problem = RemlProblem(self.cp.subset(self.active), self.spec, self.spatial)
+
+    def point(self) -> np.ndarray:
+        t = np.zeros(self.problem.layout.size)
+        for blk in self.active:
+            t[self.problem.layout.index(blk)] = self.values[blk]
+        return t
+
+    def assess(self) -> tuple[float, BlockLayout | None, float]:
+        """Log-likelihood at the stored values, and the inactive block with the largest score.
+
+        An SVC block's score is taken per unit of its largest column variance
+        ratio, at the alpha of ``_ALPHA_GRID`` that maximises it; that alpha
+        is kept in ``entry_alpha``.
+        """
+        t = self.point()
+        point = self.problem.solve(t)
+        self.n_evals += 1
+        self.loglik = point[0]
+        inactive = tuple(b for b in self.cp.blocks if b not in self.values)
+        scores = _boundary_scores(
+            self.cp, self.active, inactive, self.problem.scaling(t), point, self.log_eig_ratio, self.alphas
+        )
+        best, best_score = None, -math.inf
+        for blk, s in zip(inactive, scores):
+            if blk.kind == "svc":
+                s = s / np.exp(np.maximum(0.0, self.alphas * self.log_eig_ratio[blk.size - 1]))
+                self.entry_alpha[blk] = float(self.alphas[np.argmax(s)])
+            if s.max() > best_score:
+                best, best_score = blk, float(s.max())
+        return self.loglik, best, best_score
+
+    def enter(self, blk: BlockLayout) -> bool:
+        """Activate ``blk`` at its entry alpha and the best of ``_ENTRY_LOG_RATIOS``.
+
+        Returns False, leaving ``blk`` inactive and the search unconverged,
+        if every entry ratio breaks down.
+        """
+        self.values[blk] = np.array([0.0, self.entry_alpha.get(blk, 0.0)])
+        self._rebuild()
+        self.values[blk] = self.values[blk][: len(self.problem.layout.index(blk))]
+        tried = []
+        for log_ratio in _ENTRY_LOG_RATIOS:
+            self.values[blk][0] = log_ratio
+            self.n_evals += 1
+            try:
+                tried.append((self.problem.value_and_grad(self.point())[0], log_ratio))
+            except NumericalBreakdown:
+                continue
+        if not tried:
+            del self.values[blk]
+            self._rebuild()
+            self.converged = False
+            return False
+        self.values[blk][0] = max(tried)[1]
+        self.tight = False
+        return True
+
+    def optimize(self, ftol: float, starts: tuple[np.ndarray, ...] = ()) -> None:
+        """L-BFGS-B from the stored values, or from each of ``starts``.
+
+        With ``starts``, the best run replaces the stored values only if it
+        ends above their last assessed log-likelihood.  Then each active
+        block whose largest column variance ratio is at most ``_COLLAPSED``
+        leaves the active set, unless it has left it before.
+        """
+        if self.n_evals >= _MAX_EVALS_TOTAL:
+            self.converged = False
+            return
+        t0s = starts or (self.point(),)
+        share = (_MAX_EVALS_TOTAL - self.n_evals) // len(t0s)
+        runs = [_search(self.problem, t0, share, ftol) for t0 in t0s]
+        self.n_evals += sum(r.nfev for r in runs)
+        run = min(runs, key=lambda r: r.fun)
+        if starts and -run.fun <= self.loglik:
+            return
+        if not math.isfinite(run.fun):
+            self.converged, self.tight = False, True
+            return
+        v = self.problem.scaling(run.x)
+        gone = []
+        for blk, sub in zip(self.active, self.problem.cp.blocks):
+            self.values[blk] = run.x[self.problem.layout.index(blk)]
+            if blk not in self.dropped and v[sub.start : sub.stop].max() ** 2 <= _COLLAPSED:
+                gone.append(blk)
+        # A run certifies only the set it searched: once blocks leave, the
+        # smaller set needs a run of its own.
+        self.converged, self.tight = bool(run.success), ftol == _FTOL and not gone
+        if gone:
+            for blk in gone:
+                del self.values[blk]
+            self.dropped.update(gone)
+            self._rebuild()
+
+    def theta(self) -> VarianceParams:
+        """Variance ratios (sigma2 = 1), exactly 0 on the inactive blocks."""
+        ratio_s, alpha, ratio_n = np.zeros((3, self.spec.n_covariates))
+        for blk in self.cp.blocks:
+            k, vals = blk.covariate, self.values.get(blk)
+            if blk.kind == "nvc":
+                ratio_n[k] = 0.0 if vals is None else math.exp(vals[0])
+            elif vals is None:
+                alpha[k] = self.entry_alpha[blk]
+            else:
+                ratio_s[k] = math.exp(vals[0])
+                alpha[k] = vals[1] if len(vals) > 1 else _ParamLayout.fixed_alpha
+        return VarianceParams(sigma2=1.0, tau2_s=ratio_s, alpha=alpha, tau2_n=ratio_n)
 
 
 def fit_reml(
@@ -573,52 +810,85 @@ def fit_reml(
 ) -> FittedModel:
     """Maximize the restricted log-likelihood over the variance parameters.
 
-    Bounded L-BFGS-B with the analytic gradient of ``RemlProblem`` searches
-    log variance ratios (tau/sigma)^2 and alpha inside ``_LOG_TAU2_BOUNDS``
-    and ``ALPHA_BOUNDS``, once from each of two fixed starts (ratio tau/sigma
-    of 0.1 with alpha 1, and ratio 1 with alpha 0), each with half of the
-    evaluation budget.  One evaluation is one value-and-gradient call, which
-    costs one Cholesky factor and one triangular inverse; ``n_loglik_evals``
-    counts them plus the final factorisation at the winning point, which
-    gives the effects and the profiled variance.  The start with the
-    higher likelihood wins, and ``converged`` is its L-BFGS-B stopping test
-    (the largest projected-gradient component fell below scipy's default, or
-    the relative change of the objective below ``_FTOL``, before the budget
-    ran out), unless that start met a ``NumericalBreakdown``: L-BFGS-B can
-    stop at such a point and call it success, so a winning start that met one
-    is never converged.
-    Deterministic given identical inputs.
-    """
-    problem = RemlProblem(cp, spec, spatial)
-    layout = problem.layout
-    t_best, n_evals, converged = np.empty(0), 1, True
-    if layout.size:
-        starts = problem.starts()
-        runs = [_search(problem, t0, _MAX_EVALS_TOTAL // len(starts)) for t0 in starts]
-        best = min(runs, key=lambda r: r.fun)
-        if not math.isfinite(best.fun):
-            raise NumericalBreakdown("no admissible variance point was found")
-        t_best = best.x
-        n_evals += sum(r.nfev for r in runs)
-        converged = bool(best.success)
+    An active-set search over the random-effect blocks.  Bounded L-BFGS-B
+    with ``RemlProblem``'s analytic gradient searches the log variance
+    ratios and alphas of the active blocks only; every inactive block has
+    variance exactly 0 and is checked by its one-sided score at 0
+    (``_boundary_scores``), an SVC block's per unit of its largest column
+    variance ratio and at the alpha of ``_ALPHA_GRID`` that maximises it.
 
-    loglik, sol, s2, _ = problem.solve(t_best)
+    1. Screening, from the model without random effects: the block with the
+       largest positive score enters at that alpha and the best of
+       ``_ENTRY_LOG_RATIOS``, then L-BFGS-B (``_SCREEN_FTOL``) runs on the
+       new active set from the previous point.
+    2. Polish: L-BFGS-B on the screened set from the two fixed starts of
+       ``RemlProblem.starts``; the better replaces the screened point if it
+       ends above it, and otherwise L-BFGS-B with ``_FTOL`` resumes from the
+       screened point.
+    3. Any block whose score is still positive enters as in step 1, followed
+       by L-BFGS-B with ``_FTOL``.  After every run, a block whose largest
+       column variance ratio fell to ``_COLLAPSED`` leaves the set, and
+       L-BFGS-B with ``_FTOL`` runs again on the smaller set; a block that
+       re-enters is never dropped again.
+
+    The search ends when no inactive score exceeds ``_SCORE_TOL`` * |loglik|
+    or all rounds together have used ``_MAX_EVALS_TOTAL``.  ``converged``
+    means a KKT point in the variance ratios: the last L-BFGS-B run on the
+    active set used ``_FTOL`` and passed its own stopping test (the largest
+    projected-gradient component fell below scipy's default, or the relative
+    change of the objective below ``_FTOL``), and no inactive score exceeds
+    the tolerance.  A run that met a ``NumericalBreakdown`` is never
+    converged, because L-BFGS-B can stop at such a point and call it
+    success, nor is a search that ran out of budget.  ``n_loglik_evals``
+    counts value-and-gradient calls (L-BFGS-B evaluations and entry ratios)
+    and factorizations (one per score check, and the final one, on the full
+    layout with the inactive blocks at v = 0, which gives the effects and
+    the profiled variance).  ``FittedModel.inactive_terms`` names the
+    inactive blocks; an inactive SVC term reports the alpha of its score,
+    which the likelihood does not depend on.  Deterministic given identical
+    inputs.
+    """
+    search = _ActiveSet(cp, spec, spatial)
+    loglik, best, score = search.assess()
+    polished = False
+    while search.n_evals < _MAX_EVALS_TOTAL:
+        if score > _SCORE_TOL * abs(loglik):
+            if not search.enter(best):
+                break
+            search.optimize(_FTOL if polished else _SCREEN_FTOL)
+        elif search.active and not polished:
+            polished = True
+            search.optimize(_FTOL, search.problem.starts())
+        elif search.active and not search.tight:
+            search.optimize(_FTOL)
+        else:
+            break
+        loglik, best, score = search.assess()
+    converged = search.converged and search.tight and score <= _SCORE_TOL * abs(loglik)
+
+    ratio = search.theta()
+    scalings = [
+        scale_eigenvalues(spatial, float(ratio.alpha[k])) if spec.has_svc[k] else None
+        for k in range(spec.n_covariates)
+    ]
+    res = restricted_loglik(cp, spec, ratio, scalings)
     # Searched parameters are variance ratios relative to sigma2 = 1; rescale
     # by the profiled sigma2 so the stored tau2 are absolute variances with
     # identical ratios (the likelihood value is unchanged).
-    ratio = layout.decode(t_best, spec.n_covariates)
+    s2 = res.sigma2_hat
     theta = VarianceParams(sigma2=s2, tau2_s=ratio.tau2_s * s2, alpha=ratio.alpha, tau2_n=ratio.tau2_n * s2)
-    k = cp.n_fixed
+    names = spec.covariate_names
     return FittedModel(
         spec=spec,
         theta=theta,
-        b_hat=sol[:k],
-        u_hat=sol[k:],
-        restricted_loglik=loglik,
-        n_loglik_evals=n_evals,
+        b_hat=res.b_hat,
+        u_hat=res.u_hat,
+        restricted_loglik=res.loglik,
+        n_loglik_evals=search.n_evals + 1,
         converged=converged,
         n_obs=cp.n_obs,
         blocks=cp.blocks,
+        inactive_terms=tuple(f"{names[b.covariate]}:{b.kind}" for b in cp.blocks if b not in search.values),
     )
 
 

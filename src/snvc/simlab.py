@@ -280,15 +280,16 @@ def predict_estimator(
     inst: GeneratedInstance,
     spatial: SpatialBasis | None,
     config: ScenarioConfig,
-) -> np.ndarray:
-    """Per-site coefficient predictions (N x 3) for one scenario estimator."""
+) -> tuple[np.ndarray, bool]:
+    """Per-site coefficient predictions (N x 3) for one scenario estimator,
+    and whether its REML fit converged (True for estimators without one)."""
     X, y, sites = inst.X, inst.y, inst.sites
     if estimator == "LM":
-        return _fit_ols_field(X, y)
+        return _fit_ols_field(X, y), True
     if estimator in ("GWR", "GWR_A"):
         kernel = "exponential_fixed" if estimator == "GWR" else "exponential_adaptive"
         fit = select_bandwidth(sites, X[:, 1:], y, kernel=kernel, include_intercept=True)
-        return fit.local_coefs
+        return fit.local_coefs, True
     if estimator in ("SVC_M", "SNVC_M"):
         with_nvc = estimator == "SNVC_M"
         spec = ModelSpec(
@@ -298,8 +299,8 @@ def predict_estimator(
             n_basis_nvc=(config.n_basis_nvc,) * 3,
             spline_family=config.spline_family,
         )
-        _, fld = fit_snvc(X, y, spec, spatial)
-        return fld.total
+        fit, fld = fit_snvc(X, y, spec, spatial)
+        return fld.total, fit.converged
     raise ConfigInvalid(f"unknown estimator {estimator!r}")
 
 
@@ -350,6 +351,7 @@ class ScenarioReport:
     mean_fit_seconds: dict  # estimator -> float
     failures: dict  # estimator -> int
     n_success: dict  # estimator -> int
+    n_unconverged: dict  # estimator -> int, successes whose REML fit did not converge
 
     def to_payload(self, include_timing: bool = True) -> dict:
         """JSON-ready nested dict; timing is the only nondeterministic part."""
@@ -364,6 +366,7 @@ class ScenarioReport:
             "true_cc_counts": np.asarray(self.true_cc_counts).astype(int).tolist(),
             "failures": dict(self.failures),
             "n_success": dict(self.n_success),
+            "n_unconverged": dict(self.n_unconverged),
         }
         if include_timing:
             payload["timing"] = {"mean_fit_seconds": dict(self.mean_fit_seconds)}
@@ -382,8 +385,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Run every estimator on identical generated instances and aggregate.
 
     Per-iteration estimator failures are counted and that iteration is
-    dropped from the failing estimator's aggregates only.  Deterministic
-    given the config (timings aside).
+    dropped from the failing estimator's aggregates only.  A fit that did
+    not converge still counts as a success, and also in ``n_unconverged``.
+    Deterministic given the config (timings aside).
     """
     config.validate()
     k = 3
@@ -395,6 +399,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     seconds = {e: 0.0 for e in config.estimators}
     failures = {e: 0 for e in config.estimators}
     n_success = {e: 0 for e in config.estimators}
+    n_unconverged = {e: 0 for e in config.estimators}
     true_total = np.zeros((k, k))
     true_counts = np.zeros((k, k), dtype=int)
 
@@ -419,12 +424,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         for est in config.estimators:
             t0 = time.perf_counter()
             try:
-                pred = predict_estimator(est, inst, basis, config)
+                pred, converged = predict_estimator(est, inst, basis, config)
             except SnvcError:
                 failures[est] += 1
                 continue
             seconds[est] += time.perf_counter() - t0
             n_success[est] += 1
+            n_unconverged[est] += not converged
             sq_err[est] += ((inst.true_betas - pred) ** 2).sum(axis=0)
             cc = _corr_matrix(pred)
             okp = np.isfinite(cc)
@@ -452,4 +458,5 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         },
         failures=failures,
         n_success=n_success,
+        n_unconverged=n_unconverged,
     )

@@ -126,6 +126,25 @@ class TestFitCommand:
         report = FitReport.from_json(text)
         assert FitReport.from_json(report.to_json()) == report
 
+    def test_report_lists_inactive_terms(self, spatial_csv, tmp_path):
+        # The response has no spatial or non-spatial variation: terms whose
+        # variance is exactly 0 are listed, and every alpha is a number.
+        out, coef = str(tmp_path / "r.json"), str(tmp_path / "c.csv")
+        main([
+            "fit", "--data", spatial_csv, "--y", "price", "--x", "x1,x2",
+            "--coords", "px,py", "--svc", "all", "--nvc", "all",
+            "--out", out, "--coef-out", coef,
+        ])
+        payload = json.loads(open(out).read())
+        report = FitReport.from_json(json.dumps(payload))
+        assert payload["inactive_terms"] == list(report.inactive_terms) != []
+        for term in report.inactive_terms:
+            name, kind = term.split(":")
+            k = report.covariate_names.index(name)
+            assert (report.tau2_s if kind == "svc" else report.tau2_n)[k] == 0.0
+        assert all(np.isfinite(report.alpha))
+        assert FitReport.from_json(report.to_json()) == report
+
     def test_nvc_on_intercept_rejected(self, spatial_csv, tmp_path):
         code = main([
             "fit", "--data", spatial_csv, "--y", "price", "--x", "x1,x2",

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snvc.core import (
+    _ALPHA_GRID,
+    _boundary_scores,
     ModelSpec,
     RemlProblem,
     VarianceParams,
@@ -23,7 +25,7 @@ from snvc.core import (
     BlockLayout,
 )
 from snvc.errors import EmptySpatialBasis, NumericalBreakdown, SingularFixedBlock
-from snvc.simlab import ScenarioConfig, gen_instance
+from snvc.simlab import ScenarioConfig, gen_instance, gen_toy
 from snvc.spatial import SiteSet, SpatialBasis, build_proximity, moran_eigen_basis, mst_range, scale_eigenvalues
 from snvc.splines import spline_basis
 
@@ -319,6 +321,50 @@ def interior_point(problem, unit):
     return lo + np.asarray(unit) * (hi - lo)
 
 
+def ratio_theta(spec, ratios):
+    """VarianceParams with sigma2 = 1 from {block: (variance ratio, alpha)}."""
+    tau2_s, alpha, tau2_n = np.zeros((3, spec.n_covariates))
+    for blk, (r, a) in ratios.items():
+        if blk.kind == "svc":
+            tau2_s[blk.covariate], alpha[blk.covariate] = r, a
+        else:
+            tau2_n[blk.covariate] = r
+    return VarianceParams(1.0, tau2_s, alpha, tau2_n)
+
+
+def loglik_at(cp, spec, basis, ratios):
+    theta = ratio_theta(spec, ratios)
+    scalings = [scale_eigenvalues(basis, float(a)) if s else None for a, s in zip(theta.alpha, spec.has_svc)]
+    return restricted_loglik(cp, spec, theta, scalings).loglik
+
+
+def boundary_scores_at(cp, spec, basis, ratios, alphas):
+    """The ``_boundary_scores`` of the blocks missing from ``ratios``, keyed by
+    block, with the blocks in ``ratios`` active at their (variance ratio, alpha)."""
+    active = tuple(b for b in cp.blocks if b in ratios)
+    inactive = tuple(b for b in cp.blocks if b not in ratios)
+    problem = RemlProblem(cp.subset(active), spec, basis)
+    t = np.zeros(problem.layout.size)
+    for blk in active:
+        r, a = ratios[blk]
+        t[problem.layout.index(blk)] = [math.log(r), a][: len(problem.layout.index(blk))]
+    log_eig_ratio = np.log(basis.eigvals / basis.eigvals[0])
+    scores = _boundary_scores(cp, active, inactive, problem.scaling(t), problem.solve(t), log_eig_ratio, alphas)
+    return dict(zip(inactive, scores))
+
+
+def fitted_ratios(fit):
+    """{active block: (variance ratio, alpha)} of a fit."""
+    th = fit.theta
+    out = {}
+    for blk in fit.blocks:
+        k = blk.covariate
+        r = (th.tau2_s[k] if blk.kind == "svc" else th.tau2_n[k]) / th.sigma2
+        if r > 0:
+            out[blk] = (r, th.alpha[k])
+    return out
+
+
 class TestRemlProblem:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -387,6 +433,50 @@ class TestRemlProblem:
             rtol=1e-8,
             atol=1e-10,
         )
+
+    def test_boundary_score_matches_forward_difference(self, reml_case):
+        # Each block in turn inactive, the others at ratio 0.5 and alpha 1:
+        # the one-sided score is d loglik / d r_b at r_b = 0.  The step makes
+        # the block's largest column term r_b w_l (E'E)_ll equal to 1e-6, so
+        # neither the curvature nor the rounding of the likelihood shows.
+        _, cp, spec, basis = reml_case
+        for blk in cp.blocks:
+            others = {b: (0.5, 1.0) for b in cp.blocks if b != blk}
+            base = loglik_at(cp, spec, basis, others)
+            norms = np.diag(cp.EtE)[blk.start : blk.stop]
+            for alpha in (1.0, -2.0) if blk.kind == "svc" else (0.0,):
+                w = (basis.eigvals[: blk.size] / basis.eigvals[0]) ** alpha if blk.kind == "svc" else 1.0
+                h = 1e-6 / np.max(w * norms)
+                score = boundary_scores_at(cp, spec, basis, others, np.array([alpha]))[blk][0]
+                numeric = (loglik_at(cp, spec, basis, {**others, blk: (h, alpha)}) - base) / h
+                assert abs(score - numeric) <= 1e-4 * abs(numeric), (blk, alpha)
+
+    def test_truly_zero_blocks_stay_inactive_with_nonpositive_score(self):
+        # In the K = 5 generator only covariate a varies in space; b and c
+        # have no non-spatial variation and d no variation at all.
+        _, cp, spec, basis = reml_problem_k5()
+        fit = fit_reml(cp, spec, basis)
+        assert fit.converged
+        assert {"b:nvc", "c:nvc"} <= set(fit.inactive_terms)
+        names = spec.covariate_names
+        scores = boundary_scores_at(cp, spec, basis, fitted_ratios(fit), _ALPHA_GRID)
+        assert sorted(f"{names[b.covariate]}:{b.kind}" for b in scores) == sorted(fit.inactive_terms)
+        for blk, s in scores.items():
+            assert np.all(s <= 0.0), blk
+            k = blk.covariate
+            assert (fit.theta.tau2_s[k] if blk.kind == "svc" else fit.theta.tau2_n[k]) == 0.0
+
+    def test_block_with_positive_score_enters_and_fit_converges(self):
+        # From the model without random effects, both K = 1 blocks have a
+        # positive score (the generator's coefficient varies in space); the
+        # fit activates them and ends at a KKT point.
+        _, cp, spec, basis = reml_problem_k1()
+        scores = boundary_scores_at(cp, spec, basis, {}, _ALPHA_GRID)
+        assert all(s.max() > 0.0 for s in scores.values())
+        fit = fit_reml(cp, spec, basis)
+        assert fit.converged
+        assert fit.inactive_terms == ()
+        assert fit.theta.tau2_s[0] > 0.0 and fit.theta.tau2_n[0] > 0.0
 
     def test_singular_fixed_block_raised_at_construction(self):
         spec, basis, X, nb, y, design, cp = reml_problem()
@@ -480,14 +570,19 @@ class TestFitReml:
         assert fit1.n_loglik_evals == fit2.n_loglik_evals
 
     def test_breakdown_during_search_is_not_converged(self, monkeypatch):
-        # Every evaluation above a ceiling between the starts and the optimum
-        # breaks down.  L-BFGS-B stops at the last finite point and calls it
-        # success; the fit must not.
-        spec, basis, X, nb, y, design, cp = reml_problem(n=60, seed=12)
+        # Every evaluation above a ceiling between the model without random
+        # effects, where the search starts, and the optimum breaks down.
+        # L-BFGS-B stops at the last finite point and calls it success; the
+        # fit must not.  The problem has one interior maximum: a fit at zero
+        # variances needs no evaluation, and a second local maximum below
+        # the ceiling would be a correct converged answer.
+        _, cp, _, basis = reml_problem_k1()
+        cp = cp.subset(tuple(b for b in cp.blocks if b.kind == "nvc"))
+        spec = ModelSpec(("x",), (False,), (True,), (6,))
         honest = fit_reml(cp, spec, basis)
         assert honest.converged
-        problem = RemlProblem(cp, spec, basis)
-        start_best = max(problem.value_and_grad(t0)[0] for t0 in problem.starts())
+        zero = VarianceParams(1.0, [0.0], [1.0], [0.0])
+        start_best = restricted_loglik(cp, spec, zero, [None]).loglik
         ceiling = 0.5 * (start_best + honest.restricted_loglik)
         assert start_best < ceiling < honest.restricted_loglik
         original = RemlProblem.value_and_grad
@@ -563,6 +658,36 @@ class TestFitReml:
         assert fit1.restricted_loglik == fit2.restricted_loglik
         assert fit1.n_loglik_evals == fit2.n_loglik_evals
         np.testing.assert_array_equal(field1.total, field2.total)
+
+
+@pytest.fixture(scope="module", params=[(3, 185.805), (11, 294.26)], ids=["seed3", "seed11"])
+def toy_cli_fit(request):
+    """The ``snvc fit`` spec on ``gen_toy(seed)``: intercept, x1 and x2, SVC on
+    all three, NVC on x1 and x2, 200 eigenvectors; with the floor its
+    log-likelihood must reach."""
+    seed, floor = request.param
+    inst = gen_toy(seed)
+    X = np.column_stack([np.ones(inst.sites.n_sites), inst.X])
+    spec = ModelSpec(("intercept", "x1", "x2"), (True,) * 3, (False, True, True))
+    return fit_snvc(X, inst.y, spec, moran_basis(inst.sites, 200))[0], floor
+
+
+class TestToyFits:
+    def test_reaches_the_kkt_point(self, toy_cli_fit):
+        # The full-set search stopped converged at 185.7816 and 293.5782 with
+        # collapsed SVC blocks whose one-sided score was still positive.
+        fit, floor = toy_cli_fit
+        assert fit.converged
+        assert fit.restricted_loglik >= floor
+
+    def test_inactive_svc_terms_have_zero_variance_and_a_grid_alpha(self, toy_cli_fit):
+        fit, _ = toy_cli_fit
+        assert "intercept:svc" in fit.inactive_terms
+        names = fit.spec.covariate_names
+        for k, name in enumerate(names):
+            if f"{name}:svc" in fit.inactive_terms:
+                assert fit.theta.tau2_s[k] == 0.0
+                assert fit.theta.alpha[k] in _ALPHA_GRID
 
 
 class TestPredictAndShares:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from snvc import simlab
 from snvc.errors import ConfigInvalid, DimensionMismatch
 from snvc.simlab import (
     ScenarioConfig,
@@ -226,6 +229,22 @@ class TestRunScenario:
         b = gen_instance(cfg, 2)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.true_betas, b.true_betas)
+
+    def test_unconverged_fits_are_counted(self, monkeypatch):
+        # Mark every SNVC_M fit unconverged: each stays a success and is
+        # also counted, in the report and in its deterministic payload.
+        original = simlab.fit_snvc
+
+        def fit_snvc(X, y, spec, spatial):
+            fit, fld = original(X, y, spec, spatial)
+            return dataclasses.replace(fit, converged=not any(spec.has_nvc)), fld
+
+        monkeypatch.setattr(simlab, "fit_snvc", fit_snvc)
+        cfg = ScenarioConfig(n_sites=60, n_iters=2, seed=13, estimators=("LM", "SVC_M", "SNVC_M"))
+        rep = run_scenario(cfg)
+        assert rep.n_success == {"LM": 2, "SVC_M": 2, "SNVC_M": 2}
+        assert rep.n_unconverged == {"LM": 0, "SVC_M": 0, "SNVC_M": 2}
+        assert rep.to_payload(include_timing=False)["n_unconverged"] == rep.n_unconverged
 
     def test_full_estimator_set_smoke(self):
         cfg = ScenarioConfig(n_sites=60, n_iters=2, seed=13)
