@@ -15,7 +15,7 @@ covariate order, then all non-spatial blocks in covariate order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -51,8 +51,10 @@ _SCORE_TOL = 1e-6
 # to this leaves the active set and is certified by its score instead.
 _COLLAPSED = 1e-8
 
-# Log variance ratios tried for a block that enters the active set.
+# Largest column variance ratios tried for a block that enters the active set,
+# and the smaller ones tried if none of those raises the likelihood.
 _ENTRY_LOG_RATIOS = np.log(10.0 ** np.arange(-4.0, 3.0, 2.0))
+_ENTRY_SMALL_LOG_RATIOS = np.log([1e-6, 1e-8])
 
 # L-BFGS-B also stops when one step lowers the objective by less than this
 # fraction of its size.  scipy's default, 2.2e-9, is about 1e-6 on a
@@ -364,12 +366,10 @@ def _factor_joint(
     """
     n, k, p = cp.n_obs, cp.n_fixed, cp.n_random
     g[:k, :k] = cp.XtX
-    np.multiply(cp.XtE, v, out=g[:k, k:])
+    g[:k, k:] = cp.XtE * v
     g[k:, :k] = g[:k, k:].T
-    # E'E and v v' are symmetric; their transposes share g's column order.
-    np.multiply(cp.EtE.T, np.outer(v, v).T, out=g[k:, k:])
-    diag = g.reshape(-1, order="F")[k * (k + p + 1) :: k + p + 1]
-    diag += 1.0
+    np.multiply(v[:, None] * cp.EtE, v[None, :], out=g[k:, k:])
+    g[k + np.arange(p), k + np.arange(p)] += 1.0
     rhs = np.concatenate([cp.Xty, v * cp.Ety])
 
     factor, info = lapack.dpotrf(g, lower=1, clean=1, overwrite_a=1)
@@ -384,7 +384,7 @@ def _factor_joint(
             f"profiled variance {sigma2_hat:.3e} is at or below the floor {VARIANCE_FLOOR}"
         )
 
-    logdet = 2.0 * float(np.log(factor.diagonal()).sum())
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     loglik = -0.5 * logdet - 0.5 * (n - k) * (1.0 + math.log(2.0 * math.pi * sigma2_hat))
     return loglik, sol, sigma2_hat, factor
 
@@ -600,7 +600,7 @@ def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> s
 
     A breakdown is reported to L-BFGS-B as an infinite objective, which its
     line search may take as a stop that it calls successful; a run that met
-    one is therefore marked unsuccessful.
+    one is therefore marked unsuccessful, with status -1.
     """
     broke = False
 
@@ -621,7 +621,8 @@ def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> s
         bounds=problem.layout.bounds(),
         options={"maxfun": maxfun, "ftol": ftol},
     )
-    run.success = run.success and not broke
+    if broke:
+        run.success, run.status = False, -1
     return run
 
 
@@ -676,6 +677,8 @@ class _ActiveSet:
     searched) of the active blocks; every other block of ``cp`` has variance
     exactly 0.  ``problem`` is the ``RemlProblem`` over the active blocks,
     rebuilt from one ``Crossproducts.subset`` whenever the set changes.
+    ``loglik`` is the log-likelihood at ``values``; an entry or a run only
+    replaces ``values`` with a higher point.
     ``n_evals`` counts value-and-gradient calls and factorizations.
     ``converged`` is the last L-BFGS-B run's stopping test, and ``tight``
     says that run used ``_FTOL`` and nothing has entered since.
@@ -696,18 +699,26 @@ class _ActiveSet:
         self.active = tuple(b for b in self.cp.blocks if b in self.values)
         self.problem = RemlProblem(self.cp.subset(self.active), self.spec, self.spatial)
 
+    def _log_top_weight(self, blk: BlockLayout, alpha: np.ndarray | float) -> np.ndarray | float:
+        """log max_l w_l of ``blk`` at ``alpha``: its largest column variance ratio per unit ratio."""
+        if blk.kind == "nvc":
+            return 0.0
+        return np.maximum(0.0, alpha * self.log_eig_ratio[blk.size - 1])
+
     def point(self) -> np.ndarray:
         t = np.zeros(self.problem.layout.size)
         for blk in self.active:
             t[self.problem.layout.index(blk)] = self.values[blk]
         return t
 
-    def assess(self) -> tuple[float, BlockLayout | None, float]:
+    def assess(self) -> tuple[BlockLayout | None, float]:
         """Log-likelihood at the stored values, and the inactive block with the largest score.
 
-        An SVC block's score is taken per unit of its largest column variance
-        ratio, at the alpha of ``_ALPHA_GRID`` that maximises it; that alpha
-        is kept in ``entry_alpha``.
+        A score is d loglik / d rho_b at rho_b = 0, with rho_b the block's
+        largest column variance ratio: for an SVC block, the score in its
+        variance ratio divided by (lambda_1 / lambda_P)^|alpha| when alpha
+        < 0, at the alpha of ``_ALPHA_GRID`` that maximises it among those
+        ``enter`` can reach, which ``entry_alpha`` keeps.
         """
         t = self.point()
         point = self.problem.solve(t)
@@ -720,45 +731,59 @@ class _ActiveSet:
         best, best_score = None, -math.inf
         for blk, s in zip(inactive, scores):
             if blk.kind == "svc":
-                s = s / np.exp(np.maximum(0.0, self.alphas * self.log_eig_ratio[blk.size - 1]))
+                # An alpha at which the smallest entry ratio needs a log
+                # ratio below _LOG_TAU2_BOUNDS cannot be entered.
+                log_top = self._log_top_weight(blk, self.alphas)
+                reachable = log_top <= _ENTRY_SMALL_LOG_RATIOS[-1] - _LOG_TAU2_BOUNDS[0]
+                s = np.where(reachable, s / np.exp(log_top), -math.inf)
                 self.entry_alpha[blk] = float(self.alphas[np.argmax(s)])
             if s.max() > best_score:
                 best, best_score = blk, float(s.max())
-        return self.loglik, best, best_score
+        return best, best_score
 
     def enter(self, blk: BlockLayout) -> bool:
-        """Activate ``blk`` at its entry alpha and the best of ``_ENTRY_LOG_RATIOS``.
+        """Activate ``blk`` at its entry alpha and a ratio that raises the likelihood.
 
-        Returns False, leaving ``blk`` inactive and the search unconverged,
-        if every entry ratio breaks down.
+        The block's largest column variance ratio is set to the best of
+        ``_ENTRY_LOG_RATIOS`` that beats ``loglik``, or, if none does, of
+        ``_ENTRY_SMALL_LOG_RATIOS``.  Returns False, leaving ``blk`` inactive
+        and the search unconverged, if none of those does either.
         """
-        self.values[blk] = np.array([0.0, self.entry_alpha.get(blk, 0.0)])
+        alpha = self.entry_alpha.get(blk, _ParamLayout.fixed_alpha)
+        self.values[blk] = np.array([0.0, alpha])
         self._rebuild()
         self.values[blk] = self.values[blk][: len(self.problem.layout.index(blk))]
-        tried = []
-        for log_ratio in _ENTRY_LOG_RATIOS:
-            self.values[blk][0] = log_ratio
-            self.n_evals += 1
-            try:
-                tried.append((self.problem.value_and_grad(self.point())[0], log_ratio))
-            except NumericalBreakdown:
-                continue
-        if not tried:
+        best, best_loglik = None, self.loglik
+        for trials in (_ENTRY_LOG_RATIOS, _ENTRY_SMALL_LOG_RATIOS):
+            for log_ratio in trials - self._log_top_weight(blk, alpha):
+                if self.n_evals >= _MAX_EVALS_TOTAL:
+                    break
+                self.values[blk][0] = log_ratio
+                self.n_evals += 1
+                try:
+                    loglik = self.problem.solve(self.point())[0]
+                except NumericalBreakdown:
+                    continue
+                if loglik > best_loglik:
+                    best, best_loglik = log_ratio, loglik
+            if best is not None:
+                break
+        if best is None:
             del self.values[blk]
             self._rebuild()
             self.converged = False
             return False
-        self.values[blk][0] = max(tried)[1]
-        self.tight = False
+        self.values[blk][0] = best
+        self.loglik, self.tight = best_loglik, False
         return True
 
     def optimize(self, ftol: float, starts: tuple[np.ndarray, ...] = ()) -> None:
         """L-BFGS-B from the stored values, or from each of ``starts``.
 
         With ``starts``, the best run replaces the stored values only if it
-        ends above their last assessed log-likelihood.  Then each active
-        block whose largest column variance ratio is at most ``_COLLAPSED``
-        leaves the active set, unless it has left it before.
+        ends above ``loglik``.  Then each active block whose largest column
+        variance ratio is at most ``_COLLAPSED`` leaves the active set, unless
+        it has left it before.
         """
         if self.n_evals >= _MAX_EVALS_TOTAL:
             self.converged = False
@@ -773,34 +798,45 @@ class _ActiveSet:
         if not math.isfinite(run.fun):
             self.converged, self.tight = False, True
             return
+        # A gain within the stopping tolerance is rounding, not progress.
+        improved = -run.fun - self.loglik > _FTOL * abs(self.loglik)
         v = self.problem.scaling(run.x)
         gone = []
         for blk, sub in zip(self.active, self.problem.cp.blocks):
             self.values[blk] = run.x[self.problem.layout.index(blk)]
             if blk not in self.dropped and v[sub.start : sub.stop].max() ** 2 <= _COLLAPSED:
                 gone.append(blk)
+        self.loglik = -run.fun
         # A run certifies only the set it searched: once blocks leave, the
-        # smaller set needs a run of its own.
-        self.converged, self.tight = bool(run.success), ftol == _FTOL and not gone
+        # smaller set needs a run of its own.  A run that failed its stopping
+        # test but gained is resumed from where it ended; one whose line
+        # search found no higher point (status 2) has stalled at the rounding
+        # level of the likelihood, which counts as converged.
+        self.converged = bool(run.success) or (run.status == 2 and not improved)
+        self.tight = ftol == _FTOL and not gone and (self.converged or not improved)
         if gone:
             for blk in gone:
                 del self.values[blk]
             self.dropped.update(gone)
             self._rebuild()
 
+    def scaling(self) -> np.ndarray:
+        """The scaling diagonal on ``cp``'s full layout, exactly 0 on the inactive blocks."""
+        v = np.zeros(self.cp.n_random)
+        v[_columns(self.active)] = self.problem.scaling(self.point())
+        return v
+
     def theta(self) -> VarianceParams:
-        """Variance ratios (sigma2 = 1), exactly 0 on the inactive blocks."""
-        ratio_s, alpha, ratio_n = np.zeros((3, self.spec.n_covariates))
+        """Variance ratios (sigma2 = 1), exactly 0 on the inactive blocks.
+
+        An inactive SVC block carries its entry alpha.
+        """
+        ratio = self.problem.layout.decode(self.point(), self.spec.n_covariates)
+        alpha = ratio.alpha.copy()
         for blk in self.cp.blocks:
-            k, vals = blk.covariate, self.values.get(blk)
-            if blk.kind == "nvc":
-                ratio_n[k] = 0.0 if vals is None else math.exp(vals[0])
-            elif vals is None:
-                alpha[k] = self.entry_alpha[blk]
-            else:
-                ratio_s[k] = math.exp(vals[0])
-                alpha[k] = vals[1] if len(vals) > 1 else _ParamLayout.fixed_alpha
-        return VarianceParams(sigma2=1.0, tau2_s=ratio_s, alpha=alpha, tau2_n=ratio_n)
+            if blk.kind == "svc" and blk not in self.values:
+                alpha[blk.covariate] = self.entry_alpha[blk]
+        return replace(ratio, alpha=alpha)
 
 
 def fit_reml(
@@ -814,13 +850,18 @@ def fit_reml(
     with ``RemlProblem``'s analytic gradient searches the log variance
     ratios and alphas of the active blocks only; every inactive block has
     variance exactly 0 and is checked by its one-sided score at 0
-    (``_boundary_scores``), an SVC block's per unit of its largest column
-    variance ratio and at the alpha of ``_ALPHA_GRID`` that maximises it.
+    (``_boundary_scores``).  The score is taken in the block's largest
+    column variance ratio rho_b = max_l (tau/sigma)^2 w_l, which for an SVC
+    block with alpha < 0 is its variance ratio times (lambda_1 /
+    lambda_P)^|alpha|, at the alpha of ``_ALPHA_GRID`` that maximises it
+    (alphas at which even the smallest entry ratio lies below
+    ``_LOG_TAU2_BOUNDS`` are skipped).
 
     1. Screening, from the model without random effects: the block with the
-       largest positive score enters at that alpha and the best of
-       ``_ENTRY_LOG_RATIOS``, then L-BFGS-B (``_SCREEN_FTOL``) runs on the
-       new active set from the previous point.
+       largest positive score enters at that alpha, with rho_b at the best
+       of ``_ENTRY_LOG_RATIOS`` that raises the likelihood (or, if none
+       does, of ``_ENTRY_SMALL_LOG_RATIOS``), then L-BFGS-B
+       (``_SCREEN_FTOL``) runs on the new active set from there.
     2. Polish: L-BFGS-B on the screened set from the two fixed starts of
        ``RemlProblem.starts``; the better replaces the screened point if it
        ends above it, and otherwise L-BFGS-B with ``_FTOL`` resumes from the
@@ -829,61 +870,64 @@ def fit_reml(
        by L-BFGS-B with ``_FTOL``.  After every run, a block whose largest
        column variance ratio fell to ``_COLLAPSED`` leaves the set, and
        L-BFGS-B with ``_FTOL`` runs again on the smaller set; a block that
-       re-enters is never dropped again.
+       re-enters is never dropped again.  A run that gained but failed its
+       stopping test is resumed from where it ended.
 
-    The search ends when no inactive score exceeds ``_SCORE_TOL`` * |loglik|
-    or all rounds together have used ``_MAX_EVALS_TOTAL``.  ``converged``
-    means a KKT point in the variance ratios: the last L-BFGS-B run on the
-    active set used ``_FTOL`` and passed its own stopping test (the largest
-    projected-gradient component fell below scipy's default, or the relative
-    change of the objective below ``_FTOL``), and no inactive score exceeds
-    the tolerance.  A run that met a ``NumericalBreakdown`` is never
-    converged, because L-BFGS-B can stop at such a point and call it
-    success, nor is a search that ran out of budget.  ``n_loglik_evals``
-    counts value-and-gradient calls (L-BFGS-B evaluations and entry ratios)
-    and factorizations (one per score check, and the final one, on the full
-    layout with the inactive blocks at v = 0, which gives the effects and
-    the profiled variance).  ``FittedModel.inactive_terms`` names the
-    inactive blocks; an inactive SVC term reports the alpha of its score,
-    which the likelihood does not depend on.  Deterministic given identical
-    inputs.
+    An entry always raises the likelihood and a run never lowers it, so the
+    search only climbs, apart from the rounding-level change of dropping a
+    collapsed block.  It ends when no inactive score exceeds ``_SCORE_TOL``
+    * |loglik| or all rounds together have used ``_MAX_EVALS_TOTAL``.
+    ``converged`` means a KKT point in the variance ratios: the last
+    L-BFGS-B run on the active set used ``_FTOL`` and passed its own
+    stopping test (the largest projected-gradient component fell below
+    scipy's default, or the relative change of the objective below
+    ``_FTOL``) or stalled (its line search found no point higher, by more
+    than ``_FTOL`` of |loglik|, than the one it started from), and no
+    inactive score d loglik / d rho_b exceeds the tolerance.  A run that met
+    a ``NumericalBreakdown`` is never converged, because L-BFGS-B can stop
+    at such a point and call it success, nor is a search that ran out of
+    budget.  ``n_loglik_evals``
+    counts value-and-gradient calls (L-BFGS-B evaluations) and
+    factorizations (the entry ratios, one per score check, and the final
+    one, on the full layout with the inactive blocks at v = 0, which gives
+    the effects and the profiled variance).  ``FittedModel.inactive_terms``
+    names the inactive blocks; an inactive SVC term reports the alpha of
+    its score, which the likelihood does not depend on.  Deterministic given
+    identical inputs.
     """
     search = _ActiveSet(cp, spec, spatial)
-    loglik, best, score = search.assess()
+    best, score = search.assess()
     polished = False
     while search.n_evals < _MAX_EVALS_TOTAL:
-        if score > _SCORE_TOL * abs(loglik):
+        if score > _SCORE_TOL * abs(search.loglik):
             if not search.enter(best):
                 break
             search.optimize(_FTOL if polished else _SCREEN_FTOL)
         elif search.active and not polished:
             polished = True
-            search.optimize(_FTOL, search.problem.starts())
+            search.optimize(_FTOL, tuple(search.problem.starts()))
         elif search.active and not search.tight:
             search.optimize(_FTOL)
         else:
             break
-        loglik, best, score = search.assess()
-    converged = search.converged and search.tight and score <= _SCORE_TOL * abs(loglik)
+        best, score = search.assess()
+    converged = search.converged and search.tight and score <= _SCORE_TOL * abs(search.loglik)
 
-    ratio = search.theta()
-    scalings = [
-        scale_eigenvalues(spatial, float(ratio.alpha[k])) if spec.has_svc[k] else None
-        for k in range(spec.n_covariates)
-    ]
-    res = restricted_loglik(cp, spec, ratio, scalings)
+    size = cp.n_fixed + cp.n_random
+    loglik, sol, s2, _ = _factor_joint(cp, search.scaling(), np.empty((size, size), order="F"))
     # Searched parameters are variance ratios relative to sigma2 = 1; rescale
     # by the profiled sigma2 so the stored tau2 are absolute variances with
     # identical ratios (the likelihood value is unchanged).
-    s2 = res.sigma2_hat
+    ratio = search.theta()
     theta = VarianceParams(sigma2=s2, tau2_s=ratio.tau2_s * s2, alpha=ratio.alpha, tau2_n=ratio.tau2_n * s2)
     names = spec.covariate_names
+    k = cp.n_fixed
     return FittedModel(
         spec=spec,
         theta=theta,
-        b_hat=res.b_hat,
-        u_hat=res.u_hat,
-        restricted_loglik=res.loglik,
+        b_hat=sol[:k],
+        u_hat=sol[k:],
+        restricted_loglik=loglik,
         n_loglik_evals=search.n_evals + 1,
         converged=converged,
         n_obs=cp.n_obs,

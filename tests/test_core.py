@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snvc import core
 from snvc.core import (
     _ALPHA_GRID,
+    _FTOL,
+    _LOG_TAU2_BOUNDS,
+    _SCORE_TOL,
+    _SCREEN_FTOL,
+    _ActiveSet,
     _boundary_scores,
     ModelSpec,
     RemlProblem,
@@ -585,18 +592,41 @@ class TestFitReml:
         start_best = restricted_loglik(cp, spec, zero, [None]).loglik
         ceiling = 0.5 * (start_best + honest.restricted_loglik)
         assert start_best < ceiling < honest.restricted_loglik
-        original = RemlProblem.value_and_grad
+        original = RemlProblem.solve
 
         def capped(self, t):
-            value, grad = original(self, t)
-            if value > ceiling:
+            point = original(self, t)
+            if point[0] > ceiling:
                 raise NumericalBreakdown("forced breakdown above the ceiling")
-            return value, grad
+            return point
 
-        monkeypatch.setattr(RemlProblem, "value_and_grad", capped)
+        monkeypatch.setattr(RemlProblem, "solve", capped)
         fit = fit_reml(cp, spec, basis)
         assert fit.restricted_loglik <= ceiling
         assert fit.converged is False
+
+    @pytest.mark.parametrize("gain, resumed", [(0.5, False), (10.0, True)])
+    def test_failed_run_is_resumed_only_after_a_real_gain(self, monkeypatch, gain, resumed):
+        # A run whose line search fails (status 2) is resumed only if it
+        # gained more than _FTOL of |loglik|; a smaller gain is rounding, and
+        # the run has stalled at a converged point.  At a gain of 1e-12 an
+        # N = 1600 fit used to resume the same run until the budget ran out.
+        _, cp, spec, basis = reml_problem_k1()
+        search = _ActiveSet(cp, spec, basis)
+        best, _ = search.assess()
+        search.enter(best)
+        search.optimize(_FTOL)
+        start = search.loglik
+        t = search.point()
+
+        def stalled(problem, t0, maxfun, ftol):
+            fun = -(start + gain * _FTOL * abs(start))
+            return scipy.optimize.OptimizeResult(x=t.copy(), fun=fun, success=False, status=2, nfev=15)
+
+        monkeypatch.setattr(core, "_search", stalled)
+        search.optimize(_FTOL)
+        assert search.converged is not resumed
+        assert search.tight is not resumed
 
     # Restricted log-likelihoods the earlier two-start Nelder-Mead search
     # reached (unconverged, about 2000 evaluations each) on N = 150 scenario
@@ -658,6 +688,37 @@ class TestFitReml:
         assert fit1.restricted_loglik == fit2.restricted_loglik
         assert fit1.n_loglik_evals == fit2.n_loglik_evals
         np.testing.assert_array_equal(field1.total, field2.total)
+
+    # Restricted log-likelihoods the two-start search over every block
+    # reached on five_covariate_data(seed), converged.
+    FULL_SET_LOGLIK = {20: -144.740461, 24: -137.230163}
+
+    @pytest.mark.parametrize("seed", sorted(FULL_SET_LOGLIK), ids=lambda s: f"seed{s}")
+    def test_five_covariate_fit_reaches_the_full_set_search(self, seed):
+        X, y, spec, basis = five_covariate_data(seed)
+        nbs = [spline_basis(X[:, k], 6) if spec.has_nvc[k] else None for k in range(5)]
+        fit = fit_reml(precompute_crossproducts(build_design(X, spec, basis, nbs), y), spec, basis)
+        assert fit.converged
+        assert fit.restricted_loglik >= self.FULL_SET_LOGLIK[seed] - 1e-6
+
+    def test_every_entry_raises_the_likelihood(self):
+        # Screening on the K = 5 problem, where SVC blocks enter at alpha -5:
+        # each entry ratio lies inside the search bounds and ends above the
+        # likelihood before it.
+        _, cp, spec, basis = reml_problem_k5()
+        search = _ActiveSet(cp, spec, basis)
+        best, score = search.assess()
+        n_entries = 0
+        while score > _SCORE_TOL * abs(search.loglik):
+            before = search.loglik
+            assert search.enter(best)
+            n_entries += 1
+            assert search.loglik > before
+            assert search.loglik == search.problem.solve(search.point())[0]
+            assert search.values[best][0] >= _LOG_TAU2_BOUNDS[0]
+            search.optimize(_SCREEN_FTOL)
+            best, score = search.assess()
+        assert n_entries >= 3
 
 
 @pytest.fixture(scope="module", params=[(3, 185.805), (11, 294.26)], ids=["seed3", "seed11"])
