@@ -290,7 +290,7 @@ def fit_command(args) -> int:
     sites = SiteSet(table.coords)
     spatial = None
     if any(spec.has_svc):
-        spatial = moran_eigen_basis(build_proximity(sites, mst_range(sites))).truncated(_MAX_EIGVECS)
+        spatial = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=_MAX_EIGVECS)
     fit, field = fit_snvc(X, y, spec, spatial)
     elapsed = time.perf_counter() - t0
 

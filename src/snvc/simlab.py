@@ -267,7 +267,7 @@ def coef_correlations(fields_per_iteration) -> CorrelationSummary:
 def _build_scenario_basis(sites: SiteSet, max_eigvecs: int) -> SpatialBasis:
     r = mst_range(sites)
     c = build_proximity(sites, r)
-    return moran_eigen_basis(c).truncated(max_eigvecs)
+    return moran_eigen_basis(c, max_components=max_eigvecs)
 
 
 def _fit_ols_field(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ def test_criterion_2_reml_oracle_equivalence():
     rng = np.random.default_rng(7)
     n, k = 30, 2
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites))).truncated(3)
+    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=3)
     assert basis.n_components == 3
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=4)
@@ -125,7 +125,7 @@ def test_criterion_3_ols_collapse():
     rng = np.random.default_rng(11)
     n, k = 40, 2
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites))).truncated(4)
+    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=4)
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     y = rng.normal(size=n)
     spec = ModelSpec(("intercept", "x"), (True, False), (False, False))

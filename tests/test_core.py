@@ -40,9 +40,7 @@ from snvc.splines import spline_basis
 def make_spatial_problem(n, seed, n_eig=None):
     rng = np.random.default_rng(seed)
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
-    if n_eig is not None:
-        basis = basis.truncated(n_eig)
+    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=n_eig)
     return rng, sites, basis
 
 
@@ -141,7 +139,7 @@ def reml_problem(n=30, seed=7, n_eig=3, n_spline=4):
     NVC on the covariate."""
     rng = np.random.default_rng(seed)
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites))).truncated(n_eig)
+    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=n_eig)
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=n_spline)
     y = rng.normal(size=n)
@@ -493,7 +491,7 @@ class TestRemlProblem:
 
 
 def moran_basis(sites, max_eigvecs):
-    return moran_eigen_basis(build_proximity(sites, mst_range(sites))).truncated(max_eigvecs)
+    return moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=max_eigvecs)
 
 
 def scenario_fit(w_s, iteration, estimator):
@@ -819,6 +817,29 @@ class TestPredictAndShares:
         loglik_p, total_p = at_theta(perm)
         assert abs(loglik_p - loglik) <= 1e-10
         assert np.abs(total_p - total[perm]).max() <= 1e-10 * np.abs(total).max()
+
+    def test_capped_basis_gives_the_field_of_the_full_decomposition(self):
+        # At one variance point, the leading 20 of 38 pairs computed alone give
+        # the coefficient field that the leading 20 of the full spectrum give.
+        inst = gen_instance(ScenarioConfig(n_sites=400, w_s=0.5, seed=3), 0)
+        c = build_proximity(inst.sites, mst_range(inst.sites))
+        full, capped = moran_eigen_basis(c), moran_eigen_basis(c, max_components=20)
+        assert full.eigvals[19] - full.eigvals[20] > 1e-6 * full.eigvals[0]
+        cut = SpatialBasis(full.eigvecs[:, :20], full.eigvals[:20], full.range_r, full.n_total_nonzero)
+        spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, True, True))
+        theta = VarianceParams(1.0, [0.5, 1.0, 2.0], [1.0, 0.5, 2.0], [0.0, 0.3, 0.3])
+        nbs = [spline_basis(inst.X[:, k], spec.n_basis_nvc[k]) if spec.has_nvc[k] else None for k in range(3)]
+
+        def field(basis):
+            cp = precompute_crossproducts(build_design(inst.X, spec, basis, nbs), inst.y)
+            res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, a) for a in theta.alpha])
+            fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.n_obs, cp.blocks)
+            return res.loglik, predict_coefficients(fit, basis, nbs)
+
+        (loglik, ref), (loglik_c, got) = field(cut), field(capped)
+        assert abs(loglik_c - loglik) <= 1e-10
+        for part in ("svc", "nvc", "total"):
+            assert np.abs(getattr(got, part) - getattr(ref, part)).max() <= 1e-10
 
     def test_decomposition_exact(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=15)

@@ -19,6 +19,16 @@ def random_sites(n, seed, scale=10.0):
     return SiteSet(rng.uniform(0, scale, (n, 2)))
 
 
+def gaussian_sites(n, seed=0):
+    return SiteSet(np.random.default_rng(seed).standard_normal((n, 2)))
+
+
+def grid_sites(side):
+    g = np.arange(1, side + 1, dtype=float)
+    px, py = np.meshgrid(g, g, indexing="ij")
+    return SiteSet(np.column_stack([px.ravel(), py.ravel()]))
+
+
 def sites_with_duplicates(n=30, seed=12):
     coords = np.random.default_rng(seed).uniform(0, 10, (n, 2))
     coords[[5, 17]] = coords[2]
@@ -94,6 +104,13 @@ class TestBuildProximity:
         with pytest.raises(NonPositiveRange):
             build_proximity(SiteSet([[0, 0], [1, 0]]), range_r=0.0)
 
+    def test_in_place_exponential_is_bitwise_exact(self):
+        sites = random_sites(60, seed=6)
+        r = mst_range(sites)
+        ref = np.exp(-sites.distances() / r)
+        np.fill_diagonal(ref, 0.0)
+        assert np.array_equal(build_proximity(sites, r).values, ref)
+
 
 def dense_mcm(c_values):
     n = c_values.shape[0]
@@ -128,18 +145,118 @@ class TestMoranEigenBasis:
         assert np.all(basis.eigvals > 0)
         assert np.all(np.diff(basis.eigvals) <= 0)
 
-    def test_truncated_keeps_leading_columns(self):
+    def test_cap_keeps_leading_columns(self):
         sites = random_sites(50, seed=2)
-        basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
-        cut = basis.truncated(2)
+        c = build_proximity(sites, mst_range(sites))
+        basis = moran_eigen_basis(c)
+        cut = moran_eigen_basis(c, max_components=2)
         assert cut.n_components == min(2, basis.n_components)
-        np.testing.assert_array_equal(cut.eigvals, basis.eigvals[: cut.n_components])
+        lam = basis.eigvals[: cut.n_components]
+        assert np.abs(cut.eigvals - lam).max() <= 1e-12 * lam[0]
 
     def test_site_limit_guard(self):
         sites = random_sites(12, seed=0)
         c = build_proximity(sites, 1.0)
         with pytest.raises(ValueError, match="dense-decomposition limit"):
             moran_eigen_basis(c, max_sites=10)
+
+
+@pytest.fixture(scope="module")
+def grid_case():
+    c = build_proximity(grid_sites(40), 1.0)
+    return c, moran_eigen_basis(c), moran_eigen_basis(c, max_components=200)
+
+
+@pytest.fixture(scope="module", params=["gaussian900", "gaussian2000", "grid40x40"])
+def capped_case(request):
+    # 72 and 124 positive pairs on the gaussian sites: the cap of 200 exceeds
+    # them, so the capped solve also returns zero and negative eigenvalues.
+    # On the 40 x 40 grid (401 positive) it binds.
+    if request.param == "grid40x40":
+        return request.getfixturevalue("grid_case")
+    sites = gaussian_sites(int(request.param.removeprefix("gaussian")))
+    c = build_proximity(sites, mst_range(sites))
+    return c, moran_eigen_basis(c), moran_eigen_basis(c, max_components=200)
+
+
+class TestCappedBasis:
+    def test_eigenvalues_match_the_full_decomposition(self, capped_case):
+        _, full, capped = capped_case
+        assert capped.n_components == min(200, full.n_components)
+        lam = full.eigvals[: capped.n_components]
+        assert np.abs(capped.eigvals - lam).max() <= 1e-12 * lam[0]
+
+    def test_kernel_matches_the_full_decomposition(self, capped_case):
+        # E diag(lambda) E' does not depend on the signs or the rotation
+        # inside tied eigenvalues, which are arbitrary.
+        _, full, capped = capped_case
+        e = full.eigvecs[:, : capped.n_components]
+        ref = (e * full.eigvals[: capped.n_components]) @ e.T
+        got = (capped.eigvecs * capped.eigvals) @ capped.eigvecs.T
+        assert np.abs(got - ref).max() <= 1e-10
+
+    def test_orthonormal_and_centered_columns(self, capped_case):
+        _, _, capped = capped_case
+        gram = capped.eigvecs.T @ capped.eigvecs
+        assert np.abs(gram - np.eye(capped.n_components)).max() < 1e-10
+        assert np.abs(capped.eigvecs.sum(axis=0)).max() < 1e-10
+
+    def test_grid_cap_of_200_falls_in_a_gap(self, grid_case):
+        # A cut inside a tied eigenvalue would keep an arbitrary rotation of
+        # the tied pairs; 200 is clear of one, 201 is not.
+        _, full, _ = grid_case
+        lam = full.eigvals
+        assert lam[199] == pytest.approx(0.7751843, abs=1e-7)
+        assert lam[200] == pytest.approx(0.7584850, abs=1e-7)
+        assert lam[199] - lam[200] > 0.01
+        assert lam[200] - lam[201] < 1e-12 * lam[0]
+
+    def test_undecided_eigenvalue_falls_back_to_the_full_decomposition(self, monkeypatch):
+        sites = random_sites(200, seed=1)
+        c = build_proximity(sites, mst_range(sites))
+        full = moran_eigen_basis(c)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+
+        capped = moran_eigen_basis(c, max_components=30)
+        assert calls == [] and capped.n_components == 30 < full.n_components
+
+        # A cutoff putting lambda_21 strictly between cutoff * lambda_1 and
+        # cutoff * B, B = N max_i mean_j c_ij: the computed pairs cannot
+        # decide whether it clears cutoff * max|lambda|.
+        lam, bound = full.eigvals, 200 * c.values.mean(axis=1).max()
+        cutoff = lam[20] / np.sqrt(lam[0] * bound)
+        assert cutoff * lam[0] < lam[20] <= cutoff * bound
+        capped = moran_eigen_basis(c, cutoff_rel=cutoff, max_components=30)
+        assert calls == [(200, 200)]
+        ref = moran_eigen_basis(c, cutoff_rel=cutoff)
+        assert capped.n_components == min(30, ref.n_components)
+        np.testing.assert_array_equal(capped.eigvals, ref.eigvals[: capped.n_components])
+        assert capped.n_total_nonzero == ref.n_total_nonzero
+
+    def test_cap_above_a_quarter_of_n_cuts_the_full_decomposition(self):
+        # 40 sites on a line have 14 positive pairs; a cap of 12 is above
+        # N/4, so the whole spectrum is computed and then cut.
+        c = build_proximity(SiteSet(np.column_stack([np.arange(40.0), np.zeros(40)])), 1.0)
+        base, capped = moran_eigen_basis(c), moran_eigen_basis(c, max_components=12)
+        assert base.n_components == 14 and capped.n_components == 12
+        np.testing.assert_array_equal(capped.eigvals, base.eigvals[:12])
+        np.testing.assert_array_equal(capped.eigvecs, base.eigvecs[:, :12])
+
+    @pytest.mark.parametrize("cap", [40, 41, 1000])
+    def test_cap_of_n_or_more_is_the_uncapped_basis(self, cap):
+        c = build_proximity(random_sites(40, seed=1), 1.0)
+        base, capped = moran_eigen_basis(c), moran_eigen_basis(c, max_components=cap)
+        np.testing.assert_array_equal(capped.eigvals, base.eigvals)
+        np.testing.assert_array_equal(capped.eigvecs, base.eigvecs)
+        assert capped.n_total_nonzero == base.n_total_nonzero
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_raises(self, cap):
+        c = build_proximity(random_sites(10, seed=1), 1.0)
+        with pytest.raises(ValueError, match="max_components"):
+            moran_eigen_basis(c, max_components=cap)
 
 
 class TestScaleEigenvalues:
