@@ -38,6 +38,7 @@ from .spatial import (
     SiteSet,
     SpatialBasis,
     build_proximity,
+    moran_basis,
     moran_coefficient,
     moran_eigen_basis,
     mst_range,
@@ -73,6 +74,7 @@ __all__ = [
     "gen_instance",
     "gen_toy",
     "gwr_fit_at",
+    "moran_basis",
     "moran_coefficient",
     "moran_eigen_basis",
     "mst_range",

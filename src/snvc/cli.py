@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     SnvcError,
 )
-from .spatial import SiteSet, build_proximity, moran_eigen_basis, mst_range
+from .spatial import SiteSet, moran_basis
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
 _MAX_EIGVECS = 200
@@ -290,7 +290,7 @@ def fit_command(args) -> int:
     sites = SiteSet(table.coords)
     spatial = None
     if any(spec.has_svc):
-        spatial = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=_MAX_EIGVECS)
+        spatial = moran_basis(sites, max_components=_MAX_EIGVECS)
     fit, field = fit_snvc(X, y, spec, spatial)
     elapsed = time.perf_counter() - t0
 
@@ -387,7 +387,7 @@ def basis_command(args) -> int:
     cx, cy = _parse_coords(args.coords)
     table = load_table(args.data, TableSchema(coord_x=cx, coord_y=cy, response=None))
     sites = SiteSet(table.coords)
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+    basis = moran_basis(sites)
 
     n, L = sites.n_sites, basis.n_components
     header = ["kind", "site_id", "coord_x", "coord_y"] + [f"ev_{i + 1}" for i in range(L)]

@@ -39,6 +39,10 @@ class EmptyAfterFiltering(DataError):
     """No rows remain once missing/non-finite designated values are dropped."""
 
 
+class SiteLimitExceeded(DataError, ValueError):
+    """More sites than the dense N x N eigendecomposition is allowed."""
+
+
 # --- geometry and bases ---------------------------------------------------
 
 class AllSitesCoincident(SnvcError):

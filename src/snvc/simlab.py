@@ -25,7 +25,7 @@ import numpy as np
 from .core import ModelSpec, fit_snvc
 from .errors import ConfigInvalid, DimensionMismatch, SnvcError
 from .gwr import select_bandwidth
-from .spatial import SiteSet, SpatialBasis, build_proximity, moran_eigen_basis, mst_range
+from .spatial import SiteSet, SpatialBasis, moran_basis
 from .splines import spline_basis
 
 ESTIMATORS = ("LM", "GWR", "GWR_A", "SVC_M", "SNVC_M")
@@ -264,12 +264,6 @@ def coef_correlations(fields_per_iteration) -> CorrelationSummary:
 # ---------------------------------------------------------------------------
 
 
-def _build_scenario_basis(sites: SiteSet, max_eigvecs: int) -> SpatialBasis:
-    r = mst_range(sites)
-    c = build_proximity(sites, r)
-    return moran_eigen_basis(c, max_components=max_eigvecs)
-
-
 def _fit_ols_field(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     coefs, *_ = np.linalg.lstsq(X, y, rcond=None)
     return np.tile(coefs, (X.shape[0], 1))
@@ -324,7 +318,7 @@ def predict_toy_estimator(
     with_svc = estimator in ("SVC_M", "SNVC_M")
     with_nvc = estimator in ("NVC_M", "SNVC_M")
     if with_svc and spatial is None:
-        spatial = _build_scenario_basis(sites, max_eigvecs)
+        spatial = moran_basis(sites, max_components=max_eigvecs)
     spec = ModelSpec(
         covariate_names=("x1", "x2"),
         has_svc=(with_svc,) * 2,
@@ -410,7 +404,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             if config.site_layout == "grid_40x40" and shared_basis is not None:
                 basis = shared_basis  # grid sites never change across iterations
             else:
-                basis = _build_scenario_basis(inst.sites, config.max_eigvecs)
+                basis = moran_basis(inst.sites, max_components=config.max_eigvecs)
                 if config.site_layout == "grid_40x40":
                     shared_basis = basis
         else:

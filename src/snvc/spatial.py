@@ -7,7 +7,8 @@ keeps the eigenvectors belonging to positive eigenvalues, or only the leading
 ones up to a cap, which are then all that is computed.  Those columns are
 the map patterns with positive spatial autocorrelation; their eigenvalues,
 raised to a power ``alpha``, control the spatial scale of a simulated or
-fitted coefficient surface.
+fitted coefficient surface.  ``moran_basis`` does all of this in one
+N x N buffer.
 
 All functions here are pure; returned objects are immutable in practice and
 safe to share across threads.
@@ -26,6 +27,7 @@ from .errors import (
     ConstantVector,
     EmptyBasis,
     NonPositiveRange,
+    SiteLimitExceeded,
 )
 
 # Exact dense eigendecomposition only; refuse sizes where that is no longer
@@ -118,49 +120,48 @@ def mst_range(sites: SiteSet) -> float:
     AllSitesCoincident
         If every pairwise distance is zero.
     """
-    d = sites.distances()
-    n = sites.n_sites
-    if np.all(d == 0.0):
-        raise AllSitesCoincident("all pairwise distances are zero")
-
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = d[0].copy()
-    best[0] = np.inf
-    max_edge = 0.0
-    for _ in range(n - 1):
-        j = int(np.argmin(np.where(in_tree, np.inf, best)))
-        max_edge = max(max_edge, float(best[j]))
-        in_tree[j] = True
-        best = np.minimum(best, d[j])
-        best[j] = np.inf
-    return max_edge
+    return _mst_max_edge(sites.distances())
 
 
 def build_proximity(sites: SiteSet, range_r: float) -> ProximityMatrix:
     """Exponential proximity matrix ``exp(-d_ij / range_r)``, zero diagonal."""
     if not range_r > 0.0:
         raise NonPositiveRange(f"range must be positive, got {range_r}")
-    # In place, so only one N x N buffer is alive: 0.8 GB at N = 10,000.
-    values = sites.distances()
-    values /= -range_r
-    np.exp(values, out=values)
-    np.fill_diagonal(values, 0.0)
-    return ProximityMatrix(values=values, range_r=float(range_r))
+    return ProximityMatrix(values=_proximity(sites.distances(), range_r), range_r=float(range_r))
 
 
-def _double_centered(values: np.ndarray, row_means: np.ndarray) -> np.ndarray:
-    """M C M as ``(c_ij - r_i) - r_j + g`` in one Fortran-ordered buffer.
+def moran_basis(
+    sites: SiteSet,
+    max_components: int | None = None,
+    cutoff_rel: float = DEFAULT_EIGEN_CUTOFF,
+    max_sites: int = DEFAULT_MAX_SITES,
+) -> SpatialBasis:
+    """The Moran basis of ``sites`` in one N x N buffer.
 
-    The result is symmetric only up to rounding; LAPACK reads one triangle,
-    so it needs no symmetrizing copy.  ``values`` is exactly symmetric, so
-    the transpose of a C-ordered copy is the Fortran-ordered matrix.
+    Equal bit for bit to ``moran_eigen_basis(build_proximity(sites,
+    mst_range(sites)), ...)`` with the same arguments, which it replaces
+    whenever C itself is not needed: the distance matrix is computed once,
+    gives the range, and is turned into C and then M C M in place, and the
+    eigensolver overwrites it.  The site limit is checked before any of it.
+    The arguments mean what they mean for ``moran_eigen_basis``.
+
+    Raises
+    ------
+    SiteLimitExceeded
+        If N exceeds ``max_sites``; it is also a ``ValueError``.
+    AllSitesCoincident
+        If every pairwise distance is zero.
     """
-    mcm = values.copy()
-    mcm -= row_means[:, None]
-    mcm -= row_means[None, :]
-    mcm += values.mean()
-    return mcm.T
+    k = _components_to_keep(sites.n_sites, max_components, cutoff_rel, max_sites)
+    buf = sites.distances()
+    range_r = _mst_max_edge(buf)
+    return _eigen_basis(
+        _proximity(buf, range_r),
+        lambda: _proximity(sites.distances(), range_r),
+        range_r,
+        k,
+        cutoff_rel,
+    )
 
 
 def moran_eigen_basis(
@@ -170,6 +171,10 @@ def moran_eigen_basis(
     max_components: int | None = None,
 ) -> SpatialBasis:
     """Leading positive-eigenvalue eigenpairs of M C M.
+
+    ``C.values`` is copied once into the buffer the eigensolver overwrites
+    and is never modified; ``moran_basis`` builds the same basis from the
+    sites without that copy.
 
     Parameters
     ----------
@@ -197,27 +202,82 @@ def moran_eigen_basis(
     SpatialBasis
         May be empty (L = 0) when the spectrum has no positive eigenvalue,
         e.g. N = 2 or an equilateral triangle.
+
+    Raises
+    ------
+    SiteLimitExceeded
+        If N exceeds ``max_sites``; it is also a ``ValueError``.
     """
-    if not 0.0 < cutoff_rel < 1.0:
-        raise ValueError("cutoff_rel must lie in (0, 1)")
-    n = C.n_sites
+    k = _components_to_keep(C.n_sites, max_components, cutoff_rel, max_sites)
+    return _eigen_basis(C.values.copy(), lambda: C.values, C.range_r, k, cutoff_rel)
+
+
+# --- stages shared by the public builders ---------------------------------
+
+
+def _components_to_keep(n: int, max_components: int | None, cutoff_rel: float, max_sites: int) -> int:
+    """Validate the basis arguments before any N x N work; the cap k."""
     if n > max_sites:
-        raise ValueError(
+        raise SiteLimitExceeded(
             f"N = {n} exceeds the dense-decomposition limit {max_sites}; "
             "approximate eigen methods are out of scope"
         )
+    if not 0.0 < cutoff_rel < 1.0:
+        raise ValueError("cutoff_rel must lie in (0, 1)")
     k = n if max_components is None else max_components
     if k < 1:
         raise ValueError(f"max_components must be at least 1, got {max_components}")
+    return k
 
-    row_means = C.values.mean(axis=1)
+
+def _mst_max_edge(d: np.ndarray) -> float:
+    """Longest edge of a minimum spanning tree (Prim) on distances ``d``."""
+    n = d.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = d[0].copy()
+    best[0] = np.inf
+    max_edge = 0.0
+    for _ in range(n - 1):
+        j = int(np.argmin(np.where(in_tree, np.inf, best)))
+        max_edge = max(max_edge, float(best[j]))
+        in_tree[j] = True
+        best = np.minimum(best, d[j])
+        best[j] = np.inf
+    # A tree of zero-length edges joins sites that all coincide.
+    if max_edge == 0.0:
+        raise AllSitesCoincident("all pairwise distances are zero")
+    return max_edge
+
+
+def _proximity(d: np.ndarray, range_r: float) -> np.ndarray:
+    """``exp(-d / range_r)`` with a zero diagonal, in place in ``d``."""
+    d /= -range_r
+    np.exp(d, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _eigen_basis(c: np.ndarray, proximity, range_r: float, k: int, cutoff_rel: float) -> SpatialBasis:
+    """The basis from C in the C-ordered buffer ``c``, which it overwrites.
+
+    ``proximity()`` returns C again, to be copied into ``c`` for the full
+    decomposition after an undecided capped one; that transient second
+    N x N array stays below the full solver's workspace.
+    """
+    n = c.shape[0]
+    row_means = c.mean(axis=1)
+    # The grand mean of C itself: the mean of the row means rounds
+    # differently, and that moves some fits to another local maximum.
+    grand_mean = c.mean()
+    _center(c, row_means, grand_mean)
     # The subset solve (MRRR) beats divide and conquer over the whole
     # spectrum only while k is at most about N/4 (1 BLAS thread, k = 200:
     # 0.047 s against 0.019 s at N = 400, 0.57 s against 0.78 s at N = 1600).
     full = 4 * k > n
     if not full:
         eigvals, eigvecs = scipy.linalg.eigh(
-            _double_centered(C.values, row_means),
+            c.T,
             subset_by_index=[n - k, n - 1],
             driver="evr",
             overwrite_a=True,
@@ -227,8 +287,12 @@ def moran_eigen_basis(
         # Between cutoff * lambda_1 and cutoff * B an eigenvalue may fall on
         # either side of cutoff * max|lambda|; only the full spectrum decides.
         full = bool(np.any((eigvals > cutoff_rel * eigvals[-1]) & (eigvals <= threshold)))
+        if full:
+            del eigvecs
+            np.copyto(c, proximity())
+            _center(c, row_means, grand_mean)
     if full:
-        eigvals, eigvecs = np.linalg.eigh(_double_centered(C.values, row_means))
+        eigvals, eigvecs = scipy.linalg.eigh(c.T, driver="evd", overwrite_a=True, check_finite=False)
         # The cutoff is relative to the spectral magnitude so that spectra
         # whose largest eigenvalue is a floating-point zero (e.g. an
         # equilateral triangle) come back empty instead of keeping noise.
@@ -240,9 +304,21 @@ def moran_eigen_basis(
     return SpatialBasis(
         eigvecs=eigvecs[:, order],
         eigvals=eigvals[order],
-        range_r=C.range_r,
+        range_r=range_r,
         n_total_nonzero=int((np.abs(eigvals) > threshold).sum()),
     )
+
+
+def _center(c: np.ndarray, row_means: np.ndarray, grand_mean: float) -> None:
+    """M C M as ``(c_ij - r_i) - r_j + g``, in place in the C-ordered ``c``.
+
+    The result is symmetric only up to rounding; LAPACK reads one triangle,
+    so it needs no symmetrizing copy.  C is exactly symmetric, so the
+    transpose of the C-ordered buffer is the Fortran-ordered matrix.
+    """
+    c -= row_means[:, None]
+    c -= row_means[None, :]
+    c += grand_mean
 
 
 def scale_eigenvalues(basis: SpatialBasis, alpha: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from snvc.core import (
 )
 from snvc.simlab import (
     ScenarioConfig,
-    _build_scenario_basis,
     coef_correlations,
     gen_toy,
     predict_toy_estimator,
@@ -31,6 +30,7 @@ from snvc.spatial import (
     SiteSet,
     SpatialBasis,
     build_proximity,
+    moran_basis,
     moran_eigen_basis,
     mst_range,
     scale_eigenvalues,
@@ -151,7 +151,7 @@ def test_criterion_3_ols_collapse():
 def test_criterion_4_motivating_example_spurious_correlation():
     t0 = time.perf_counter()
     seeds = (11, 12, 13)
-    basis = _build_scenario_basis(gen_toy(seeds[0]).sites, 200)
+    basis = moran_basis(gen_toy(seeds[0]).sites, max_components=200)
     preds = {est: [] for est in ("SVC_M", "NVC_M", "GWR")}
     for seed in seeds:
         inst = gen_toy(seed)

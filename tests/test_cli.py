@@ -7,6 +7,7 @@ import pytest
 from snvc.cli import FitReport, TableSchema, load_table, main, write_table
 from snvc.errors import ConfigInvalid, EmptyAfterFiltering, MissingColumn, ParseError
 from snvc.simlab import gen_toy
+from snvc.spatial import DEFAULT_MAX_SITES, SiteSet
 
 
 def write_csv(path, header, rows):
@@ -200,6 +201,26 @@ class TestFitCommand:
         ])
         assert code == 4
         assert '"error": "SingularFixedBlock"' in capsys.readouterr().err
+
+    def test_site_limit_is_a_data_error_found_before_any_distance(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = DEFAULT_MAX_SITES + 1
+        path = tmp_path / "big.csv"
+        rows = np.column_stack([rng.uniform(0, 10, (n, 2)), rng.normal(size=(n, 2))])
+        write_csv(path, ["px", "py", "price", "x1"], rows.tolist())
+
+        def no_distances(self):
+            raise AssertionError("distance matrix built before the site limit was checked")
+
+        monkeypatch.setattr(SiteSet, "distances", no_distances)
+        fit = ["fit", "--data", str(path), "--y", "price", "--x", "x1", "--coords", "px,py",
+               "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv")]
+        basis = ["basis", "--data", str(path), "--coords", "px,py", "--out", str(tmp_path / "b.csv")]
+        for argv in (fit, basis):
+            assert main(argv) == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "SiteLimitExceeded"
+            assert f"N = {n} exceeds the dense-decomposition limit" in err["message"]
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -33,14 +33,14 @@ from snvc.core import (
 )
 from snvc.errors import EmptySpatialBasis, NumericalBreakdown, SingularFixedBlock
 from snvc.simlab import ScenarioConfig, gen_instance, gen_toy
-from snvc.spatial import SiteSet, SpatialBasis, build_proximity, moran_eigen_basis, mst_range, scale_eigenvalues
+from snvc.spatial import SiteSet, SpatialBasis, moran_basis, scale_eigenvalues
 from snvc.splines import spline_basis
 
 
 def make_spatial_problem(n, seed, n_eig=None):
     rng = np.random.default_rng(seed)
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=n_eig)
+    basis = moran_basis(sites, max_components=n_eig)
     return rng, sites, basis
 
 
@@ -139,7 +139,7 @@ def reml_problem(n=30, seed=7, n_eig=3, n_spline=4):
     NVC on the covariate."""
     rng = np.random.default_rng(seed)
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=n_eig)
+    basis = moran_basis(sites, max_components=n_eig)
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=n_spline)
     y = rng.normal(size=n)
@@ -280,7 +280,7 @@ def five_covariate_data(seed=20):
     rng = np.random.default_rng(seed)
     n = 100
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+    basis = moran_basis(sites)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 4))])
     y = X @ np.array([1.0, 0.5, -0.5, 1.0, 0.0]) + X[:, 1] * basis.eigvecs[:, 0]
     y += rng.normal(size=n)
@@ -293,7 +293,7 @@ def reml_problem_k1():
     rng = np.random.default_rng(21)
     n = 80
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+    basis = moran_basis(sites)
     x = 1.0 + rng.normal(size=n)
     nb = spline_basis(x, n_basis=6)
     y = x * (1.0 + basis.eigvecs[:, 0]) + rng.normal(size=n)
@@ -490,10 +490,6 @@ class TestRemlProblem:
             RemlProblem(precompute_crossproducts(design_bad, y), spec, basis)
 
 
-def moran_basis(sites, max_eigvecs):
-    return moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=max_eigvecs)
-
-
 def scenario_fit(w_s, iteration, estimator):
     """Fit SVC_M or SNVC_M to one N = 150 scenario draw with seed 3."""
     config = ScenarioConfig(n_sites=150, w_s=w_s, seed=3)
@@ -514,7 +510,7 @@ class TestFitReml:
         for rep in range(20):
             rng = np.random.default_rng(100 + rep)
             sites = SiteSet(rng.uniform(0, 10, (200, 2)))
-            basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+            basis = moran_basis(sites)
             X = np.ones((200, 1))
             y = rng.normal(size=200)
             spec = ModelSpec(("intercept",), (True,), (False,))
@@ -533,7 +529,7 @@ class TestFitReml:
             rng = np.random.default_rng(300 + rep)
             n = 500
             sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-            basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+            basis = moran_basis(sites)
             x = 1.0 + rng.normal(size=n)
             X = x[:, None]
             nb = spline_basis(x, n_basis=6)
@@ -667,7 +663,7 @@ class TestFitReml:
         rng = np.random.default_rng(31)
         coords = rng.uniform(0, 10, (90, 2))
         sites = SiteSet(np.vstack([coords, coords[rng.choice(90, 30, replace=False)]]))
-        basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+        basis = moran_basis(sites)
         x = rng.uniform(0, 5, 120)
         X = np.column_stack([np.ones(120), x])
         y = 1.0 + basis.eigvecs[:, 0] + np.sin(x) * x + rng.normal(size=120)
@@ -786,7 +782,7 @@ class TestPredictAndShares:
         rng = np.random.default_rng(14)
         n = 80
         sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-        basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+        basis = moran_basis(sites)
         X = np.ones((n, 1))
         w = np.sqrt(basis.eigvals / basis.eigvals[0])
         y = 2.0 + basis.eigvecs @ (w * rng.standard_normal(basis.n_components)) + 0.3 * rng.normal(size=n)
@@ -822,8 +818,7 @@ class TestPredictAndShares:
         # At one variance point, the leading 20 of 38 pairs computed alone give
         # the coefficient field that the leading 20 of the full spectrum give.
         inst = gen_instance(ScenarioConfig(n_sites=400, w_s=0.5, seed=3), 0)
-        c = build_proximity(inst.sites, mst_range(inst.sites))
-        full, capped = moran_eigen_basis(c), moran_eigen_basis(c, max_components=20)
+        full, capped = moran_basis(inst.sites), moran_basis(inst.sites, max_components=20)
         assert full.eigvals[19] - full.eigvals[20] > 1e-6 * full.eigvals[0]
         cut = SpatialBasis(full.eigvecs[:, :20], full.eigvals[:20], full.range_r, full.n_total_nonzero)
         spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, True, True))

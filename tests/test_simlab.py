@@ -7,7 +7,6 @@ from snvc import simlab
 from snvc.errors import ConfigInvalid, DimensionMismatch
 from snvc.simlab import (
     ScenarioConfig,
-    _build_scenario_basis,
     coef_correlations,
     gen_coefficients,
     gen_covariate,
@@ -19,7 +18,7 @@ from snvc.simlab import (
     row_standardized_proximity,
     run_scenario,
 )
-from snvc.spatial import SiteSet, build_proximity, moran_coefficient, mst_range
+from snvc.spatial import SiteSet, build_proximity, moran_basis, moran_coefficient, mst_range
 
 
 def grid_sites(n):
@@ -183,7 +182,7 @@ class TestCoefCorrelations:
         # Scaled-down grid: the shared-basis SVC fit shows strong spurious
         # negative correlation, the spline fit stays near the true value.
         inst = gen_toy(5, grid=(20, 20))
-        basis = _build_scenario_basis(inst.sites, 200)
+        basis = moran_basis(inst.sites, max_components=200)
         svc = predict_toy_estimator("SVC_M", inst, spatial=basis)
         nvc = predict_toy_estimator("NVC_M", inst)
         cc_svc = coef_correlations([svc]).mean[0, 1]

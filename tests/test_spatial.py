@@ -1,12 +1,28 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snvc.errors import AllSitesCoincident, ConstantVector, EmptyBasis, NonPositiveRange
+from snvc.errors import (
+    AllSitesCoincident,
+    ConstantVector,
+    DataError,
+    EmptyBasis,
+    NonPositiveRange,
+    SiteLimitExceeded,
+)
 from snvc.spatial import (
+    DEFAULT_MAX_SITES,
     SiteSet,
     build_proximity,
+    moran_basis,
     moran_coefficient,
     moran_eigen_basis,
     mst_range,
@@ -139,8 +155,7 @@ class TestMoranEigenBasis:
         assert abs(basis.eigvals[0] - w[-1]) < 1e-10
 
     def test_eigvals_sorted_descending_and_positive(self):
-        sites = random_sites(40, seed=1)
-        basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+        basis = moran_basis(random_sites(40, seed=1))
         assert basis.n_components >= 1
         assert np.all(basis.eigvals > 0)
         assert np.all(np.diff(basis.eigvals) <= 0)
@@ -159,6 +174,25 @@ class TestMoranEigenBasis:
         c = build_proximity(sites, 1.0)
         with pytest.raises(ValueError, match="dense-decomposition limit"):
             moran_eigen_basis(c, max_sites=10)
+
+
+def undecided_cutoff(c):
+    """A cutoff that puts lambda_21 between cutoff * lambda_1 and cutoff * B."""
+    lam, bound = moran_eigen_basis(c).eigvals, c.n_sites * c.values.mean(axis=1).max()
+    return lam[20] / np.sqrt(lam[0] * bound)
+
+
+def spy_eigensolver(monkeypatch):
+    """Record the driver and shape of every ``scipy.linalg.eigh`` call."""
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, **kwargs):
+        calls.append((kwargs.get("driver"), a.shape))
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -215,21 +249,20 @@ class TestCappedBasis:
         sites = random_sites(200, seed=1)
         c = build_proximity(sites, mst_range(sites))
         full = moran_eigen_basis(c)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        calls = spy_eigensolver(monkeypatch)
 
         capped = moran_eigen_basis(c, max_components=30)
-        assert calls == [] and capped.n_components == 30 < full.n_components
+        assert calls == [("evr", (200, 200))] and capped.n_components == 30 < full.n_components
 
         # A cutoff putting lambda_21 strictly between cutoff * lambda_1 and
         # cutoff * B, B = N max_i mean_j c_ij: the computed pairs cannot
         # decide whether it clears cutoff * max|lambda|.
         lam, bound = full.eigvals, 200 * c.values.mean(axis=1).max()
-        cutoff = lam[20] / np.sqrt(lam[0] * bound)
+        cutoff = undecided_cutoff(c)
         assert cutoff * lam[0] < lam[20] <= cutoff * bound
+        calls.clear()
         capped = moran_eigen_basis(c, cutoff_rel=cutoff, max_components=30)
-        assert calls == [(200, 200)]
+        assert calls == [("evr", (200, 200)), ("evd", (200, 200))]
         ref = moran_eigen_basis(c, cutoff_rel=cutoff)
         assert capped.n_components == min(30, ref.n_components)
         np.testing.assert_array_equal(capped.eigvals, ref.eigvals[: capped.n_components])
@@ -257,6 +290,135 @@ class TestCappedBasis:
         c = build_proximity(random_sites(10, seed=1), 1.0)
         with pytest.raises(ValueError, match="max_components"):
             moran_eigen_basis(c, max_components=cap)
+
+
+def composed_basis(sites, max_components=None, **kwargs):
+    return moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=max_components, **kwargs)
+
+
+def assert_same_basis(got, ref):
+    assert np.array_equal(got.eigvals, ref.eigvals)
+    assert np.array_equal(got.eigvecs, ref.eigvecs)
+    assert got.range_r == ref.range_r
+    assert got.n_total_nonzero == ref.n_total_nonzero
+
+
+def count_distances(monkeypatch):
+    calls = []
+    distances = SiteSet.distances
+    monkeypatch.setattr(SiteSet, "distances", lambda self: calls.append(self) or distances(self))
+    return calls
+
+
+class TestMoranBasis:
+    """moran_basis is the three-call composition, bit for bit, from one buffer."""
+
+    @pytest.mark.parametrize(
+        "sites, cap, driver",
+        [
+            (grid_sites(40), 200, "evr"),  # 4k <= N: only the leading pairs
+            (gaussian_sites(900), 200, "evr"),  # the cap exceeds the 72 positive pairs
+            (gaussian_sites(600), 200, "evd"),  # 4k > N: the whole spectrum, cut
+            (gaussian_sites(400), None, "evd"),
+            (sites_with_duplicates(), None, "evd"),
+        ],
+        ids=["grid40x40-cap200", "gaussian900-cap200", "gaussian600-cap200", "gaussian400", "duplicates"],
+    )
+    def test_equals_the_composition(self, sites, cap, driver, monkeypatch):
+        ref = composed_basis(sites, cap)
+        distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
+        got = moran_basis(sites, max_components=cap)
+        assert_same_basis(got, ref)
+        assert len(distances) == 1 and [d for d, _ in calls] == [driver]
+
+    def test_undecided_eigenvalue_rebuilds_the_buffer_from_the_sites(self, monkeypatch):
+        # The capped solve cannot decide lambda_21, so C is computed again
+        # and fully decomposed.
+        sites = random_sites(200, seed=1)
+        cutoff = undecided_cutoff(build_proximity(sites, mst_range(sites)))
+        ref = composed_basis(sites, 30, cutoff_rel=cutoff)
+        distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
+        got = moran_basis(sites, max_components=30, cutoff_rel=cutoff)
+        assert_same_basis(got, ref)
+        assert [d for d, _ in calls] == ["evr", "evd"]
+        assert len(distances) == 2
+
+    @pytest.mark.parametrize(
+        "sites",
+        [SiteSet([[0, 0], [1, 0]]), SiteSet([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])],
+        ids=["two-sites", "equilateral-triangle"],
+    )
+    def test_empty_bases(self, sites):
+        got = moran_basis(sites)
+        assert got.n_components == 0
+        assert_same_basis(got, composed_basis(sites))
+
+    def test_all_sites_coincident(self):
+        sites = SiteSet([[2, 2], [2, 2], [2, 2]])
+        with pytest.raises(AllSitesCoincident):
+            moran_basis(sites)
+
+    def test_site_limit_is_checked_before_any_distance(self, monkeypatch):
+        def no_distances(self):
+            raise AssertionError("distance matrix built before the site limit was checked")
+
+        monkeypatch.setattr(SiteSet, "distances", no_distances)
+        big = SiteSet(np.random.default_rng(0).uniform(0, 10, (DEFAULT_MAX_SITES + 1, 2)))
+        for build in (lambda: moran_basis(big), lambda: moran_basis(random_sites(12, seed=0), max_sites=10)):
+            with pytest.raises(SiteLimitExceeded, match="dense-decomposition limit") as err:
+                build()
+            assert isinstance(err.value, DataError) and isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "cap, undecided, drivers",
+        [(30, False, ["evr"]), (None, False, ["evd"]), (30, True, ["evr", "evd"])],
+        ids=["capped", "full", "fallback"],
+    )
+    def test_moran_eigen_basis_leaves_c_unchanged(self, cap, undecided, drivers, monkeypatch):
+        sites = random_sites(200, seed=1)
+        c = build_proximity(sites, mst_range(sites))
+        kwargs = {"cutoff_rel": undecided_cutoff(c)} if undecided else {}
+        before = c.values.copy()
+        calls = spy_eigensolver(monkeypatch)
+        moran_eigen_basis(c, max_components=cap, **kwargs)
+        assert np.array_equal(c.values, before)
+        assert [d for d, _ in calls] == drivers
+
+
+# Peak resident memory of moran_basis, in N x N doubles above the process's
+# high-water mark before the call (1 BLAS thread, N = 2000).  One buffer
+# holds D, C and M C M; the capped solve adds N k eigenvectors, the full
+# one the divide-and-conquer workspace of 2 N^2.
+_PEAK_SCRIPT = textwrap.dedent(
+    """
+    import resource
+    import numpy as np
+    from snvc.spatial import SiteSet, moran_basis
+
+    def peak_bytes():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+    moran_basis(SiteSet(np.random.default_rng(1).standard_normal((60, 2))), max_components=10)
+    sites = SiteSet(np.random.default_rng(0).standard_normal((2000, 2)))
+    base = peak_bytes()
+    moran_basis(sites, max_components=200)
+    capped = peak_bytes()
+    moran_basis(sites)
+    print((capped - base) / (8 * 2000**2), (peak_bytes() - base) / (8 * 2000**2))
+    """
+)
+
+
+def test_peak_memory_of_the_basis_build():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True, text=True, check=True, timeout=300
+    )
+    capped, full = (float(v) for v in out.stdout.split())
+    assert capped <= 1.5, capped
+    assert full <= 3.5, full
 
 
 class TestScaleEigenvalues:
@@ -344,16 +506,13 @@ class TestSpectralInvariants:
         sites = random_sites(40, seed=8)
         rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
         moved = SiteSet(sites.coords @ rotation.T + np.asarray(shift))
-        r, r_moved = mst_range(sites), mst_range(moved)
-        assert abs(r_moved - r) <= 1e-12 * r
-        base = moran_eigen_basis(build_proximity(sites, r))
-        after = moran_eigen_basis(build_proximity(moved, r_moved))
+        base, after = moran_basis(sites), moran_basis(moved)
+        assert abs(after.range_r - base.range_r) <= 1e-12 * base.range_r
         assert after.n_components == base.n_components
         assert np.abs(after.eigvals - base.eigvals).max() <= 1e-12 * base.eigvals[0]
 
     def test_orthonormal_and_centered_columns(self):
-        sites = random_sites(60, seed=3)
-        basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)))
+        basis = moran_basis(random_sites(60, seed=3))
         gram = basis.eigvecs.T @ basis.eigvecs
         assert np.abs(gram - np.eye(basis.n_components)).max() < 1e-10
         assert np.abs(basis.eigvecs.sum(axis=0)).max() < 1e-10
