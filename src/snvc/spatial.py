@@ -134,7 +134,6 @@ def moran_basis(
     sites: SiteSet,
     max_components: int | None = None,
     cutoff_rel: float = DEFAULT_EIGEN_CUTOFF,
-    max_sites: int = DEFAULT_MAX_SITES,
 ) -> SpatialBasis:
     """The Moran basis of ``sites`` in one N x N buffer.
 
@@ -142,17 +141,23 @@ def moran_basis(
     mst_range(sites)), ...)`` with the same arguments, which it replaces
     whenever C itself is not needed: the distance matrix is computed once,
     gives the range, and is turned into C and then M C M in place, and the
-    eigensolver overwrites it.  The site limit is checked before any of it.
-    The arguments mean what they mean for ``moran_eigen_basis``.
+    eigensolver overwrites it.  The site limit ``DEFAULT_MAX_SITES`` is
+    checked before any of it; the composition takes another limit.
+
+    ``max_components`` and ``cutoff_rel`` mean what they mean for
+    ``moran_eigen_basis``.  No caller in the package changes ``cutoff_rel``,
+    but it is the one way to put an eigenvalue of a known site set into the
+    band where a capped solve is undecided, and so to reach the rebuild of
+    C from the sites that this function does in place of a copy of C.
 
     Raises
     ------
     SiteLimitExceeded
-        If N exceeds ``max_sites``; it is also a ``ValueError``.
+        If N exceeds ``DEFAULT_MAX_SITES``; it is also a ``ValueError``.
     AllSitesCoincident
         If every pairwise distance is zero.
     """
-    k = _components_to_keep(sites.n_sites, max_components, cutoff_rel, max_sites)
+    k = _components_to_keep(sites.n_sites, max_components, cutoff_rel, DEFAULT_MAX_SITES)
     buf = sites.distances()
     range_r = _mst_max_edge(buf)
     return _eigen_basis(
