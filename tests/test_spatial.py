@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from snvc.errors import (
     AllSitesCoincident,
@@ -331,6 +332,49 @@ class TestMoranBasis:
         assert_same_basis(got, ref)
         assert len(distances) == 1 and [d for d, _ in calls] == [driver]
 
+    @pytest.mark.parametrize(
+        "sites, cap",
+        [(grid_sites(40), 200), (gaussian_sites(150), 200), (gaussian_sites(400), None)],
+        ids=["grid40x40-cap200", "gaussian150-cap200", "gaussian400"],
+    )
+    def test_matches_a_dense_reference(self, sites, cap):
+        # Built without any stage of the package: pairwise distances by the
+        # formula, the range from scipy's spanning tree, M C M as a product.
+        x = sites.coords
+        d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+        r = minimum_spanning_tree(d).max()
+        c = np.exp(-d / r)
+        np.fill_diagonal(c, 0.0)
+        spectrum, e = np.linalg.eigh(dense_mcm(c))
+        threshold = 1e-8 * np.abs(spectrum).max()
+        kept = spectrum > threshold
+        lam, e = spectrum[kept][::-1][:cap], e[:, kept][:, ::-1][:, :cap]
+
+        got = moran_basis(sites, max_components=cap)
+        assert got.range_r == pytest.approx(r, rel=1e-14)
+        assert got.n_components == lam.size
+        assert np.abs(got.eigvals - lam).max() <= 1e-12 * lam[0]
+        kernel = (got.eigvecs * got.eigvals) @ got.eigvecs.T
+        assert np.abs(kernel - (e * lam) @ e.T).max() <= 1e-10
+        if cap is None:
+            assert got.n_total_nonzero == int((np.abs(spectrum) > threshold).sum())
+
+    @pytest.mark.parametrize(
+        "sites, cap", [(random_sites(200, seed=2), 30), (gaussian_sites(150, seed=1), None)], ids=["evr", "evd"]
+    )
+    def test_centering_rounds_as_documented(self, sites, cap, monkeypatch):
+        # The eigensolver gets (c_ij - r_i) - r_j + g with g the grand mean
+        # of C, bit for bit.  On these sites the mean of the row means
+        # rounds differently, and that moves some fits to another maximum.
+        inputs = []
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda a, **kw: inputs.append(a.T.copy()) or eigh(a, **kw))
+        moran_basis(sites, max_components=cap)
+        c = np.exp(-sites.distances() / mst_range(sites))
+        np.fill_diagonal(c, 0.0)
+        row_means = c.mean(axis=1)
+        assert np.array_equal(inputs[0], (c - row_means[:, None]) - row_means[None, :] + c.mean())
+
     def test_undecided_eigenvalue_rebuilds_the_buffer_from_the_sites(self, monkeypatch):
         # The capped solve cannot decide lambda_21, so C is computed again
         # and fully decomposed.
@@ -386,8 +430,13 @@ class TestMoranBasis:
 
 # Peak resident memory of moran_basis, in N x N doubles above the process's
 # high-water mark before the call (1 BLAS thread, N = 2000).  One buffer
-# holds D, C and M C M; the capped solve adds N k eigenvectors, the full
-# one the divide-and-conquer workspace of 2 N^2.
+# holds D, C and M C M; the capped solve adds N k eigenvectors (k/N = 0.1),
+# the full one the divide-and-conquer workspace of 2 N^2 (eigenvectors and
+# work array).  The bounds, 1.5 and 3.5, leave 0.4 and 0.5 N^2 above those
+# sums, 1.1 and 3, for the allocator and smaller arrays (measured: 1.19 and
+# 3.16), so that a LAPACK or allocator with a somewhat larger workspace does
+# not read as a regression; the three-call pipeline this replaced measured
+# 2.14 and 6.23.
 _PEAK_SCRIPT = textwrap.dedent(
     """
     import resource
@@ -408,6 +457,7 @@ _PEAK_SCRIPT = textwrap.dedent(
 )
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 def test_peak_memory_of_the_basis_build():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
