@@ -40,7 +40,6 @@ from .spatial import (
     build_proximity,
     moran_basis,
     moran_coefficient,
-    moran_eigen_basis,
     mst_range,
     scale_eigenvalues,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "gwr_fit_at",
     "moran_basis",
     "moran_coefficient",
-    "moran_eigen_basis",
     "mst_range",
     "precompute_crossproducts",
     "predict_coefficients",

@@ -35,6 +35,7 @@ from .errors import (
     SnvcError,
 )
 from .spatial import SiteSet, moran_basis
+from .splines import N_BASIS_RANGE
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
 _MAX_EIGVECS = 200
@@ -252,6 +253,9 @@ def fit_command(args) -> int:
     covariates = [c.strip() for c in args.x.split(",") if c.strip()]
     if not covariates:
         raise ConfigInvalid("--x must name at least one covariate column")
+    lo, hi = N_BASIS_RANGE
+    if not lo <= args.n_basis <= hi:
+        raise ConfigInvalid(f"--n-basis must lie in [{lo}, {hi}], got {args.n_basis}")
     cx, cy = _parse_coords(args.coords)
     schema = TableSchema(coord_x=cx, coord_y=cy, response=args.y, covariates=tuple(covariates))
     table = load_table(args.data, schema)
@@ -344,6 +348,8 @@ def simulate_command(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ConfigInvalid("--config must hold a JSON object of ScenarioConfig fields")
         unknown = set(base) - set(simlab.ScenarioConfig.__dataclass_fields__)
         if unknown:
             raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
@@ -368,7 +374,7 @@ def simulate_command(args) -> int:
             base.setdefault("n_sites", 1600)
     if args.estimators is not None:
         base["estimators"] = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
-    if "estimators" in base:
+    if isinstance(base.get("estimators"), list):
         base["estimators"] = tuple(base["estimators"])
 
     try:
@@ -386,6 +392,8 @@ def simulate_command(args) -> int:
 def basis_command(args) -> int:
     cx, cy = _parse_coords(args.coords)
     table = load_table(args.data, TableSchema(coord_x=cx, coord_y=cy, response=None))
+    if table.n_rows < 2:
+        raise EmptyAfterFiltering(f"need at least 2 complete rows for a basis, got {table.n_rows}")
     sites = SiteSet(table.coords)
     basis = moran_basis(sites)
 

@@ -16,6 +16,7 @@ single draw is reproducible in isolation.
 
 from __future__ import annotations
 
+import numbers
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -26,7 +27,7 @@ from .core import ModelSpec, fit_snvc
 from .errors import ConfigInvalid, DimensionMismatch, SnvcError
 from .gwr import select_bandwidth
 from .spatial import SiteSet, SpatialBasis, moran_basis
-from .splines import spline_basis
+from .splines import FAMILIES, N_BASIS_RANGE, spline_basis
 
 ESTIMATORS = ("LM", "GWR", "GWR_A", "SVC_M", "SNVC_M")
 SITE_LAYOUTS = ("grid_40x40", "gaussian_random")
@@ -120,7 +121,20 @@ class ScenarioConfig:
     spline_family: str = "natural_cubic"
 
     def validate(self) -> None:
+        # Types first: the range checks below compare numbers.
         problems = []
+        for kind, what, names in (
+            (numbers.Integral, "an integer", ("n_sites", "n_iters", "seed", "max_eigvecs", "n_basis_nvc")),
+            (numbers.Real, "a number", ("w_sx", "w_s", "tau2_2", "tau2_3")),
+        ):
+            for name in names:
+                v = getattr(self, name)
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    problems.append(f"{name} must be {what}, got {v!r}")
+        if not isinstance(self.estimators, (tuple, list)) or not all(isinstance(e, str) for e in self.estimators):
+            problems.append(f"estimators must be a list of names, got {self.estimators!r}")
+        if problems:
+            raise ConfigInvalid("; ".join(problems))
         if self.site_layout not in SITE_LAYOUTS:
             problems.append(f"site_layout must be one of {SITE_LAYOUTS}, got {self.site_layout!r}")
         if self.site_layout == "grid_40x40" and self.n_sites != 1600:
@@ -143,6 +157,11 @@ class ScenarioConfig:
                 problems.append(f"unknown estimator {est!r}; choose from {ESTIMATORS}")
         if self.max_eigvecs < 1:
             problems.append("max_eigvecs must be >= 1")
+        lo, hi = N_BASIS_RANGE
+        if not lo <= self.n_basis_nvc <= hi:
+            problems.append(f"n_basis_nvc must lie in [{lo}, {hi}], got {self.n_basis_nvc}")
+        if self.spline_family not in FAMILIES:
+            problems.append(f"spline_family must be one of {FAMILIES}, got {self.spline_family!r}")
         if problems:
             raise ConfigInvalid("; ".join(problems))
 
@@ -388,14 +407,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     needs_basis = any(e in ("SVC_M", "SNVC_M") for e in config.estimators)
 
     sq_err = {e: np.zeros(k) for e in config.estimators}
-    cc_total = {e: np.zeros((k, k)) for e in config.estimators}
-    cc_counts = {e: np.zeros((k, k), dtype=int) for e in config.estimators}
+    predictions = {e: [] for e in config.estimators}
     seconds = {e: 0.0 for e in config.estimators}
     failures = {e: 0 for e in config.estimators}
     n_success = {e: 0 for e in config.estimators}
     n_unconverged = {e: 0 for e in config.estimators}
-    true_total = np.zeros((k, k))
-    true_counts = np.zeros((k, k), dtype=int)
+    true_fields = []
 
     shared_basis: SpatialBasis | None = None
     for it in range(config.n_iters):
@@ -410,10 +427,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         else:
             basis = None
 
-        cc_true = _corr_matrix(inst.true_betas)
-        ok = np.isfinite(cc_true)
-        true_total[ok] += cc_true[ok]
-        true_counts += ok
+        true_fields.append(inst.true_betas)
 
         for est in config.estimators:
             t0 = time.perf_counter()
@@ -426,26 +440,24 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             n_success[est] += 1
             n_unconverged[est] += not converged
             sq_err[est] += ((inst.true_betas - pred) ** 2).sum(axis=0)
-            cc = _corr_matrix(pred)
-            okp = np.isfinite(cc)
-            cc_total[est][okp] += cc[okp]
-            cc_counts[est] += okp
+            predictions[est].append(pred)
 
     report_rmse = {
         e: np.sqrt(sq_err[e] / n_success[e]) if n_success[e] else np.full(k, np.nan)
         for e in config.estimators
     }
-    mean_cc = {
-        e: np.where(cc_counts[e] > 0, cc_total[e] / np.maximum(cc_counts[e], 1), np.nan)
-        for e in config.estimators
+    cc = {
+        e: coef_correlations(p) if p else CorrelationSummary(np.full((k, k), np.nan), np.zeros((k, k), dtype=int))
+        for e, p in predictions.items()
     }
+    true_cc = coef_correlations(true_fields)
     return ScenarioReport(
         config=config,
         rmse=report_rmse,
-        mean_cc=mean_cc,
-        cc_counts=cc_counts,
-        true_mean_cc=np.where(true_counts > 0, true_total / np.maximum(true_counts, 1), np.nan),
-        true_cc_counts=true_counts,
+        mean_cc={e: s.mean for e, s in cc.items()},
+        cc_counts={e: s.counts for e, s in cc.items()},
+        true_mean_cc=true_cc.mean,
+        true_cc_counts=true_cc.counts,
         mean_fit_seconds={
             e: (seconds[e] / n_success[e]) if n_success[e] else float("nan")
             for e in config.estimators

@@ -85,20 +85,11 @@ class ProximityMatrix:
 
 @dataclass(frozen=True)
 class SpatialBasis:
-    """Positive-eigenvalue eigenpairs of M C M, eigenvalues sorted descending.
-
-    ``n_total_nonzero`` counts the numerically nonzero eigenvalues (positive
-    and negative) of the full spectrum, kept for diagnostics.  A basis built
-    with a ``max_components`` that only its leading pairs were computed for
-    (see ``moran_eigen_basis``) counts just those pairs whose magnitude
-    exceeds the cutoff times the bound ``B`` on the largest one: at most
-    ``max_components``, and a lower bound on the full count.
-    """
+    """Positive-eigenvalue eigenpairs of M C M, eigenvalues sorted descending."""
 
     eigvecs: np.ndarray  # (N, L), orthonormal, column means zero
     eigvals: np.ndarray  # (L,), strictly positive, descending
     range_r: float
-    n_total_nonzero: int
 
     @property
     def n_components(self) -> int:
@@ -130,77 +121,26 @@ def build_proximity(sites: SiteSet, range_r: float) -> ProximityMatrix:
     return ProximityMatrix(values=_proximity(sites.distances(), range_r), range_r=float(range_r))
 
 
-def moran_basis(
-    sites: SiteSet,
-    max_components: int | None = None,
-    cutoff_rel: float = DEFAULT_EIGEN_CUTOFF,
-) -> SpatialBasis:
-    """The Moran basis of ``sites`` in one N x N buffer.
+def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBasis:
+    """Leading positive-eigenvalue eigenpairs of M C M, in one N x N buffer.
 
-    Equal bit for bit to ``moran_eigen_basis(build_proximity(sites,
-    mst_range(sites)), ...)`` with the same arguments, which it replaces
-    whenever C itself is not needed: the distance matrix is computed once,
-    gives the range, and is turned into C and then M C M in place, and the
-    eigensolver overwrites it.  The site limit ``DEFAULT_MAX_SITES`` is
-    checked before any of it; the composition takes another limit.
+    The distance matrix is computed once, gives the range r (``mst_range``),
+    and is turned into C (``build_proximity(sites, r)``) and then M C M in
+    place; the eigensolver overwrites it.  An eigenpair is kept when
+    ``lambda > DEFAULT_EIGEN_CUTOFF * max|lambda|`` over the whole spectrum,
+    which guards against floating-point zeros masquerading as positive
+    eigenvalues.  Both module constants are read at call time.
 
-    ``max_components`` and ``cutoff_rel`` mean what they mean for
-    ``moran_eigen_basis``.  No caller in the package changes ``cutoff_rel``,
-    but it is the one way to put an eigenvalue of a known site set into the
-    band where a capped solve is undecided, and so to reach the rebuild of
-    C from the sites that this function does in place of a copy of C.
-
-    Raises
-    ------
-    SiteLimitExceeded
-        If N exceeds ``DEFAULT_MAX_SITES``; it is also a ``ValueError``.
-    AllSitesCoincident
-        If every pairwise distance is zero.
-    """
-    k = _components_to_keep(sites.n_sites, max_components, cutoff_rel, DEFAULT_MAX_SITES)
-    buf = sites.distances()
-    range_r = _mst_max_edge(buf)
-    return _eigen_basis(
-        _proximity(buf, range_r),
-        lambda: _proximity(sites.distances(), range_r),
-        range_r,
-        k,
-        cutoff_rel,
-    )
-
-
-def moran_eigen_basis(
-    C: ProximityMatrix,
-    cutoff_rel: float = DEFAULT_EIGEN_CUTOFF,
-    max_sites: int = DEFAULT_MAX_SITES,
-    max_components: int | None = None,
-) -> SpatialBasis:
-    """Leading positive-eigenvalue eigenpairs of M C M.
-
-    ``C.values`` is copied once into the buffer the eigensolver overwrites
-    and is never modified; ``moran_basis`` builds the same basis from the
-    sites without that copy.
-
-    Parameters
-    ----------
-    C : ProximityMatrix
-    cutoff_rel : float
-        Keep eigenpairs with ``lambda > cutoff_rel * max|lambda|`` over the
-        whole spectrum; guards against floating-point zeros masquerading as
-        positive eigenvalues.
-    max_sites : int
-        Hard limit on N for the dense decomposition.
-    max_components : int or None
-        Keep at most this many pairs, the largest.  When it is at most N/4
-        only those pairs are computed.  ``max|lambda|`` is then unknown, but
-        ``B = N * max_i mean_j c_ij`` bounds it (C >= 0 and M is a
-        projector), and ``lambda_1`` bounds it from below: a computed
-        eigenvalue above ``cutoff_rel * B`` is kept, one at or below
-        ``cutoff_rel * lambda_1`` is not, and only if one lies between does
-        the full decomposition decide.  The kept set is therefore the one
-        the uncapped basis would keep, cut to its leading pairs.  A cut
-        inside a tied eigenvalue keeps an arbitrary rotation of the tied
-        pairs.  ``None`` keeps every positive pair.
+    ``max_components`` keeps at most that many pairs, the largest.  When it
+    is at most N/4 only those pairs are computed.  ``max|lambda|`` is then
+    unknown, but ``B = N * max_i mean_j c_ij`` bounds it (C >= 0 and M is a
+    projector), and ``lambda_1`` bounds it from below: a computed eigenvalue
+    above ``cutoff * B`` is kept, one at or below ``cutoff * lambda_1`` is
+    not, and only if one lies between does the full decomposition decide,
+    on C computed again from the sites.  The kept set is therefore the one
+    the uncapped basis would keep, cut to its leading pairs.  A cut inside a
+    tied eigenvalue keeps an arbitrary rotation of the tied pairs.  ``None``
+    keeps every positive pair.
 
     Returns
     -------
@@ -211,28 +151,65 @@ def moran_eigen_basis(
     Raises
     ------
     SiteLimitExceeded
-        If N exceeds ``max_sites``; it is also a ``ValueError``.
+        If N exceeds ``DEFAULT_MAX_SITES``, checked before any N x N work;
+        it is also a ``ValueError``.
+    AllSitesCoincident
+        If every pairwise distance is zero.
     """
-    k = _components_to_keep(C.n_sites, max_components, cutoff_rel, max_sites)
-    return _eigen_basis(C.values.copy(), lambda: C.values, C.range_r, k, cutoff_rel)
-
-
-# --- stages shared by the public builders ---------------------------------
-
-
-def _components_to_keep(n: int, max_components: int | None, cutoff_rel: float, max_sites: int) -> int:
-    """Validate the basis arguments before any N x N work; the cap k."""
-    if n > max_sites:
+    n = sites.n_sites
+    if n > DEFAULT_MAX_SITES:
         raise SiteLimitExceeded(
-            f"N = {n} exceeds the dense-decomposition limit {max_sites}; "
+            f"N = {n} exceeds the dense-decomposition limit {DEFAULT_MAX_SITES}; "
             "approximate eigen methods are out of scope"
         )
-    if not 0.0 < cutoff_rel < 1.0:
-        raise ValueError("cutoff_rel must lie in (0, 1)")
     k = n if max_components is None else max_components
     if k < 1:
         raise ValueError(f"max_components must be at least 1, got {max_components}")
-    return k
+    cutoff = DEFAULT_EIGEN_CUTOFF
+
+    c = sites.distances()
+    range_r = _mst_max_edge(c)
+    _proximity(c, range_r)
+    row_means = c.mean(axis=1)
+    # The grand mean of C itself: the mean of the row means rounds
+    # differently, and that moves some fits to another local maximum.
+    grand_mean = c.mean()
+    _center(c, row_means, grand_mean)
+    # The subset solve (MRRR) beats divide and conquer over the whole
+    # spectrum only while k is at most about N/4 (1 BLAS thread, k = 200:
+    # 0.047 s against 0.019 s at N = 400, 0.57 s against 0.78 s at N = 1600).
+    full = 4 * k > n
+    if not full:
+        eigvals, eigvecs = scipy.linalg.eigh(
+            c.T,
+            subset_by_index=[n - k, n - 1],
+            driver="evr",
+            overwrite_a=True,
+            check_finite=False,
+        )
+        threshold = cutoff * n * float(row_means.max())
+        # Between cutoff * lambda_1 and cutoff * B an eigenvalue may fall on
+        # either side of cutoff * max|lambda|; only the full spectrum decides.
+        full = bool(np.any((eigvals > cutoff * eigvals[-1]) & (eigvals <= threshold)))
+        if full:
+            # The solver spent the buffer; release it before C is rebuilt.
+            del c, eigvecs
+            c = _proximity(sites.distances(), range_r)
+            _center(c, row_means, grand_mean)
+    if full:
+        eigvals, eigvecs = scipy.linalg.eigh(c.T, driver="evd", overwrite_a=True, check_finite=False)
+        # The cutoff is relative to the spectral magnitude so that spectra
+        # whose largest eigenvalue is a floating-point zero (e.g. an
+        # equilateral triangle) come back empty instead of keeping noise.
+        threshold = cutoff * float(np.abs(eigvals).max())
+
+    # eigh returns ascending eigenvalues: the kept ones are the last m.
+    m = min(int((eigvals > threshold).sum()), k)
+    order = eigvals.size - 1 - np.arange(m)
+    return SpatialBasis(eigvecs=eigvecs[:, order], eigvals=eigvals[order], range_r=range_r)
+
+
+# --- in-place stages ------------------------------------------------------
 
 
 def _mst_max_edge(d: np.ndarray) -> float:
@@ -261,57 +238,6 @@ def _proximity(d: np.ndarray, range_r: float) -> np.ndarray:
     np.exp(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def _eigen_basis(c: np.ndarray, proximity, range_r: float, k: int, cutoff_rel: float) -> SpatialBasis:
-    """The basis from C in the C-ordered buffer ``c``, which it overwrites.
-
-    ``proximity()`` returns C again, to be copied into ``c`` for the full
-    decomposition after an undecided capped one; that transient second
-    N x N array stays below the full solver's workspace.
-    """
-    n = c.shape[0]
-    row_means = c.mean(axis=1)
-    # The grand mean of C itself: the mean of the row means rounds
-    # differently, and that moves some fits to another local maximum.
-    grand_mean = c.mean()
-    _center(c, row_means, grand_mean)
-    # The subset solve (MRRR) beats divide and conquer over the whole
-    # spectrum only while k is at most about N/4 (1 BLAS thread, k = 200:
-    # 0.047 s against 0.019 s at N = 400, 0.57 s against 0.78 s at N = 1600).
-    full = 4 * k > n
-    if not full:
-        eigvals, eigvecs = scipy.linalg.eigh(
-            c.T,
-            subset_by_index=[n - k, n - 1],
-            driver="evr",
-            overwrite_a=True,
-            check_finite=False,
-        )
-        threshold = cutoff_rel * n * float(row_means.max())
-        # Between cutoff * lambda_1 and cutoff * B an eigenvalue may fall on
-        # either side of cutoff * max|lambda|; only the full spectrum decides.
-        full = bool(np.any((eigvals > cutoff_rel * eigvals[-1]) & (eigvals <= threshold)))
-        if full:
-            del eigvecs
-            np.copyto(c, proximity())
-            _center(c, row_means, grand_mean)
-    if full:
-        eigvals, eigvecs = scipy.linalg.eigh(c.T, driver="evd", overwrite_a=True, check_finite=False)
-        # The cutoff is relative to the spectral magnitude so that spectra
-        # whose largest eigenvalue is a floating-point zero (e.g. an
-        # equilateral triangle) come back empty instead of keeping noise.
-        threshold = cutoff_rel * float(np.abs(eigvals).max())
-
-    # eigh returns ascending eigenvalues: the kept ones are the last m.
-    m = min(int((eigvals > threshold).sum()), k)
-    order = eigvals.size - 1 - np.arange(m)
-    return SpatialBasis(
-        eigvecs=eigvecs[:, order],
-        eigvals=eigvals[order],
-        range_r=range_r,
-        n_total_nonzero=int((np.abs(eigvals) > threshold).sum()),
-    )
 
 
 def _center(c: np.ndarray, row_means: np.ndarray, grand_mean: float) -> None:

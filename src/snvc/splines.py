@@ -19,6 +19,9 @@ from .errors import ConstantCovariate, TooFewDistinctValues
 
 FAMILIES = ("natural_cubic", "thin_plate_1d")
 
+# Inclusive bounds on the requested number of basis functions.
+N_BASIS_RANGE = (3, 50)
+
 # Columns whose spread is below this fraction of the covariate scale carry
 # no usable signal and are dropped.
 _NEAR_CONSTANT_REL = 1e-10
@@ -76,8 +79,9 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
         collapse too many knots.
     """
     x = np.asarray(x, dtype=float).ravel()
-    if not 3 <= n_basis <= 50:
-        raise ValueError("n_basis must lie in [3, 50]")
+    lo, hi = N_BASIS_RANGE
+    if not lo <= n_basis <= hi:
+        raise ValueError(f"n_basis must lie in [{lo}, {hi}]")
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
 

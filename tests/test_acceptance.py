@@ -31,8 +31,6 @@ from snvc.spatial import (
     SpatialBasis,
     build_proximity,
     moran_basis,
-    moran_eigen_basis,
-    mst_range,
     scale_eigenvalues,
 )
 from snvc.splines import spline_basis
@@ -43,15 +41,16 @@ def _report(num, desc, ok, detail=""):
     assert ok, f"criterion {num} failed: {desc}{detail}"
 
 
-def test_criterion_1_eigen_identity():
+def test_criterion_1_eigen_identity(monkeypatch):
+    monkeypatch.setattr("snvc.spatial.DEFAULT_EIGEN_CUTOFF", 1e-12)
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
         n = 50
         sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-        c = build_proximity(sites, mst_range(sites))
-        basis = moran_eigen_basis(c, cutoff_rel=1e-12)
+        basis = moran_basis(sites)
+        c = build_proximity(sites, basis.range_r)
 
         m = np.eye(n) - np.ones((n, n)) / n
         mcm = m @ c.values @ m
@@ -79,7 +78,7 @@ def test_criterion_2_reml_oracle_equivalence():
     rng = np.random.default_rng(7)
     n, k = 30, 2
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=3)
+    basis = moran_basis(sites, max_components=3)
     assert basis.n_components == 3
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=4)
@@ -125,7 +124,7 @@ def test_criterion_3_ols_collapse():
     rng = np.random.default_rng(11)
     n, k = 40, 2
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
-    basis = moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=4)
+    basis = moran_basis(sites, max_components=4)
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     y = rng.normal(size=n)
     spec = ModelSpec(("intercept", "x"), (True, False), (False, False))
@@ -232,7 +231,7 @@ def _timed_evaluations(n, seed, n_evals=200):
     raw = rng.standard_normal((n, 50))
     raw -= raw.mean(axis=0)
     q, _ = np.linalg.qr(raw)
-    basis = SpatialBasis(q[:, :50], np.linspace(3.0, 0.3, 50), 1.0, 50)
+    basis = SpatialBasis(q[:, :50], np.linspace(3.0, 0.3, 50), 1.0)
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=10)
     spec = ModelSpec(("intercept", "x"), (True, False), (False, True), (10, 10))

@@ -222,6 +222,16 @@ class TestFitCommand:
             assert err["error"] == "SiteLimitExceeded"
             assert f"N = {n} exceeds the dense-decomposition limit" in err["message"]
 
+    @pytest.mark.parametrize("n_basis", ["2", "60"])
+    def test_n_basis_outside_its_range_is_a_config_error(self, spatial_csv, tmp_path, capsys, n_basis):
+        code = main([
+            "fit", "--data", spatial_csv, "--y", "price", "--x", "x1,x2", "--coords", "px,py",
+            "--n-basis", n_basis, "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigInvalid", "message": f"--n-basis must lie in [3, 50], got {n_basis}"}
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "x.csv"])  # required flags missing
@@ -283,6 +293,25 @@ class TestSimulateCommand:
         code = main(["simulate", "--w-s", "1.5", "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_sites": "abc"}, "n_sites must be an integer, got 'abc'"),
+            ({"w_s": None}, "w_s must be a number, got None"),
+            ({"estimators": None}, "estimators must be a list of names, got None"),
+            ({"n_basis_nvc": 2}, "n_basis_nvc must lie in [3, 50], got 2"),
+            ({"spline_family": "cubic"}, "spline_family must be one of"),
+            (["n_sites"], "--config must hold a JSON object"),
+        ],
+        ids=["string-n-sites", "null-w-s", "null-estimators", "n-basis-nvc", "spline-family", "not-an-object"],
+    )
+    def test_bad_config_field_is_a_config_error(self, tmp_path, capsys, fields, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        assert main(["simulate", "--config", str(cfg), "--iters", "1", "--out", str(tmp_path / "s.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and message in err["message"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_sites": 45, "estimators": ["LM"], "n_iters": 5}))
@@ -309,3 +338,10 @@ class TestBasisCommand:
         assert len(rows) == 2 + 80
         eigvals = np.array([float(v) for v in eigen_row[4:]])
         assert np.all(np.diff(eigvals) <= 0) and np.all(eigvals > 0)
+
+    def test_one_complete_row_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        write_csv(path, ["px", "py"], [[0.0, 1.0], [2.0, "NA"]])
+        assert main(["basis", "--data", str(path), "--coords", "px,py", "--out", str(tmp_path / "b.csv")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "EmptyAfterFiltering" and "got 1" in err["message"]

@@ -54,7 +54,6 @@ def synthetic_basis(n, n_eig, seed):
         eigvecs=q[:, :n_eig],
         eigvals=np.linspace(2.0, 0.5, n_eig),
         range_r=1.0,
-        n_total_nonzero=n_eig,
     )
 
 
@@ -91,7 +90,7 @@ class TestBuildDesign:
                     assert block[i, j] == X[i, k] * src[i, j]
 
     def test_empty_spatial_basis_rejected(self):
-        empty = SpatialBasis(np.empty((10, 0)), np.empty(0), 1.0, 0)
+        empty = SpatialBasis(np.empty((10, 0)), np.empty(0), 1.0)
         spec = ModelSpec(("x",), (True,), (False,))
         with pytest.raises(EmptySpatialBasis):
             build_design(np.ones((10, 1)), spec, empty, [None])
@@ -820,7 +819,7 @@ class TestPredictAndShares:
         inst = gen_instance(ScenarioConfig(n_sites=400, w_s=0.5, seed=3), 0)
         full, capped = moran_basis(inst.sites), moran_basis(inst.sites, max_components=20)
         assert full.eigvals[19] - full.eigvals[20] > 1e-6 * full.eigvals[0]
-        cut = SpatialBasis(full.eigvecs[:, :20], full.eigvals[:20], full.range_r, full.n_total_nonzero)
+        cut = SpatialBasis(full.eigvecs[:, :20], full.eigvals[:20], full.range_r)
         spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, True, True))
         theta = VarianceParams(1.0, [0.5, 1.0, 2.0], [1.0, 0.5, 2.0], [0.0, 0.3, 0.3])
         nbs = [spline_basis(inst.X[:, k], spec.n_basis_nvc[k]) if spec.has_nvc[k] else None for k in range(3)]

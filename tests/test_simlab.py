@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snvc import simlab
-from snvc.errors import ConfigInvalid, DimensionMismatch
+from snvc.errors import ConfigInvalid, DimensionMismatch, NumericalBreakdown
 from snvc.simlab import (
     ScenarioConfig,
     coef_correlations,
@@ -244,6 +244,17 @@ class TestRunScenario:
         assert rep.n_success == {"LM": 2, "SVC_M": 2, "SNVC_M": 2}
         assert rep.n_unconverged == {"LM": 0, "SVC_M": 0, "SNVC_M": 2}
         assert rep.to_payload(include_timing=False)["n_unconverged"] == rep.n_unconverged
+
+    def test_estimator_without_a_success_has_undefined_correlations(self, monkeypatch):
+        def fit_snvc(X, y, spec, spatial):
+            raise NumericalBreakdown("every fit fails")
+
+        monkeypatch.setattr(simlab, "fit_snvc", fit_snvc)
+        cfg = ScenarioConfig(n_sites=50, n_iters=2, seed=7, estimators=("LM", "SVC_M"))
+        rep = run_scenario(cfg)
+        assert rep.failures == {"LM": 0, "SVC_M": 2} and rep.n_success == {"LM": 2, "SVC_M": 0}
+        assert np.all(np.isnan(rep.mean_cc["SVC_M"])) and np.all(rep.cc_counts["SVC_M"] == 0)
+        assert np.all(rep.cc_counts["LM"][np.triu_indices(3, 1)] == 0) and np.all(rep.true_cc_counts == 2)
 
     def test_full_estimator_set_smoke(self):
         cfg = ScenarioConfig(n_sites=60, n_iters=2, seed=13)

@@ -25,7 +25,6 @@ from snvc.spatial import (
     build_proximity,
     moran_basis,
     moran_coefficient,
-    moran_eigen_basis,
     mst_range,
     scale_eigenvalues,
 )
@@ -137,22 +136,20 @@ def dense_mcm(c_values):
 
 class TestMoranEigenBasis:
     def test_two_sites_has_no_positive_eigenvalue(self):
-        c = build_proximity(SiteSet([[0, 0], [1, 0]]), 1.0)
-        basis = moran_eigen_basis(c)
+        basis = moran_basis(SiteSet([[0, 0], [1, 0]]))
         assert basis.n_components == 0
 
     def test_equilateral_triangle_has_no_positive_eigenvalue(self):
         s = SiteSet([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
-        basis = moran_eigen_basis(build_proximity(s, 1.0))
+        basis = moran_basis(s)
         assert basis.n_components == 0
 
     def test_four_collinear_points_single_positive_pair(self):
         sites = SiteSet([[0, 0], [1, 0], [2, 0], [3, 0]])
-        c = build_proximity(sites, mst_range(sites))
-        basis = moran_eigen_basis(c)
+        basis = moran_basis(sites)
         assert basis.n_components == 1
         # independent dense eigen oracle on the explicitly formed M C M
-        w = np.linalg.eigvalsh(dense_mcm(c.values))
+        w = np.linalg.eigvalsh(dense_mcm(build_proximity(sites, basis.range_r).values))
         assert abs(basis.eigvals[0] - w[-1]) < 1e-10
 
     def test_eigvals_sorted_descending_and_positive(self):
@@ -163,24 +160,29 @@ class TestMoranEigenBasis:
 
     def test_cap_keeps_leading_columns(self):
         sites = random_sites(50, seed=2)
-        c = build_proximity(sites, mst_range(sites))
-        basis = moran_eigen_basis(c)
-        cut = moran_eigen_basis(c, max_components=2)
+        basis = moran_basis(sites)
+        cut = moran_basis(sites, max_components=2)
         assert cut.n_components == min(2, basis.n_components)
         lam = basis.eigvals[: cut.n_components]
         assert np.abs(cut.eigvals - lam).max() <= 1e-12 * lam[0]
 
-    def test_site_limit_guard(self):
-        sites = random_sites(12, seed=0)
-        c = build_proximity(sites, 1.0)
-        with pytest.raises(ValueError, match="dense-decomposition limit"):
-            moran_eigen_basis(c, max_sites=10)
+    def test_site_limit_guard(self, monkeypatch):
+        # The limit is the module constant as it stands at call time.
+        monkeypatch.setattr("snvc.spatial.DEFAULT_MAX_SITES", 10)
+        with pytest.raises(ValueError, match="N = 12 exceeds the dense-decomposition limit 10"):
+            moran_basis(random_sites(12, seed=0))
 
 
-def undecided_cutoff(c):
+def proximity_bound(sites, range_r):
+    """B = N max_i mean_j c_ij, the bound on max|lambda| of a capped solve."""
+    return sites.n_sites * build_proximity(sites, range_r).values.mean(axis=1).max()
+
+
+def undecided_cutoff(sites):
     """A cutoff that puts lambda_21 between cutoff * lambda_1 and cutoff * B."""
-    lam, bound = moran_eigen_basis(c).eigvals, c.n_sites * c.values.mean(axis=1).max()
-    return lam[20] / np.sqrt(lam[0] * bound)
+    basis = moran_basis(sites)
+    lam = basis.eigvals
+    return lam[20] / np.sqrt(lam[0] * proximity_bound(sites, basis.range_r))
 
 
 def spy_eigensolver(monkeypatch):
@@ -198,8 +200,8 @@ def spy_eigensolver(monkeypatch):
 
 @pytest.fixture(scope="module")
 def grid_case():
-    c = build_proximity(grid_sites(40), 1.0)
-    return c, moran_eigen_basis(c), moran_eigen_basis(c, max_components=200)
+    sites = grid_sites(40)
+    return moran_basis(sites), moran_basis(sites, max_components=200)
 
 
 @pytest.fixture(scope="module", params=["gaussian900", "gaussian2000", "grid40x40"])
@@ -210,13 +212,12 @@ def capped_case(request):
     if request.param == "grid40x40":
         return request.getfixturevalue("grid_case")
     sites = gaussian_sites(int(request.param.removeprefix("gaussian")))
-    c = build_proximity(sites, mst_range(sites))
-    return c, moran_eigen_basis(c), moran_eigen_basis(c, max_components=200)
+    return moran_basis(sites), moran_basis(sites, max_components=200)
 
 
 class TestCappedBasis:
     def test_eigenvalues_match_the_full_decomposition(self, capped_case):
-        _, full, capped = capped_case
+        full, capped = capped_case
         assert capped.n_components == min(200, full.n_components)
         lam = full.eigvals[: capped.n_components]
         assert np.abs(capped.eigvals - lam).max() <= 1e-12 * lam[0]
@@ -224,14 +225,14 @@ class TestCappedBasis:
     def test_kernel_matches_the_full_decomposition(self, capped_case):
         # E diag(lambda) E' does not depend on the signs or the rotation
         # inside tied eigenvalues, which are arbitrary.
-        _, full, capped = capped_case
+        full, capped = capped_case
         e = full.eigvecs[:, : capped.n_components]
         ref = (e * full.eigvals[: capped.n_components]) @ e.T
         got = (capped.eigvecs * capped.eigvals) @ capped.eigvecs.T
         assert np.abs(got - ref).max() <= 1e-10
 
     def test_orthonormal_and_centered_columns(self, capped_case):
-        _, _, capped = capped_case
+        _, capped = capped_case
         gram = capped.eigvecs.T @ capped.eigvecs
         assert np.abs(gram - np.eye(capped.n_components)).max() < 1e-10
         assert np.abs(capped.eigvecs.sum(axis=0)).max() < 1e-10
@@ -239,7 +240,7 @@ class TestCappedBasis:
     def test_grid_cap_of_200_falls_in_a_gap(self, grid_case):
         # A cut inside a tied eigenvalue would keep an arbitrary rotation of
         # the tied pairs; 200 is clear of one, 201 is not.
-        _, full, _ = grid_case
+        full, _ = grid_case
         lam = full.eigvals
         assert lam[199] == pytest.approx(0.7751843, abs=1e-7)
         assert lam[200] == pytest.approx(0.7584850, abs=1e-7)
@@ -248,60 +249,43 @@ class TestCappedBasis:
 
     def test_undecided_eigenvalue_falls_back_to_the_full_decomposition(self, monkeypatch):
         sites = random_sites(200, seed=1)
-        c = build_proximity(sites, mst_range(sites))
-        full = moran_eigen_basis(c)
+        full = moran_basis(sites)
         calls = spy_eigensolver(monkeypatch)
 
-        capped = moran_eigen_basis(c, max_components=30)
+        capped = moran_basis(sites, max_components=30)
         assert calls == [("evr", (200, 200))] and capped.n_components == 30 < full.n_components
 
         # A cutoff putting lambda_21 strictly between cutoff * lambda_1 and
         # cutoff * B, B = N max_i mean_j c_ij: the computed pairs cannot
         # decide whether it clears cutoff * max|lambda|.
-        lam, bound = full.eigvals, 200 * c.values.mean(axis=1).max()
-        cutoff = undecided_cutoff(c)
+        lam, bound = full.eigvals, proximity_bound(sites, full.range_r)
+        cutoff = undecided_cutoff(sites)
         assert cutoff * lam[0] < lam[20] <= cutoff * bound
+        monkeypatch.setattr("snvc.spatial.DEFAULT_EIGEN_CUTOFF", cutoff)
         calls.clear()
-        capped = moran_eigen_basis(c, cutoff_rel=cutoff, max_components=30)
+        moran_basis(sites, max_components=30)
         assert calls == [("evr", (200, 200)), ("evd", (200, 200))]
-        ref = moran_eigen_basis(c, cutoff_rel=cutoff)
-        assert capped.n_components == min(30, ref.n_components)
-        np.testing.assert_array_equal(capped.eigvals, ref.eigvals[: capped.n_components])
-        assert capped.n_total_nonzero == ref.n_total_nonzero
 
     def test_cap_above_a_quarter_of_n_cuts_the_full_decomposition(self):
         # 40 sites on a line have 14 positive pairs; a cap of 12 is above
         # N/4, so the whole spectrum is computed and then cut.
-        c = build_proximity(SiteSet(np.column_stack([np.arange(40.0), np.zeros(40)])), 1.0)
-        base, capped = moran_eigen_basis(c), moran_eigen_basis(c, max_components=12)
+        sites = SiteSet(np.column_stack([np.arange(40.0), np.zeros(40)]))
+        base, capped = moran_basis(sites), moran_basis(sites, max_components=12)
         assert base.n_components == 14 and capped.n_components == 12
         np.testing.assert_array_equal(capped.eigvals, base.eigvals[:12])
         np.testing.assert_array_equal(capped.eigvecs, base.eigvecs[:, :12])
 
     @pytest.mark.parametrize("cap", [40, 41, 1000])
     def test_cap_of_n_or_more_is_the_uncapped_basis(self, cap):
-        c = build_proximity(random_sites(40, seed=1), 1.0)
-        base, capped = moran_eigen_basis(c), moran_eigen_basis(c, max_components=cap)
+        sites = random_sites(40, seed=1)
+        base, capped = moran_basis(sites), moran_basis(sites, max_components=cap)
         np.testing.assert_array_equal(capped.eigvals, base.eigvals)
         np.testing.assert_array_equal(capped.eigvecs, base.eigvecs)
-        assert capped.n_total_nonzero == base.n_total_nonzero
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one_raises(self, cap):
-        c = build_proximity(random_sites(10, seed=1), 1.0)
         with pytest.raises(ValueError, match="max_components"):
-            moran_eigen_basis(c, max_components=cap)
-
-
-def composed_basis(sites, max_components=None, **kwargs):
-    return moran_eigen_basis(build_proximity(sites, mst_range(sites)), max_components=max_components, **kwargs)
-
-
-def assert_same_basis(got, ref):
-    assert np.array_equal(got.eigvals, ref.eigvals)
-    assert np.array_equal(got.eigvecs, ref.eigvecs)
-    assert got.range_r == ref.range_r
-    assert got.n_total_nonzero == ref.n_total_nonzero
+            moran_basis(random_sites(10, seed=1), max_components=cap)
 
 
 def count_distances(monkeypatch):
@@ -312,7 +296,7 @@ def count_distances(monkeypatch):
 
 
 class TestMoranBasis:
-    """moran_basis is the three-call composition, bit for bit, from one buffer."""
+    """moran_basis against references built outside it, and its one buffer."""
 
     @pytest.mark.parametrize(
         "sites, cap, driver",
@@ -320,44 +304,41 @@ class TestMoranBasis:
             (grid_sites(40), 200, "evr"),  # 4k <= N: only the leading pairs
             (gaussian_sites(900), 200, "evr"),  # the cap exceeds the 72 positive pairs
             (gaussian_sites(600), 200, "evd"),  # 4k > N: the whole spectrum, cut
+            (gaussian_sites(150), 200, "evd"),
             (gaussian_sites(400), None, "evd"),
             (sites_with_duplicates(), None, "evd"),
         ],
-        ids=["grid40x40-cap200", "gaussian900-cap200", "gaussian600-cap200", "gaussian400", "duplicates"],
+        ids=[
+            "grid40x40-cap200",
+            "gaussian900-cap200",
+            "gaussian600-cap200",
+            "gaussian150-cap200",
+            "gaussian400",
+            "duplicates",
+        ],
     )
-    def test_equals_the_composition(self, sites, cap, driver, monkeypatch):
-        ref = composed_basis(sites, cap)
-        distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
-        got = moran_basis(sites, max_components=cap)
-        assert_same_basis(got, ref)
-        assert len(distances) == 1 and [d for d, _ in calls] == [driver]
-
-    @pytest.mark.parametrize(
-        "sites, cap",
-        [(grid_sites(40), 200), (gaussian_sites(150), 200), (gaussian_sites(400), None)],
-        ids=["grid40x40-cap200", "gaussian150-cap200", "gaussian400"],
-    )
-    def test_matches_a_dense_reference(self, sites, cap):
+    def test_matches_a_dense_reference(self, sites, cap, driver, monkeypatch):
         # Built without any stage of the package: pairwise distances by the
         # formula, the range from scipy's spanning tree, M C M as a product.
+        # The spanning tree skips zero distances, which leaves its longest
+        # edge unchanged when not all sites coincide.
         x = sites.coords
         d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
         r = minimum_spanning_tree(d).max()
         c = np.exp(-d / r)
         np.fill_diagonal(c, 0.0)
         spectrum, e = np.linalg.eigh(dense_mcm(c))
-        threshold = 1e-8 * np.abs(spectrum).max()
-        kept = spectrum > threshold
+        kept = spectrum > 1e-8 * np.abs(spectrum).max()
         lam, e = spectrum[kept][::-1][:cap], e[:, kept][:, ::-1][:, :cap]
 
+        distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
         got = moran_basis(sites, max_components=cap)
+        assert len(distances) == 1 and [drv for drv, _ in calls] == [driver]
         assert got.range_r == pytest.approx(r, rel=1e-14)
         assert got.n_components == lam.size
         assert np.abs(got.eigvals - lam).max() <= 1e-12 * lam[0]
         kernel = (got.eigvecs * got.eigvals) @ got.eigvecs.T
         assert np.abs(kernel - (e * lam) @ e.T).max() <= 1e-10
-        if cap is None:
-            assert got.n_total_nonzero == int((np.abs(spectrum) > threshold).sum())
 
     @pytest.mark.parametrize(
         "sites, cap", [(random_sites(200, seed=2), 30), (gaussian_sites(150, seed=1), None)], ids=["evr", "evd"]
@@ -377,15 +358,18 @@ class TestMoranBasis:
 
     def test_undecided_eigenvalue_rebuilds_the_buffer_from_the_sites(self, monkeypatch):
         # The capped solve cannot decide lambda_21, so C is computed again
-        # and fully decomposed.
+        # from the sites and fully decomposed: the uncapped basis cut to 30,
+        # bit for bit.
         sites = random_sites(200, seed=1)
-        cutoff = undecided_cutoff(build_proximity(sites, mst_range(sites)))
-        ref = composed_basis(sites, 30, cutoff_rel=cutoff)
+        monkeypatch.setattr("snvc.spatial.DEFAULT_EIGEN_CUTOFF", undecided_cutoff(sites))
+        ref = moran_basis(sites)
         distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
-        got = moran_basis(sites, max_components=30, cutoff_rel=cutoff)
-        assert_same_basis(got, ref)
+        got = moran_basis(sites, max_components=30)
         assert [d for d, _ in calls] == ["evr", "evd"]
         assert len(distances) == 2
+        assert got.range_r == ref.range_r and got.n_components == min(30, ref.n_components)
+        np.testing.assert_array_equal(got.eigvals, ref.eigvals[:30])
+        np.testing.assert_array_equal(got.eigvecs, ref.eigvecs[:, :30])
 
     @pytest.mark.parametrize(
         "sites",
@@ -394,8 +378,7 @@ class TestMoranBasis:
     )
     def test_empty_bases(self, sites):
         got = moran_basis(sites)
-        assert got.n_components == 0
-        assert_same_basis(got, composed_basis(sites))
+        assert got.eigvals.shape == (0,) and got.eigvecs.shape == (sites.n_sites, 0)
 
     def test_all_sites_coincident(self):
         sites = SiteSet([[2, 2], [2, 2], [2, 2]])
@@ -411,21 +394,6 @@ class TestMoranBasis:
         with pytest.raises(SiteLimitExceeded, match="dense-decomposition limit") as err:
             moran_basis(big)
         assert isinstance(err.value, DataError) and isinstance(err.value, ValueError)
-
-    @pytest.mark.parametrize(
-        "cap, undecided, drivers",
-        [(30, False, ["evr"]), (None, False, ["evd"]), (30, True, ["evr", "evd"])],
-        ids=["capped", "full", "fallback"],
-    )
-    def test_moran_eigen_basis_leaves_c_unchanged(self, cap, undecided, drivers, monkeypatch):
-        sites = random_sites(200, seed=1)
-        c = build_proximity(sites, mst_range(sites))
-        kwargs = {"cutoff_rel": undecided_cutoff(c)} if undecided else {}
-        before = c.values.copy()
-        calls = spy_eigensolver(monkeypatch)
-        moran_eigen_basis(c, max_components=cap, **kwargs)
-        assert np.array_equal(c.values, before)
-        assert [d for d, _ in calls] == drivers
 
 
 # Peak resident memory of moran_basis, in N x N doubles above the process's
@@ -497,7 +465,6 @@ def _basis_with_eigvals(eigvals):
         eigvecs=np.empty((5, len(eigvals))),
         eigvals=eigvals,
         range_r=1.0,
-        n_total_nonzero=len(eigvals),
     )
 
 
@@ -508,8 +475,8 @@ class TestMoranCoefficient:
 
     def test_eigenvector_relation(self):
         sites = random_sites(30, seed=9)
-        c = build_proximity(sites, mst_range(sites))
-        basis = moran_eigen_basis(c)
+        basis = moran_basis(sites)
+        c = build_proximity(sites, basis.range_r)
         total = c.total_weight()
         n = sites.n_sites
         for l in range(basis.n_components):
@@ -524,13 +491,14 @@ class TestMoranCoefficient:
 
 class TestSpectralInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_spectrum_reconstruction_identity(self, seed):
+    def test_full_spectrum_reconstruction_identity(self, seed, monkeypatch):
         # M (C + I) M must equal the positive part + negative part + I - 11'/N;
         # the negative part is rebuilt here from an independent full eigh.
         n = 45 + 5 * seed
         sites = random_sites(n, seed=seed)
-        c = build_proximity(sites, mst_range(sites))
-        basis = moran_eigen_basis(c, cutoff_rel=1e-12)
+        monkeypatch.setattr("snvc.spatial.DEFAULT_EIGEN_CUTOFF", 1e-12)
+        basis = moran_basis(sites)
+        c = build_proximity(sites, basis.range_r)
 
         mcm = dense_mcm(c.values)
         w, v = np.linalg.eigh(mcm)
@@ -574,8 +542,8 @@ class TestSpectralInvariants:
 
     def test_moran_ordering_decreasing(self):
         sites = random_sites(50, seed=11)
-        c = build_proximity(sites, mst_range(sites))
-        basis = moran_eigen_basis(c)
+        basis = moran_basis(sites)
+        c = build_proximity(sites, basis.range_r)
         mcs = [moran_coefficient(basis.eigvecs[:, l], c) for l in range(basis.n_components)]
         assert np.all(np.diff(mcs) < 0)
 
@@ -585,8 +553,8 @@ class TestSpectralInvariants:
         g = np.arange(1, 21, dtype=float)
         px, py = np.meshgrid(g, g, indexing="ij")
         sites = SiteSet(np.column_stack([px.ravel(), py.ravel()]))
-        c = build_proximity(sites, mst_range(sites))
-        basis = moran_eigen_basis(c)
+        basis = moran_basis(sites)
+        c = build_proximity(sites, basis.range_r)
         rng = np.random.default_rng(2024)
         means = []
         for alpha in (0.0, 0.5, 1.0, 2.0):
