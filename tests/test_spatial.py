@@ -20,6 +20,7 @@ from snvc.errors import (
     SiteLimitExceeded,
 )
 from snvc.spatial import (
+    DEFAULT_EIGEN_CUTOFF,
     DEFAULT_MAX_SITES,
     SiteSet,
     build_proximity,
@@ -288,6 +289,26 @@ class TestCappedBasis:
             moran_basis(random_sites(10, seed=1), max_components=cap)
 
 
+def composed_basis(sites, max_components=None):
+    """The basis by the public stages, one step and one copy at a time.
+
+    mst_range, build_proximity, M C M out of place, the eigensolver
+    moran_basis picks, and the kept set taken from the whole spectrum.
+    """
+    c = build_proximity(sites, mst_range(sites)).values
+    row_means = c.mean(axis=1)
+    mcm = (c - row_means[:, None]) - row_means[None, :] + c.mean()
+    n = sites.n_sites
+    k = n if max_components is None else max_components
+    spectrum, vecs = scipy.linalg.eigh(mcm.T, driver="evd", check_finite=False)
+    lam = spectrum
+    if 4 * k <= n:
+        lam, vecs = scipy.linalg.eigh(mcm.T, subset_by_index=[n - k, n - 1], driver="evr", check_finite=False)
+    m = min(int((spectrum > DEFAULT_EIGEN_CUTOFF * np.abs(spectrum).max()).sum()), k)
+    order = lam.size - 1 - np.arange(m)
+    return lam[order], vecs[:, order], mst_range(sites)
+
+
 def count_distances(monkeypatch):
     calls = []
     distances = SiteSet.distances
@@ -296,7 +317,28 @@ def count_distances(monkeypatch):
 
 
 class TestMoranBasis:
-    """moran_basis against references built outside it, and its one buffer."""
+    """moran_basis against the stage-by-stage composition, a dense reference, and its one buffer."""
+
+    @pytest.mark.parametrize(
+        "sites, cap, driver",
+        [
+            (grid_sites(40), 200, "evr"),  # 4k <= N: only the leading pairs
+            (gaussian_sites(900), 200, "evr"),  # the cap exceeds the 72 positive pairs
+            (gaussian_sites(600), 200, "evd"),  # 4k > N: the whole spectrum, cut
+            (gaussian_sites(400), None, "evd"),
+            (sites_with_duplicates(), None, "evd"),
+        ],
+        ids=["grid40x40-cap200", "gaussian900-cap200", "gaussian600-cap200", "gaussian400", "duplicates"],
+    )
+    def test_equals_the_composition(self, sites, cap, driver, monkeypatch):
+        # Bit for bit: the one buffer rounds as the step-by-step copies do.
+        lam, vecs, range_r = composed_basis(sites, cap)
+        distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
+        got = moran_basis(sites, max_components=cap)
+        assert np.array_equal(got.eigvals, lam)
+        assert np.array_equal(got.eigvecs, vecs)
+        assert got.range_r == range_r
+        assert len(distances) == 1 and [d for d, _ in calls] == [driver]
 
     @pytest.mark.parametrize(
         "sites, cap, driver",
