@@ -7,10 +7,11 @@ Subcommands
 ``snvc simulate``  run a seeded Monte Carlo scenario and write its report
 ``snvc basis``     export the Moran eigenvectors/eigenvalues for inspection
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error,
-4 numerical failure.  On failure a machine-readable error object is printed
-to stderr.  Every output file embeds the resolved configuration; CSV outputs
-carry it in a leading ``#`` comment line, which the loader ignores.
+Exit codes: 0 success, 2 usage or configuration error, 3 data error
+(including a file that cannot be opened), 4 numerical failure.  On failure a
+machine-readable error object is printed to stderr.  Every output file embeds
+the resolved configuration; CSV outputs carry it in a leading ``#`` comment
+line, which the loader ignores.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class TableSchema:
     def __post_init__(self):
         if self.response is not None and self.response in (self.coord_x, self.coord_y):
             raise ConfigInvalid("coordinate columns must be distinct from the response")
+        if self.response is not None and self.response in self.covariates:
+            raise ConfigInvalid(f"the response {self.response!r} cannot also be a covariate")
+        if len(set(self.covariates)) != len(self.covariates):
+            raise ConfigInvalid(f"covariates must be distinct, got {list(self.covariates)}")
 
     @property
     def designated(self) -> tuple[str, ...]:
@@ -367,7 +372,10 @@ def simulate_command(args) -> int:
         parts = args.tau2.split(",")
         if len(parts) != 2:
             raise ConfigInvalid("--tau2 expects two comma-separated values, e.g. 1,9")
-        base["tau2_2"], base["tau2_3"] = float(parts[0]), float(parts[1])
+        try:
+            base["tau2_2"], base["tau2_3"] = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ConfigInvalid(f"--tau2 expects two numbers, got {args.tau2!r}") from exc
     if args.layout is not None:
         base["site_layout"] = {"grid": "grid_40x40", "gaussian": "gaussian_random"}[args.layout]
         if args.layout == "grid":
@@ -477,7 +485,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         _emit_error(exc)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         _emit_error(exc)
         return 3
     except (SnvcError, np.linalg.LinAlgError) as exc:

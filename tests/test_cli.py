@@ -162,6 +162,35 @@ class TestFitCommand:
         ])
         assert code == 3
 
+    def test_unreadable_data_path_is_data_error(self, tmp_path, capsys):
+        code = main([
+            "fit", "--data", str(tmp_path), "--y", "y", "--x", "a",
+            "--coords", "px,py", "--out", str(tmp_path / "r.json"),
+            "--coef-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [("price", "the response 'price' cannot also be a covariate"), ("x1,x1", "covariates must be distinct")],
+        ids=["response-as-covariate", "repeated-covariate"],
+    )
+    def test_bad_covariate_list_is_a_config_error_before_reading(
+        self, spatial_csv, tmp_path, capsys, monkeypatch, x, message
+    ):
+        def no_read(*args):
+            raise AssertionError("the CSV was read before the covariate list was checked")
+
+        monkeypatch.setattr("snvc.cli.load_table", no_read)
+        code = main([
+            "fit", "--data", spatial_csv, "--y", "price", "--x", x, "--coords", "px,py",
+            "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and message in err["message"]
+
     def test_log_response_requires_positive_values(self, tmp_path):
         rows = np.column_stack([
             np.random.default_rng(0).uniform(0, 10, (20, 2)),
@@ -292,6 +321,15 @@ class TestSimulateCommand:
     def test_invalid_weight_rejected(self, tmp_path):
         code = main(["simulate", "--w-s", "1.5", "--out", str(tmp_path / "s.json")])
         assert code == 2
+
+    def test_non_numeric_tau2_is_a_config_error(self, tmp_path, capsys):
+        assert main(["simulate", "--tau2", "1,x", "--out", str(tmp_path / "s.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigInvalid", "message": "--tau2 expects two numbers, got '1,x'"}
+
+    def test_unreadable_config_path_is_data_error(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "s.json")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
     @pytest.mark.parametrize(
         "fields, message",

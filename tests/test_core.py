@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,10 @@ from snvc.core import (
     _LOG_TAU2_BOUNDS,
     _SCORE_TOL,
     _SCREEN_FTOL,
+    _TRI_LEAF,
     _ActiveSet,
     _boundary_scores,
+    _lower_inverse,
     ModelSpec,
     RemlProblem,
     VarianceParams,
@@ -308,7 +311,24 @@ def reml_problem_k5():
     return RemlProblem(cp, spec, basis), cp, spec, basis
 
 
-@pytest.fixture(scope="module", params=[(reml_problem_k1, 3), (reml_problem_k5, 14)])
+def reml_problem_large():
+    """K = 3 with an SVC block on every covariate (79 eigenvectors each) and an
+    NVC block on both slopes, so P = 249 is above twice ``_TRI_LEAF`` and the
+    gradient takes the recursive inverse."""
+    rng = np.random.default_rng(23)
+    n = 400
+    sites = SiteSet(rng.uniform(0, 10, (n, 2)))
+    basis = moran_basis(sites, max_components=100)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+    y = X @ np.array([1.0, 0.5, -0.5]) + X[:, 1] * basis.eigvecs[:, 0] + rng.normal(size=n)
+    spec = ModelSpec(("intercept", "a", "b"), (True,) * 3, (False, True, True), (6,) * 3)
+    nbs = [None] + [spline_basis(X[:, k], 6) for k in (1, 2)]
+    cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
+    assert cp.n_random > 2 * _TRI_LEAF
+    return RemlProblem(cp, spec, basis), cp, spec, basis
+
+
+@pytest.fixture(scope="module", params=[(reml_problem_k1, 3), (reml_problem_k5, 14), (reml_problem_large, 8)])
 def reml_case(request):
     build, n_params = request.param
     case = build()
@@ -369,7 +389,84 @@ def fitted_ratios(fit):
     return out
 
 
+def reference_factor_joint(cp, v):
+    """``_factor_joint``'s log-likelihood and solution, assembled another way:
+    V E'E V through a C-ordered temporary and the diagonal through index arrays."""
+    n, k, p = cp.n_obs, cp.n_fixed, cp.n_random
+    g = np.empty((k + p, k + p), order="F")
+    g[:k, :k] = cp.XtX
+    g[:k, k:] = cp.XtE * v
+    g[k:, :k] = g[:k, k:].T
+    np.multiply(v[:, None] * cp.EtE, v[None, :], out=g[k:, k:])
+    g[k + np.arange(p), k + np.arange(p)] += 1.0
+    rhs = np.concatenate([cp.Xty, v * cp.Ety])
+    factor, info = scipy.linalg.lapack.dpotrf(g, lower=1, clean=1, overwrite_a=1)
+    assert info == 0
+    sol, _ = scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)
+    sigma2_hat = (cp.yty - float(rhs @ sol)) / (n - k)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    loglik = -0.5 * logdet - 0.5 * (n - k) * (1.0 + math.log(2.0 * math.pi * sigma2_hat))
+    return loglik, sol
+
+
+def lower_factor(n, seed, offset=3):
+    """A well-conditioned clean lower Cholesky factor of order ``n``, as the
+    lower-right block of a larger Fortran-ordered factor (a strided view)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n + offset, 2 * (n + offset))) / math.sqrt(2 * (n + offset))
+    factor = scipy.linalg.cholesky(a @ a.T + np.eye(n + offset), lower=True)
+    return np.asfortranarray(factor)[offset:, offset:]
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("n", [1, _TRI_LEAF, _TRI_LEAF + 1, 2 * _TRI_LEAF + 1, 623])
+    def test_column_norms_match_one_dtrtri(self, n):
+        l = lower_factor(n, seed=n)
+        inv, info = scipy.linalg.lapack.dtrtri(l, lower=1)
+        assert info == 0
+        expected = np.einsum("ij,ij->j", inv, inv)
+        norms = _lower_inverse(l, norms_only=True)
+        assert np.max(np.abs(norms - expected) / expected) <= 1e-13
+        full = _lower_inverse(l)
+        assert np.max(np.abs(full - inv)) <= 1e-13 * np.max(np.abs(inv))
+
+    def test_zero_pivot_at_every_level_breaks_down(self):
+        # One zero on the diagonal at the first row of the right half on each
+        # level of the recursion down the left edge, and at both ends.
+        n = 623
+        pivots, size = [0, n - 1], n
+        while size > _TRI_LEAF:
+            size //= 2
+            pivots.append(size)
+        assert len(pivots) >= 4
+        for i in pivots:
+            l = lower_factor(n, seed=1)
+            l[i, i] = 0.0
+            with pytest.raises(NumericalBreakdown):
+                _lower_inverse(l, norms_only=True)
+
+
 class TestRemlProblem:
+    def test_assembly_is_bit_for_bit_the_reference(self, reml_case):
+        problem, cp, spec, basis = reml_case
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            t = interior_point(problem, rng.uniform(size=problem.layout.size))
+            loglik, sol, _, _ = problem.solve(t)
+            ref_loglik, ref_sol = reference_factor_joint(cp, problem.scaling(t))
+            assert loglik == ref_loglik
+            np.testing.assert_array_equal(sol, ref_sol)
+
+            theta = problem.layout.decode(t, spec.n_covariates)
+            scalings = [
+                scale_eigenvalues(basis, float(theta.alpha[k])) if spec.has_svc[k] else None
+                for k in range(spec.n_covariates)
+            ]
+            res = restricted_loglik(cp, spec, theta, scalings)
+            ref_loglik, ref_sol = reference_factor_joint(cp, core._v_diagonal(cp.blocks, theta, scalings))
+            assert res.loglik == ref_loglik
+            np.testing.assert_array_equal(np.concatenate([res.b_hat, res.u_hat]), ref_sol)
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_gradient_matches_central_differences(self, reml_case, data):
