@@ -86,10 +86,10 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
     """Read the designated columns of a headered CSV file.
 
     Rows with a missing or non-finite designated value are dropped (the count
-    is reported on the table); unparseable tokens raise ParseError with the
-    file line and column.  Leading ``#`` lines are ignored.
+    is reported on the table); unparseable tokens, non-UTF-8 bytes included,
+    raise ParseError with the file line and column.  ``#`` lines are ignored.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         line_no = 0
         header = None
@@ -352,7 +352,10 @@ def simulate_command(args) -> int:
     base = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
+            try:
+                base = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigInvalid(f"--config is not a JSON file: {exc}") from exc
         if not isinstance(base, dict):
             raise ConfigInvalid("--config must hold a JSON object of ScenarioConfig fields")
         unknown = set(base) - set(simlab.ScenarioConfig.__dataclass_fields__)

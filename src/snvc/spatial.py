@@ -37,6 +37,12 @@ DEFAULT_MAX_SITES = 10_000
 # Relative threshold deciding which eigenvalues count as positive.
 DEFAULT_EIGEN_CUTOFF = 1e-8
 
+# How far a lower bound on lambda_1 must exceed 1, the size of the -1
+# eigenvalue floor, before lambda_1 is taken as max|lambda|.  Computed
+# eigenvalues and Rayleigh quotients of M C M lie within about N eps N of the
+# exact ones (||M C M|| <= N): under 2.3e-8 at the site limit, 40 times less.
+_FLOOR_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class SiteSet:
@@ -132,15 +138,13 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
     eigenvalues.  Both module constants are read at call time.
 
     ``max_components`` keeps at most that many pairs, the largest.  When it
-    is at most N/4 only those pairs are computed.  ``max|lambda|`` is then
-    unknown, but ``B = N * max_i mean_j c_ij`` bounds it (C >= 0 and M is a
-    projector), and ``lambda_1`` bounds it from below: a computed eigenvalue
-    above ``cutoff * B`` is kept, one at or below ``cutoff * lambda_1`` is
-    not, and only if one lies between does the full decomposition decide,
-    on C computed again from the sites.  The kept set is therefore the one
-    the uncapped basis would keep, cut to its leading pairs.  A cut inside a
-    tied eigenvalue keeps an arbitrary rotation of the tied pairs.  ``None``
-    keeps every positive pair.
+    is at most N/4 only those pairs are computed.  ``exp(-d/r)`` is a
+    positive-semidefinite kernel in the plane (Matern, nu = 1/2), so no
+    eigenvalue of M C M is below -1: ``max|lambda| = lambda_1`` once the
+    Rayleigh quotient of a centred coordinate exceeds 1, and otherwise the
+    whole spectrum is computed.  The kept set is the uncapped one cut to its
+    leading pairs; a cut inside a tied eigenvalue keeps an arbitrary
+    rotation of the tied pairs.  ``None`` keeps every positive pair.
 
     Returns
     -------
@@ -170,16 +174,15 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
     c = sites.distances()
     range_r = _mst_max_edge(c)
     _proximity(c, range_r)
-    row_means = c.mean(axis=1)
     # The grand mean of C itself: the mean of the row means rounds
     # differently, and that moves some fits to another local maximum.
-    grand_mean = c.mean()
-    _center(c, row_means, grand_mean)
+    _center(c, c.mean(axis=1), c.mean())
     # The subset solve (MRRR) beats divide and conquer over the whole
     # spectrum only while k is at most about N/4 (1 BLAS thread, k = 200:
     # 0.047 s against 0.019 s at N = 400, 0.57 s against 0.78 s at N = 1600).
-    full = 4 * k > n
-    if not full:
+    # M fixes the centred coordinates u, so u'(M C M)u / u'u <= lambda_1.
+    u = sites.coords - sites.coords.mean(axis=0)
+    if 4 * k <= n and np.any((u * (c @ u)).sum(axis=0) > (1 + _FLOOR_MARGIN) * (u * u).sum(axis=0)):
         eigvals, eigvecs = scipy.linalg.eigh(
             c.T,
             subset_by_index=[n - k, n - 1],
@@ -187,16 +190,9 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
             overwrite_a=True,
             check_finite=False,
         )
-        threshold = cutoff * n * float(row_means.max())
-        # Between cutoff * lambda_1 and cutoff * B an eigenvalue may fall on
-        # either side of cutoff * max|lambda|; only the full spectrum decides.
-        full = bool(np.any((eigvals > cutoff * eigvals[-1]) & (eigvals <= threshold)))
-        if full:
-            # The solver spent the buffer; release it before C is rebuilt.
-            del c, eigvecs
-            c = _proximity(sites.distances(), range_r)
-            _center(c, row_means, grand_mean)
-    if full:
+        # No eigenvalue is below -1, so lambda_1 > 1 is max|lambda|.
+        threshold = cutoff * float(eigvals[-1])
+    else:
         eigvals, eigvecs = scipy.linalg.eigh(c.T, driver="evd", overwrite_a=True, check_finite=False)
         # The cutoff is relative to the spectral magnitude so that spectra
         # whose largest eigenvalue is a floating-point zero (e.g. an

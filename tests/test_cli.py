@@ -331,6 +331,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "s.json")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
+    @pytest.mark.parametrize("text", [b"n_sites = 45\n", b'{"seed": "\xff"}'], ids=["not-json", "not-utf8"])
+    def test_config_that_is_not_json_is_a_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and "--config is not a JSON file" in err["message"]
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -383,3 +391,18 @@ class TestBasisCommand:
         assert main(["basis", "--data", str(path), "--coords", "px,py", "--out", str(tmp_path / "b.csv")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "EmptyAfterFiltering" and "got 1" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["fit", "basis"])
+def test_bytes_that_are_not_utf8_are_a_parse_error(spatial_csv, tmp_path, capsys, command):
+    with open(spatial_csv, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    px, py, rest = lines[-1].split(b",", 2)
+    lines[-1] = b",".join([px, b"\xff\xfe", rest])
+    with open(spatial_csv, "wb") as fh:
+        fh.write(b"".join(lines))
+    args = {"fit": ["--y", "price", "--x", "x1,x2", "--coef-out", str(tmp_path / "c.csv")], "basis": []}
+    out = str(tmp_path / "out")
+    assert main([command, "--data", spatial_csv, "--coords", "px,py", "--out", out] + args[command]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "at row 81, column 'py'" in err["message"]

@@ -53,6 +53,12 @@ def sites_with_duplicates(n=30, seed=12):
     return SiteSet(coords)
 
 
+def cluster_and_outlier(n=80, seed=0):
+    """n sites within 0.01 of the origin and one at (100, 100): lambda_1 is about 0.25."""
+    cluster = np.random.default_rng(seed).uniform(-0.007, 0.007, (n, 2))
+    return SiteSet(np.vstack([cluster, [[100.0, 100.0]]]))
+
+
 class TestDistances:
     def test_symmetric_zero_diagonal_and_zero_between_duplicates(self):
         d = sites_with_duplicates().distances()
@@ -174,18 +180,6 @@ class TestMoranEigenBasis:
             moran_basis(random_sites(12, seed=0))
 
 
-def proximity_bound(sites, range_r):
-    """B = N max_i mean_j c_ij, the bound on max|lambda| of a capped solve."""
-    return sites.n_sites * build_proximity(sites, range_r).values.mean(axis=1).max()
-
-
-def undecided_cutoff(sites):
-    """A cutoff that puts lambda_21 between cutoff * lambda_1 and cutoff * B."""
-    basis = moran_basis(sites)
-    lam = basis.eigvals
-    return lam[20] / np.sqrt(lam[0] * proximity_bound(sites, basis.range_r))
-
-
 def spy_eigensolver(monkeypatch):
     """Record the driver and shape of every ``scipy.linalg.eigh`` call."""
     calls = []
@@ -248,24 +242,25 @@ class TestCappedBasis:
         assert lam[199] - lam[200] > 0.01
         assert lam[200] - lam[201] < 1e-12 * lam[0]
 
-    def test_undecided_eigenvalue_falls_back_to_the_full_decomposition(self, monkeypatch):
+    def test_cutoff_between_the_leading_eigenvalue_and_the_row_sum_bound(self, monkeypatch):
+        # cutoff * lambda_1 falls between lambda_22 and lambda_21, and
+        # lambda_21 is at most cutoff * B, B = N max_i mean_j c_ij, a looser
+        # bound on max|lambda|: the -1 floor decides it from one subset solve.
         sites = random_sites(200, seed=1)
-        full = moran_basis(sites)
-        calls = spy_eigensolver(monkeypatch)
-
-        capped = moran_basis(sites, max_components=30)
-        assert calls == [("evr", (200, 200))] and capped.n_components == 30 < full.n_components
-
-        # A cutoff putting lambda_21 strictly between cutoff * lambda_1 and
-        # cutoff * B, B = N max_i mean_j c_ij: the computed pairs cannot
-        # decide whether it clears cutoff * max|lambda|.
-        lam, bound = full.eigvals, proximity_bound(sites, full.range_r)
-        cutoff = undecided_cutoff(sites)
-        assert cutoff * lam[0] < lam[20] <= cutoff * bound
+        c = build_proximity(sites, mst_range(sites)).values
+        spectrum, e = np.linalg.eigh(dense_mcm(c))
+        lam, e = spectrum[::-1], e[:, ::-1]
+        cutoff = (lam[20] + lam[21]) / (2 * lam[0])
+        assert lam[21] < cutoff * lam[0] < lam[20] <= cutoff * sites.n_sites * c.mean(axis=1).max()
         monkeypatch.setattr("snvc.spatial.DEFAULT_EIGEN_CUTOFF", cutoff)
-        calls.clear()
-        moran_basis(sites, max_components=30)
-        assert calls == [("evr", (200, 200)), ("evd", (200, 200))]
+
+        distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
+        got = moran_basis(sites, max_components=30)
+        assert calls == [("evr", (200, 200))] and len(distances) == 1
+        assert got.n_components == 21
+        assert np.abs(got.eigvals - lam[:21]).max() <= 1e-12 * lam[0]
+        kernel = (got.eigvecs * got.eigvals) @ got.eigvecs.T
+        assert np.abs(kernel - (e[:, :21] * lam[:21]) @ e[:, :21].T).max() <= 1e-10
 
     def test_cap_above_a_quarter_of_n_cuts_the_full_decomposition(self):
         # 40 sites on a line have 14 positive pairs; a cap of 12 is above
@@ -349,6 +344,7 @@ class TestMoranBasis:
             (gaussian_sites(150), 200, "evd"),
             (gaussian_sites(400), None, "evd"),
             (sites_with_duplicates(), None, "evd"),
+            (cluster_and_outlier(), 20, "evd"),  # 4k <= N, but lambda_1 < 1
         ],
         ids=[
             "grid40x40-cap200",
@@ -357,6 +353,7 @@ class TestMoranBasis:
             "gaussian150-cap200",
             "gaussian400",
             "duplicates",
+            "cluster-and-outlier-cap20",
         ],
     )
     def test_matches_a_dense_reference(self, sites, cap, driver, monkeypatch):
@@ -397,21 +394,6 @@ class TestMoranBasis:
         np.fill_diagonal(c, 0.0)
         row_means = c.mean(axis=1)
         assert np.array_equal(inputs[0], (c - row_means[:, None]) - row_means[None, :] + c.mean())
-
-    def test_undecided_eigenvalue_rebuilds_the_buffer_from_the_sites(self, monkeypatch):
-        # The capped solve cannot decide lambda_21, so C is computed again
-        # from the sites and fully decomposed: the uncapped basis cut to 30,
-        # bit for bit.
-        sites = random_sites(200, seed=1)
-        monkeypatch.setattr("snvc.spatial.DEFAULT_EIGEN_CUTOFF", undecided_cutoff(sites))
-        ref = moran_basis(sites)
-        distances, calls = count_distances(monkeypatch), spy_eigensolver(monkeypatch)
-        got = moran_basis(sites, max_components=30)
-        assert [d for d, _ in calls] == ["evr", "evd"]
-        assert len(distances) == 2
-        assert got.range_r == ref.range_r and got.n_components == min(30, ref.n_components)
-        np.testing.assert_array_equal(got.eigvals, ref.eigvals[:30])
-        np.testing.assert_array_equal(got.eigvecs, ref.eigvecs[:, :30])
 
     @pytest.mark.parametrize(
         "sites",
@@ -569,6 +551,23 @@ class TestSpectralInvariants:
         assert abs(after.range_r - base.range_r) <= 1e-12 * base.range_r
         assert after.n_components == base.n_components
         assert np.abs(after.eigvals - base.eigvals).max() <= 1e-12 * base.eigvals[0]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), n_duplicates=st.integers(0, 20))
+    def test_eigenvalue_floor_and_coordinate_bound(self, n, seed, n_duplicates):
+        # What the capped basis rests on: C + I = exp(-d/r) is positive
+        # semidefinite, so no eigenvalue of M C M is below -1, and M fixes
+        # the centred coordinates, so their Rayleigh quotients are at most
+        # lambda_1.  Duplicated sites make exp(-d/r) singular.
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(0, 10, (n, 2))
+        sites = SiteSet(np.vstack([coords, coords[rng.integers(0, n, n_duplicates)]]))
+        mcm = dense_mcm(build_proximity(sites, mst_range(sites)).values)
+        w = np.linalg.eigvalsh(mcm)
+        eps = 1e-12 * sites.n_sites
+        assert w[0] >= -1.0 - eps
+        u = sites.coords - sites.coords.mean(axis=0)
+        assert np.all((u * (mcm @ u)).sum(axis=0) <= (w[-1] + eps) * (u * u).sum(axis=0))
 
     def test_orthonormal_and_centered_columns(self):
         basis = moran_basis(random_sites(60, seed=3))
