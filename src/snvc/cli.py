@@ -87,10 +87,12 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
 
     Rows with a missing or non-finite designated value are dropped (the count
     is reported on the table); unparseable tokens, non-UTF-8 bytes included,
-    raise ParseError with the file line and column.  ``#`` lines are ignored.
+    raise ParseError with the file line and column, and a record the csv
+    module rejects (a field over its size limit, say) a ParseError at that
+    line.  ``#`` lines are ignored.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+        reader = _records(csv.reader(fh))
         line_no = 0
         header = None
         for row in reader:
@@ -147,6 +149,14 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
         else np.empty((data.shape[0], 0))
     )
     return DataTable(coords=coords, y=y, X=X, covariate_names=schema.covariates, n_dropped=n_dropped)
+
+
+def _records(reader):
+    """The rows of the csv ``reader``, with a ``csv.Error`` raised as a ParseError at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, "*", str(exc)) from exc
 
 
 def write_table(path: str, header: list[str], rows: np.ndarray, comment: str | None = None) -> None:
@@ -258,6 +268,8 @@ def fit_command(args) -> int:
     covariates = [c.strip() for c in args.x.split(",") if c.strip()]
     if not covariates:
         raise ConfigInvalid("--x must name at least one covariate column")
+    if INTERCEPT_NAME in covariates:
+        raise ConfigInvalid(f"--x cannot name a column {INTERCEPT_NAME!r}: the model adds its own intercept")
     lo, hi = N_BASIS_RANGE
     if not lo <= args.n_basis <= hi:
         raise ConfigInvalid(f"--n-basis must lie in [{lo}, {hi}], got {args.n_basis}")

@@ -15,17 +15,19 @@ covariate order, then all non-spatial blocks in covariate order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 from scipy.linalg import blas, lapack
 
 from .errors import (
+    ConstantCovariate,
     DimensionMismatch,
     EmptySpatialBasis,
     NumericalBreakdown,
     SingularFixedBlock,
+    TooFewDistinctValues,
 )
 from .spatial import SpatialBasis, scale_eigenvalues
 from .splines import NvcBasis, spline_basis
@@ -34,6 +36,11 @@ from .splines import NvcBasis, spline_basis
 VARIANCE_FLOOR = 1e-12
 
 ALPHA_BOUNDS = (-5.0, 10.0)
+
+# alpha is searched only when the basis has at least this many eigenvalues;
+# from fewer it is unidentifiable and held at _FIXED_ALPHA.
+_MIN_ALPHA_EIGVALS = 3
+_FIXED_ALPHA = 1.0
 
 # Search bounds on log tau^2; they keep exp() finite.
 _LOG_TAU2_BOUNDS = (-46.0, 46.0)
@@ -455,69 +462,6 @@ def restricted_loglik(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ParamLayout:
-    """Mapping between the optimizer vector and VarianceParams.
-
-    Searched parameters are log variance ratios (tau/sigma)^2 and raw alpha;
-    alpha is only searched when at least 3 eigenvalues make it identifiable.
-    """
-
-    idx_log_tau2_s: dict[int, int]
-    idx_alpha: dict[int, int]
-    idx_log_tau2_n: dict[int, int]
-    fixed_alpha: float = 1.0
-
-    @property
-    def size(self) -> int:
-        return len(self.idx_log_tau2_s) + len(self.idx_alpha) + len(self.idx_log_tau2_n)
-
-    def bounds(self) -> list[tuple[float, float]]:
-        out = [_LOG_TAU2_BOUNDS] * self.size
-        for i in self.idx_alpha.values():
-            out[i] = ALPHA_BOUNDS
-        return out
-
-    def index(self, blk: BlockLayout) -> list[int]:
-        """Positions of ``blk``'s parameters: its log ratio, then its alpha if searched."""
-        k = blk.covariate
-        if blk.kind == "nvc":
-            return [self.idx_log_tau2_n[k]]
-        return [self.idx_log_tau2_s[k]] + ([self.idx_alpha[k]] if k in self.idx_alpha else [])
-
-    def decode(self, t: np.ndarray, n_cov: int) -> VarianceParams:
-        tau2_s = np.zeros(n_cov)
-        tau2_n = np.zeros(n_cov)
-        alpha = np.zeros(n_cov)
-        for k, i in self.idx_log_tau2_s.items():
-            tau2_s[k] = math.exp(t[i])
-            alpha[k] = self.fixed_alpha
-        for k, i in self.idx_alpha.items():
-            alpha[k] = t[i]
-        for k, i in self.idx_log_tau2_n.items():
-            tau2_n[k] = math.exp(t[i])
-        return VarianceParams(sigma2=1.0, tau2_s=tau2_s, alpha=alpha, tau2_n=tau2_n)
-
-
-def _build_layout(cp: Crossproducts, spec: ModelSpec, n_eigvals: int) -> _ParamLayout:
-    idx_s: dict[int, int] = {}
-    idx_a: dict[int, int] = {}
-    idx_n: dict[int, int] = {}
-    pos = 0
-    svc_cov = sorted({b.covariate for b in cp.blocks if b.kind == "svc"})
-    nvc_cov = sorted({b.covariate for b in cp.blocks if b.kind == "nvc"})
-    for k in svc_cov:
-        idx_s[k] = pos
-        pos += 1
-        if n_eigvals >= 3:  # alpha unidentifiable from fewer eigenvalues
-            idx_a[k] = pos
-            pos += 1
-    for k in nvc_cov:
-        idx_n[k] = pos
-        pos += 1
-    return _ParamLayout(idx_log_tau2_s=idx_s, idx_alpha=idx_a, idx_log_tau2_n=idx_n)
-
-
 def _lower_inverse(l: np.ndarray, norms_only: bool = False) -> np.ndarray:
     """Inverse of the lower-triangular ``l``, or only its column sums of squares.
 
@@ -558,18 +502,26 @@ def _lower_inverse(l: np.ndarray, norms_only: bool = False) -> np.ndarray:
 
 
 class RemlProblem:
-    """The restricted log-likelihood and its gradient over the searched vector.
+    """The restricted log-likelihood and its gradient over the searched vector t.
+
+    t lists each block's parameters in ``cp.blocks`` order: its log variance
+    ratio (tau/sigma)^2, then, for an SVC block, its alpha if the basis has
+    at least ``_MIN_ALPHA_EIGVALS`` eigenvalues (from fewer, alpha is
+    unidentifiable and fixed at ``_FIXED_ALPHA``).  ``slices[i]`` is the part
+    of t that belongs to ``cp.blocks[i]``, and ``bounds`` the search bounds
+    of t.
 
     Built once per fit: the rank check on X'X, the log eigenvalue ratios
-    log(lambda_l / lambda_1) and the map from the searched parameters to the
-    log scaling diagonal are the same at every evaluation, and the (K+P)
-    square system buffer is reused.  With v the diagonal of V,
+    log(lambda_l / lambda_1) and the map from t to the log scaling diagonal
+    are the same at every evaluation, and the (K+P) square system buffer is
+    reused.  With v the diagonal of V,
 
         log v = C' t + offset,
 
-    where row j of ``C`` holds d log v / d t_j: 1/2 on the block of each log
-    variance ratio and (1/2) log(lambda_l / lambda_1) on the block of alpha.
-    ``offset`` carries the fixed alpha of blocks whose alpha is not searched.
+    where row j of ``C`` holds d log v / d t_j: 1/2 on the block of a log
+    variance ratio and (1/2) log(lambda_l / lambda_1) on the block of an
+    alpha.  ``offset`` carries ``_FIXED_ALPHA`` on the SVC blocks whose
+    alpha is not searched.
 
     Raises
     ------
@@ -577,26 +529,29 @@ class RemlProblem:
         X'X is not positive definite.
     """
 
-    def __init__(self, cp: Crossproducts, spec: ModelSpec, spatial: SpatialBasis | None):
+    def __init__(self, cp: Crossproducts, spatial: SpatialBasis | None):
         _check_fixed_block(cp.XtX)
         self.cp = cp
         n_eig = spatial.n_components if spatial is not None else 0
-        self.layout = layout = _build_layout(cp, spec, n_eig)
-        self._C = np.zeros((layout.size, cp.n_random))
-        self._offset = np.zeros(cp.n_random)
         if n_eig:
             half_log_ratio = 0.5 * np.log(spatial.eigvals / spatial.eigvals[0])
+        rows: list[np.ndarray] = []  # the rows of C
+        self.slices: list[slice] = []
+        self.bounds: list[tuple[float, float]] = []
+        self._offset = np.zeros(cp.n_random)
         for blk in cp.blocks:
-            cols = slice(blk.start, blk.stop)
-            k = blk.covariate
-            if blk.kind == "nvc":
-                self._C[layout.idx_log_tau2_n[k], cols] = 0.5
-                continue
-            self._C[layout.idx_log_tau2_s[k], cols] = 0.5
-            if k in layout.idx_alpha:
-                self._C[layout.idx_alpha[k], cols] = half_log_ratio[: blk.size]
-            else:
-                self._offset[cols] = layout.fixed_alpha * half_log_ratio[: blk.size]
+            cols, first = slice(blk.start, blk.stop), len(rows)
+            rows.append(np.zeros(cp.n_random))
+            rows[-1][cols] = 0.5
+            self.bounds.append(_LOG_TAU2_BOUNDS)
+            if blk.kind == "svc" and n_eig >= _MIN_ALPHA_EIGVALS:
+                rows.append(np.zeros(cp.n_random))
+                rows[-1][cols] = half_log_ratio[: blk.size]
+                self.bounds.append(ALPHA_BOUNDS)
+            elif blk.kind == "svc":
+                self._offset[cols] = _FIXED_ALPHA * half_log_ratio[: blk.size]
+            self.slices.append(slice(first, len(rows)))
+        self._C = np.array(rows).reshape(len(rows), cp.n_random)
         size = cp.n_fixed + cp.n_random
         self._g = np.empty((size, size), order="F")
 
@@ -636,16 +591,11 @@ class RemlProblem:
 
     def starts(self) -> list[np.ndarray]:
         """Ratio tau/sigma of 0.1 with alpha 1, and ratio 1 with alpha 0."""
-        layout = self.layout
         out = []
         for log_ratio2, a0 in ((math.log(0.1**2), 1.0), (0.0, 0.0)):
-            t0 = np.zeros(layout.size)
-            for i in layout.idx_log_tau2_s.values():
-                t0[i] = log_ratio2
-            for i in layout.idx_log_tau2_n.values():
-                t0[i] = log_ratio2
-            for i in layout.idx_alpha.values():
-                t0[i] = a0
+            t0 = np.full(len(self.bounds), log_ratio2)
+            for part in self.slices:
+                t0[part][1:] = a0  # a searched alpha follows its block's log ratio
             out.append(t0)
         return out
 
@@ -673,7 +623,7 @@ def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> s
         t0,
         jac=True,
         method="L-BFGS-B",
-        bounds=problem.layout.bounds(),
+        bounds=problem.bounds,
         options={"maxfun": maxfun, "ftol": ftol},
     )
     if broke:
@@ -728,10 +678,13 @@ def _boundary_scores(
 class _ActiveSet:
     """The state of one active-set search.
 
-    ``values`` holds the searched parameters (log ratio, then alpha if
-    searched) of the active blocks; every other block of ``cp`` has variance
-    exactly 0.  ``problem`` is the ``RemlProblem`` over the active blocks,
-    rebuilt from one ``Crossproducts.subset`` whenever the set changes.
+    ``values[blk]`` holds an active block's part of the searched vector: its
+    log variance ratio, then its alpha if ``search_alpha``.  Every other
+    block of ``cp`` has variance exactly 0.  ``problem`` is the
+    ``RemlProblem`` over the active blocks, rebuilt from one
+    ``Crossproducts.subset`` whenever the set changes; its t is the
+    concatenation of ``values`` in block order, and ``problem.slices`` cuts
+    it back.
     ``loglik`` is the log-likelihood at ``values``; an entry or a run only
     replaces ``values`` with a higher point.
     ``n_evals`` counts value-and-gradient calls and factorizations.
@@ -742,7 +695,8 @@ class _ActiveSet:
     def __init__(self, cp: Crossproducts, spec: ModelSpec, spatial: SpatialBasis | None):
         self.cp, self.spec, self.spatial = cp, spec, spatial
         n_eig = spatial.n_components if spatial is not None else 0
-        self.alphas = _ALPHA_GRID if n_eig >= 3 else np.array([_ParamLayout.fixed_alpha])
+        self.search_alpha = n_eig >= _MIN_ALPHA_EIGVALS
+        self.alphas = _ALPHA_GRID if self.search_alpha else np.array([_FIXED_ALPHA])
         self.log_eig_ratio = np.log(spatial.eigvals / spatial.eigvals[0]) if n_eig else np.empty(0)
         self.values: dict[BlockLayout, np.ndarray] = {}
         self.entry_alpha: dict[BlockLayout, float] = {}
@@ -752,7 +706,7 @@ class _ActiveSet:
 
     def _rebuild(self) -> None:
         self.active = tuple(b for b in self.cp.blocks if b in self.values)
-        self.problem = RemlProblem(self.cp.subset(self.active), self.spec, self.spatial)
+        self.problem = RemlProblem(self.cp.subset(self.active), self.spatial)
 
     def _log_top_weight(self, blk: BlockLayout, alpha: np.ndarray | float) -> np.ndarray | float:
         """log max_l w_l of ``blk`` at ``alpha``: its largest column variance ratio per unit ratio."""
@@ -761,10 +715,7 @@ class _ActiveSet:
         return np.maximum(0.0, alpha * self.log_eig_ratio[blk.size - 1])
 
     def point(self) -> np.ndarray:
-        t = np.zeros(self.problem.layout.size)
-        for blk in self.active:
-            t[self.problem.layout.index(blk)] = self.values[blk]
-        return t
+        return np.concatenate([np.empty(0)] + [self.values[b] for b in self.active])
 
     def assess(self) -> tuple[BlockLayout | None, float]:
         """Log-likelihood at the stored values, and the inactive block with the largest score.
@@ -804,10 +755,9 @@ class _ActiveSet:
         ``_ENTRY_SMALL_LOG_RATIOS``.  Returns False, leaving ``blk`` inactive
         and the search unconverged, if none of those does either.
         """
-        alpha = self.entry_alpha.get(blk, _ParamLayout.fixed_alpha)
-        self.values[blk] = np.array([0.0, alpha])
+        alpha = self.entry_alpha.get(blk, _FIXED_ALPHA)
+        self.values[blk] = np.array([0.0, alpha] if blk.kind == "svc" and self.search_alpha else [0.0])
         self._rebuild()
-        self.values[blk] = self.values[blk][: len(self.problem.layout.index(blk))]
         best, best_loglik = None, self.loglik
         for trials in (_ENTRY_LOG_RATIOS, _ENTRY_SMALL_LOG_RATIOS):
             for log_ratio in trials - self._log_top_weight(blk, alpha):
@@ -857,8 +807,8 @@ class _ActiveSet:
         improved = -run.fun - self.loglik > _FTOL * abs(self.loglik)
         v = self.problem.scaling(run.x)
         gone = []
-        for blk, sub in zip(self.active, self.problem.cp.blocks):
-            self.values[blk] = run.x[self.problem.layout.index(blk)]
+        for blk, sub, part in zip(self.active, self.problem.cp.blocks, self.problem.slices):
+            self.values[blk] = run.x[part]
             if blk not in self.dropped and v[sub.start : sub.stop].max() ** 2 <= _COLLAPSED:
                 gone.append(blk)
         self.loglik = -run.fun
@@ -882,16 +832,23 @@ class _ActiveSet:
         return v
 
     def theta(self) -> VarianceParams:
-        """Variance ratios (sigma2 = 1), exactly 0 on the inactive blocks.
+        """Variance ratios (sigma2 = 1) from ``values``, exactly 0 on the inactive blocks.
 
-        An inactive SVC block carries its entry alpha.
+        An active SVC block whose alpha is not searched carries
+        ``_FIXED_ALPHA``, an inactive one its entry alpha.
         """
-        ratio = self.problem.layout.decode(self.point(), self.spec.n_covariates)
-        alpha = ratio.alpha.copy()
+        n = self.spec.n_covariates
+        tau2, alpha = {"svc": np.zeros(n), "nvc": np.zeros(n)}, np.zeros(n)
         for blk in self.cp.blocks:
-            if blk.kind == "svc" and blk not in self.values:
-                alpha[blk.covariate] = self.entry_alpha[blk]
-        return replace(ratio, alpha=alpha)
+            k = blk.covariate
+            if blk in self.values:
+                log_ratio, *rest = self.values[blk]
+                tau2[blk.kind][k] = math.exp(log_ratio)
+                if blk.kind == "svc":
+                    alpha[k] = rest[0] if rest else _FIXED_ALPHA
+            elif blk.kind == "svc":
+                alpha[k] = self.entry_alpha[blk]
+        return VarianceParams(sigma2=1.0, tau2_s=tau2["svc"], alpha=alpha, tau2_n=tau2["nvc"])
 
 
 def fit_reml(
@@ -1053,17 +1010,21 @@ def fit_snvc(
     """Design assembly, crossproducts, REML fit, and coefficient field in one call.
 
     When ``nvc_bases`` is omitted, spline bases are built from the covariate
-    columns flagged in the spec.  The coefficient field is produced even for
-    an unconverged fit; check ``FittedModel.converged``.
+    columns flagged in the spec; a column that cannot carry one raises
+    ``spline_basis``'s error with the covariate's name in the message.  The
+    coefficient field is produced even for an unconverged fit; check
+    ``FittedModel.converged``.
     """
     X = np.asarray(X, dtype=float)
     if nvc_bases is None:
-        nvc_bases = [
-            spline_basis(X[:, k], spec.n_basis_nvc[k], spec.spline_family)
-            if spec.has_nvc[k]
-            else None
-            for k in range(spec.n_covariates)
-        ]
+        nvc_bases = [None] * spec.n_covariates
+        for k, name in enumerate(spec.covariate_names):
+            if not spec.has_nvc[k]:
+                continue
+            try:
+                nvc_bases[k] = spline_basis(X[:, k], spec.n_basis_nvc[k], spec.spline_family)
+            except (ConstantCovariate, TooFewDistinctValues) as exc:
+                raise type(exc)(f"the NVC term of {name!r}: {exc}") from exc
     design = build_design(X, spec, spatial, nvc_bases)
     cp = precompute_crossproducts(design, y)
     fit = fit_reml(cp, spec, spatial)

@@ -191,6 +191,43 @@ class TestFitCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and message in err["message"]
 
+    def test_data_column_named_intercept_is_a_config_error_before_reading(self, tmp_path, capsys, monkeypatch):
+        # The model's own intercept takes that name; a data column of the same
+        # name would appear twice in the report, the shares and the CSV header.
+        rng = np.random.default_rng(6)
+        path = tmp_path / "intercept.csv"
+        write_csv(path, ["px", "py", "price", "intercept", "x1"], rng.normal(size=(30, 5)).tolist())
+
+        def no_read(*args):
+            raise AssertionError("the CSV was read before the covariate list was checked")
+
+        monkeypatch.setattr("snvc.cli.load_table", no_read)
+        out, coef = tmp_path / "r.json", tmp_path / "c.csv"
+        code = main([
+            "fit", "--data", str(path), "--y", "price", "--x", "intercept,x1", "--coords", "px,py",
+            "--out", str(out), "--coef-out", str(coef),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and "--x cannot name a column 'intercept'" in err["message"]
+        assert not out.exists() and not coef.exists()
+
+    def test_spline_error_names_the_covariate(self, tmp_path, capsys):
+        # With the default --nvc all, a 0/1 dummy cannot carry a spline basis.
+        rng = np.random.default_rng(7)
+        n = 40
+        rows = np.column_stack([rng.uniform(0, 10, (n, 2)), rng.normal(size=(n, 2)), rng.integers(0, 2, n)])
+        path = tmp_path / "dummy.csv"
+        write_csv(path, ["px", "py", "price", "x1", "flood"], rows.tolist())
+        code = main([
+            "fit", "--data", str(path), "--y", "price", "--x", "x1,flood", "--coords", "px,py",
+            "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TooFewDistinctValues"
+        assert err["message"] == "the NVC term of 'flood': covariate has 2 distinct values; need >= 12"
+
     def test_log_response_requires_positive_values(self, tmp_path):
         rows = np.column_stack([
             np.random.default_rng(0).uniform(0, 10, (20, 2)),
@@ -406,3 +443,15 @@ def test_bytes_that_are_not_utf8_are_a_parse_error(spatial_csv, tmp_path, capsys
     assert main([command, "--data", spatial_csv, "--coords", "px,py", "--out", out] + args[command]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError" and "at row 81, column 'py'" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["fit", "basis"])
+def test_field_over_the_csv_size_limit_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "long.csv"
+    path.write_text("px,py,price,x1\n1.0,2.0,3.0," + "7" * 200_000 + "\n")
+    args = {"fit": ["--y", "price", "--x", "x1", "--coef-out", str(tmp_path / "c.csv")], "basis": []}
+    out = str(tmp_path / "out")
+    assert main([command, "--data", str(path), "--coords", "px,py", "--out", out] + args[command]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "field larger than field limit" in err["message"]
+    assert "at row 2, column '*'" in err["message"]

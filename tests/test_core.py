@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from snvc import core
 from snvc.core import (
+    ALPHA_BOUNDS,
     _ALPHA_GRID,
     _FTOL,
     _LOG_TAU2_BOUNDS,
@@ -301,14 +302,14 @@ def reml_problem_k1():
     y = x * (1.0 + basis.eigvecs[:, 0]) + rng.normal(size=n)
     spec = ModelSpec(("x",), (True,), (True,), (6,))
     cp = precompute_crossproducts(build_design(x[:, None], spec, basis, [nb]), y)
-    return RemlProblem(cp, spec, basis), cp, spec, basis
+    return RemlProblem(cp, basis), cp, spec, basis
 
 
 def reml_problem_k5():
     X, y, spec, basis = five_covariate_data()
     nbs = [spline_basis(X[:, k], 6) if spec.has_nvc[k] else None for k in range(5)]
     cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
-    return RemlProblem(cp, spec, basis), cp, spec, basis
+    return RemlProblem(cp, basis), cp, spec, basis
 
 
 def reml_problem_large():
@@ -325,24 +326,51 @@ def reml_problem_large():
     nbs = [None] + [spline_basis(X[:, k], 6) for k in (1, 2)]
     cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
     assert cp.n_random > 2 * _TRI_LEAF
-    return RemlProblem(cp, spec, basis), cp, spec, basis
+    return RemlProblem(cp, basis), cp, spec, basis
 
 
-@pytest.fixture(scope="module", params=[(reml_problem_k1, 3), (reml_problem_k5, 14), (reml_problem_large, 8)])
+def reml_problem_two_eigvecs():
+    """Two eigenvectors, too few to identify alpha: SVC on the intercept and
+    on x, NVC on x, and only the three log variance ratios searched."""
+    rng = np.random.default_rng(25)
+    n = 60
+    sites = SiteSet(rng.uniform(0, 10, (n, 2)))
+    basis = moran_basis(sites, max_components=2)
+    X = np.column_stack([np.ones(n), 1.0 + rng.normal(size=n)])
+    y = X @ np.array([1.0, 0.5]) + 2.0 * basis.eigvecs[:, 0] + X[:, 1] * np.sin(X[:, 1]) + rng.normal(size=n)
+    spec = ModelSpec(("intercept", "x"), (True, True), (False, True), (6, 6))
+    nbs = [None, spline_basis(X[:, 1], 6)]
+    cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
+    return RemlProblem(cp, basis), cp, spec, basis
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(reml_problem_k1, 3), (reml_problem_k5, 14), (reml_problem_large, 8), (reml_problem_two_eigvecs, 3)],
+)
 def reml_case(request):
     build, n_params = request.param
     case = build()
-    assert case[0].layout.size == n_params
+    assert len(case[0].bounds) == n_params
     return case
 
 
 def interior_point(problem, unit):
     """Map a point of the unit cube into a box well inside the search bounds."""
-    lo = np.full(problem.layout.size, -6.0)
-    hi = np.full(problem.layout.size, 6.0)
-    for i in problem.layout.idx_alpha.values():
-        lo[i], hi[i] = -3.0, 8.0
+    box = {_LOG_TAU2_BOUNDS: (-6.0, 6.0), ALPHA_BOUNDS: (-3.0, 8.0)}
+    lo, hi = np.array([box[b] for b in problem.bounds]).T
     return lo + np.asarray(unit) * (hi - lo)
+
+
+def theta_at(problem, spec, t):
+    """VarianceParams with sigma2 = 1 at the searched vector ``t``: each
+    block's slice holds its log variance ratio, then its alpha if searched,
+    which is otherwise 1."""
+    ratios = {}
+    for blk, part in zip(problem.cp.blocks, problem.slices):
+        log_ratio, *alpha = t[part]
+        ratios[blk] = (math.exp(log_ratio), alpha[0] if alpha else 1.0)
+    return ratio_theta(spec, ratios)
 
 
 def ratio_theta(spec, ratios):
@@ -367,11 +395,9 @@ def boundary_scores_at(cp, spec, basis, ratios, alphas):
     block, with the blocks in ``ratios`` active at their (variance ratio, alpha)."""
     active = tuple(b for b in cp.blocks if b in ratios)
     inactive = tuple(b for b in cp.blocks if b not in ratios)
-    problem = RemlProblem(cp.subset(active), spec, basis)
-    t = np.zeros(problem.layout.size)
-    for blk in active:
-        r, a = ratios[blk]
-        t[problem.layout.index(blk)] = [math.log(r), a][: len(problem.layout.index(blk))]
+    problem = RemlProblem(cp.subset(active), basis)
+    parts = [[math.log(ratios[b][0]), ratios[b][1]][: p.stop - p.start] for b, p in zip(active, problem.slices)]
+    t = np.concatenate([np.empty(0)] + parts)
     log_eig_ratio = np.log(basis.eigvals / basis.eigvals[0])
     scores = _boundary_scores(cp, active, inactive, problem.scaling(t), problem.solve(t), log_eig_ratio, alphas)
     return dict(zip(inactive, scores))
@@ -451,13 +477,13 @@ class TestRemlProblem:
         problem, cp, spec, basis = reml_case
         rng = np.random.default_rng(24)
         for _ in range(3):
-            t = interior_point(problem, rng.uniform(size=problem.layout.size))
+            t = interior_point(problem, rng.uniform(size=len(problem.bounds)))
             loglik, sol, _, _ = problem.solve(t)
             ref_loglik, ref_sol = reference_factor_joint(cp, problem.scaling(t))
             assert loglik == ref_loglik
             np.testing.assert_array_equal(sol, ref_sol)
 
-            theta = problem.layout.decode(t, spec.n_covariates)
+            theta = theta_at(problem, spec, t)
             scalings = [
                 scale_eigenvalues(basis, float(theta.alpha[k])) if spec.has_svc[k] else None
                 for k in range(spec.n_covariates)
@@ -471,7 +497,7 @@ class TestRemlProblem:
     @given(data=st.data())
     def test_gradient_matches_central_differences(self, reml_case, data):
         problem = reml_case[0]
-        size = problem.layout.size
+        size = len(problem.bounds)
         unit = data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
         t = interior_point(problem, unit)
         _, grad = problem.value_and_grad(t)
@@ -488,8 +514,8 @@ class TestRemlProblem:
         problem, cp, spec, basis = reml_case
         rng = np.random.default_rng(22)
         for _ in range(5):
-            t = interior_point(problem, rng.uniform(size=problem.layout.size))
-            theta = problem.layout.decode(t, spec.n_covariates)
+            t = interior_point(problem, rng.uniform(size=len(problem.bounds)))
+            theta = theta_at(problem, spec, t)
             scalings = [
                 scale_eigenvalues(basis, float(theta.alpha[k])) if spec.has_svc[k] else None
                 for k in range(spec.n_covariates)
@@ -507,11 +533,11 @@ class TestRemlProblem:
         # variance ratios, so the value drops by (N - K) log|c| and the
         # gradient is unchanged.
         problem, cp, spec, basis = reml_case
-        size = problem.layout.size
+        size = len(problem.bounds)
         t = interior_point(problem, data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
         cp_c = dataclasses.replace(cp, Xty=c * cp.Xty, Ety=c * cp.Ety, yty=c * c * cp.yty)
         value, grad = problem.value_and_grad(t)
-        value_c, grad_c = RemlProblem(cp_c, spec, basis).value_and_grad(t)
+        value_c, grad_c = RemlProblem(cp_c, basis).value_and_grad(t)
         expected = value - (cp.n_obs - cp.n_fixed) * math.log(abs(c))
         assert abs(value_c - expected) <= 1e-10 * abs(expected)
         assert np.linalg.norm(grad_c - grad) <= 1e-10 * np.linalg.norm(grad)
@@ -579,11 +605,22 @@ class TestRemlProblem:
         assert fit.inactive_terms == ()
         assert fit.theta.tau2_s[0] > 0.0 and fit.theta.tau2_n[0] > 0.0
 
+    def test_alpha_is_one_where_it_is_not_searched(self):
+        # Two eigenvectors: every block's slice holds its log ratio alone,
+        # and the fit reports alpha = 1 exactly for each active SVC block.
+        problem, cp, spec, basis = reml_problem_two_eigvecs()
+        assert [p.stop - p.start for p in problem.slices] == [1, 1, 1]
+        fit = fit_reml(cp, spec, basis)
+        assert fit.converged
+        active_svc = [b.covariate for b in cp.blocks if b.kind == "svc" and fit.theta.tau2_s[b.covariate] > 0]
+        assert active_svc
+        assert all(fit.theta.alpha[k] == 1.0 for k in active_svc)
+
     def test_singular_fixed_block_raised_at_construction(self):
         spec, basis, X, nb, y, design, cp = reml_problem()
         design_bad = build_design(np.column_stack([X[:, 0], X[:, 0]]), spec, basis, [None, nb])
         with pytest.raises(SingularFixedBlock):
-            RemlProblem(precompute_crossproducts(design_bad, y), spec, basis)
+            RemlProblem(precompute_crossproducts(design_bad, y), basis)
 
 
 def scenario_fit(w_s, iteration, estimator):
