@@ -21,7 +21,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class DataTable:
     coords: np.ndarray  # (N, 2)
     y: np.ndarray | None
     X: np.ndarray  # (N, n_covariates)
-    covariate_names: tuple[str, ...]
     n_dropped: int
 
     @property
@@ -91,52 +90,42 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
     module rejects (a field over its size limit, say) a ParseError at that
     line.  ``#`` lines are ignored.
     """
+    header = None
+    kept: list[list[float]] = []
+    n_dropped = 0
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = _records(csv.reader(fh))
-        line_no = 0
-        header = None
-        for row in reader:
-            line_no += 1
+        reader = csv.reader(fh)
+        for row in _records(reader):
             if row and row[0].lstrip().startswith("#"):
                 continue
-            header = [h.strip() for h in row]
-            break
-        if header is None:
-            raise EmptyAfterFiltering(f"{path} has no header row")
-        positions = {}
-        for col in schema.designated:
-            if col not in header:
-                raise MissingColumn(col)
-            positions[col] = header.index(col)
-
-        kept: list[list[float]] = []
-        n_dropped = 0
-        for row in reader:
-            line_no += 1
-            if row and row[0].lstrip().startswith("#"):
+            if header is None:
+                header = [h.strip() for h in row]
+                for col in schema.designated:
+                    if col not in header:
+                        raise MissingColumn(col)
+                positions = {col: header.index(col) for col in schema.designated}
                 continue
             if len(row) != len(header):
-                raise ParseError(line_no, "*", f"expected {len(header)} fields, got {len(row)}")
+                raise ParseError(reader.line_num, "*", f"expected {len(header)} fields, got {len(row)}")
             values = []
-            drop = False
-            for col in schema.designated:
-                token = row[positions[col]].strip()
+            for col, i in positions.items():
+                token = row[i].strip()
                 if token.lower() in _MISSING_TOKENS:
-                    drop = True
                     break
                 try:
                     v = float(token)
                 except ValueError as exc:
-                    raise ParseError(line_no, col, token) from exc
+                    raise ParseError(reader.line_num, col, token) from exc
                 if not np.isfinite(v):
-                    drop = True
                     break
                 values.append(v)
-            if drop:
-                n_dropped += 1
             else:
                 kept.append(values)
+                continue
+            n_dropped += 1
 
+    if header is None:
+        raise EmptyAfterFiltering(f"{path} has no header row")
     if not kept:
         raise EmptyAfterFiltering(f"{path}: no rows remain after dropping incomplete ones")
     data = np.asarray(kept, dtype=float)
@@ -148,7 +137,7 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
         if schema.covariates
         else np.empty((data.shape[0], 0))
     )
-    return DataTable(coords=coords, y=y, X=X, covariate_names=schema.covariates, n_dropped=n_dropped)
+    return DataTable(coords=coords, y=y, X=X, n_dropped=n_dropped)
 
 
 def _records(reader):
@@ -175,16 +164,21 @@ def write_table(path: str, header: list[str], rows: np.ndarray, comment: str | N
 # ---------------------------------------------------------------------------
 
 
+# A field's place in the JSON report, where it is not a top-level key named
+# after the field: "key" renames it, "under" nests it in that object.
+_ESTIMATE = {"under": "estimates"}
+
+
 @dataclass(frozen=True)
 class FitReport:
     config: dict
-    covariate_names: tuple[str, ...]
-    b_hat: tuple[float, ...]
-    tau2_s: tuple[float, ...]
-    alpha: tuple[float, ...]
-    tau2_n: tuple[float, ...]
-    sigma2: float
-    restricted_loglik: float
+    covariate_names: tuple[str, ...] = field(metadata={"key": "covariates"})
+    b_hat: tuple[float, ...] = field(metadata=_ESTIMATE)
+    tau2_s: tuple[float, ...] = field(metadata=_ESTIMATE)
+    alpha: tuple[float, ...] = field(metadata=_ESTIMATE)
+    tau2_n: tuple[float, ...] = field(metadata=_ESTIMATE)
+    sigma2: float = field(metadata=_ESTIMATE)
+    restricted_loglik: float = field(metadata=_ESTIMATE)
     svc_share: dict  # covariate name -> share of spatial variation
     sd_svc: tuple[float, ...]
     sd_nvc: tuple[float, ...]
@@ -197,54 +191,22 @@ class FitReport:
     timing_seconds: float
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "covariates": list(self.covariate_names),
-            "estimates": {
-                "b_hat": list(self.b_hat),
-                "tau2_s": list(self.tau2_s),
-                "alpha": list(self.alpha),
-                "tau2_n": list(self.tau2_n),
-                "sigma2": self.sigma2,
-                "restricted_loglik": self.restricted_loglik,
-            },
-            "svc_share": self.svc_share,
-            "sd_svc": list(self.sd_svc),
-            "sd_nvc": list(self.sd_nvc),
-            "converged": self.converged,
-            "n_loglik_evals": self.n_loglik_evals,
-            "inactive_terms": list(self.inactive_terms),
-            "n_obs": self.n_obs,
-            "n_eigvecs": self.n_eigvecs,
-            "n_dropped_rows": self.n_dropped_rows,
-            "timing_seconds": self.timing_seconds,
-        }
+        payload = {}
+        for f in fields(self):
+            obj = payload.setdefault(f.metadata["under"], {}) if "under" in f.metadata else payload
+            obj[f.metadata.get("key", f.name)] = getattr(self, f.name)
         return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
-        p = json.loads(text)
-        est = p["estimates"]
-        return cls(
-            config=p["config"],
-            covariate_names=tuple(p["covariates"]),
-            b_hat=tuple(est["b_hat"]),
-            tau2_s=tuple(est["tau2_s"]),
-            alpha=tuple(est["alpha"]),
-            tau2_n=tuple(est["tau2_n"]),
-            sigma2=est["sigma2"],
-            restricted_loglik=est["restricted_loglik"],
-            svc_share=p["svc_share"],
-            sd_svc=tuple(p["sd_svc"]),
-            sd_nvc=tuple(p["sd_nvc"]),
-            converged=p["converged"],
-            n_loglik_evals=p["n_loglik_evals"],
-            inactive_terms=tuple(p["inactive_terms"]),
-            n_obs=p["n_obs"],
-            n_eigvecs=p["n_eigvecs"],
-            n_dropped_rows=p["n_dropped_rows"],
-            timing_seconds=p["timing_seconds"],
-        )
+        payload = json.loads(text)
+        values = {}
+        for f in fields(cls):
+            obj = payload[f.metadata["under"]] if "under" in f.metadata else payload
+            value = obj[f.metadata.get("key", f.name)]
+            # The tuple fields are the report's only JSON arrays.
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +274,7 @@ def fit_command(args) -> int:
     spatial = None
     if any(spec.has_svc):
         spatial = moran_basis(sites, max_components=_MAX_EIGVECS)
-    fit, field = fit_snvc(X, y, spec, spatial)
+    fit, fld = fit_snvc(X, y, spec, spatial)
     elapsed = time.perf_counter() - t0
 
     config_echo = {
@@ -337,9 +299,9 @@ def fit_command(args) -> int:
         tau2_n=tuple(float(v) for v in fit.theta.tau2_n),
         sigma2=float(fit.theta.sigma2),
         restricted_loglik=float(fit.restricted_loglik),
-        svc_share={name: round(float(s), 3) for name, s in zip(names, field.svc_share)},
-        sd_svc=tuple(float(v) for v in field.sd_svc),
-        sd_nvc=tuple(float(v) for v in field.sd_nvc),
+        svc_share={name: round(float(s), 3) for name, s in zip(names, fld.svc_share)},
+        sd_svc=tuple(float(v) for v in fld.sd_svc),
+        sd_nvc=tuple(float(v) for v in fld.sd_nvc),
         converged=bool(fit.converged),
         n_loglik_evals=int(fit.n_loglik_evals),
         inactive_terms=fit.inactive_terms,
@@ -355,7 +317,7 @@ def fit_command(args) -> int:
     cols = [np.arange(n, dtype=float), table.coords[:, 0], table.coords[:, 1]]
     for k, name in enumerate(names):
         header += [f"{name}_mean", f"{name}_svc", f"{name}_nvc", f"{name}_total"]
-        cols += [np.full(n, field.mean[k]), field.svc[:, k], field.nvc[:, k], field.total[:, k]]
+        cols += [np.full(n, fld.mean[k]), fld.svc[:, k], fld.nvc[:, k], fld.total[:, k]]
     write_table(args.coef_out, header, np.column_stack(cols), comment=json.dumps(config_echo))
     return 0
 
@@ -373,16 +335,9 @@ def simulate_command(args) -> int:
         unknown = set(base) - set(simlab.ScenarioConfig.__dataclass_fields__)
         if unknown:
             raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
-    if args.n is not None:
-        base["n_sites"] = args.n
-    if args.iters is not None:
-        base["n_iters"] = args.iters
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.w_s is not None:
-        base["w_s"] = args.w_s
-    if args.w_sx is not None:
-        base["w_sx"] = args.w_sx
+    for name in ("n_sites", "n_iters", "seed", "w_s", "w_sx"):
+        if getattr(args, name) is not None:
+            base[name] = getattr(args, name)
     if args.tau2 is not None:
         parts = args.tau2.split(",")
         if len(parts) != 2:
@@ -468,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo scenario")
     p_sim.add_argument("--config", help="JSON file with ScenarioConfig fields")
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--iters", type=int)
+    p_sim.add_argument("--n", type=int, dest="n_sites")
+    p_sim.add_argument("--iters", type=int, dest="n_iters")
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--w-s", type=float, dest="w_s")
     p_sim.add_argument("--w-sx", type=float, dest="w_sx")

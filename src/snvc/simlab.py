@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import spatial
 from .core import ModelSpec, fit_snvc
 from .errors import ConfigInvalid, DimensionMismatch, SnvcError
 from .gwr import select_bandwidth
@@ -52,10 +53,10 @@ def standardize(v: np.ndarray) -> np.ndarray:
 
 
 def row_standardized_proximity(sites: SiteSet) -> np.ndarray:
-    """exp(-d_ij) with zero diagonal, each row scaled to sum 1."""
-    c = np.exp(-sites.distances())
-    np.fill_diagonal(c, 0.0)
-    return c / c.sum(axis=1, keepdims=True)
+    """exp(-d_ij) with zero diagonal, each row scaled to sum 1, in one N x N buffer."""
+    c = spatial.build_proximity(sites, 1.0).values
+    c /= c.sum(axis=1, keepdims=True)
+    return c
 
 
 def gen_covariate(rng: np.random.Generator, c_bar: np.ndarray, w_sx: float) -> np.ndarray:
@@ -141,13 +142,17 @@ class ScenarioConfig:
             problems.append("site_layout grid_40x40 requires n_sites = 1600")
         if self.n_sites < 20:
             problems.append(f"n_sites must be >= 20, got {self.n_sites}")
+        if self.n_sites > spatial.DEFAULT_MAX_SITES:
+            problems.append(f"n_sites must be <= {spatial.DEFAULT_MAX_SITES}, got {self.n_sites}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         for name in ("w_sx", "w_s"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 problems.append(f"{name} must lie in [0, 1], got {v}")
         for name in ("tau2_2", "tau2_3"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                problems.append(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.n_iters < 1:
             problems.append(f"n_iters must be >= 1, got {self.n_iters}")
         if not self.estimators:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -63,6 +64,17 @@ class TestLoadTable:
         assert err.value.column == "x1"
         assert err.value.token == "abc"
 
+    def test_parse_error_after_a_multiline_field_names_the_file_line(self, tmp_path):
+        path = tmp_path / "multiline.csv"
+        write_csv(path, ["px", "py", "price", "x1", "x2", "note"], [
+            [1, 2, 3, 4, 5, "one line"],
+            [1, 2, 3, 4, 5, "two\nlines"],
+            [1, 2, 3, "abc", 5, "one line"],
+        ])  # fmt: skip
+        with pytest.raises(ParseError) as err:
+            load_table(str(path), SCHEMA)
+        assert (err.value.row, err.value.column, err.value.token) == (5, "x1", "abc")
+
     def test_empty_after_filtering(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(path, ["px", "py", "price", "x1", "x2"], [[1, 2, "NA", 4, 5]])
@@ -126,6 +138,18 @@ class TestFitCommand:
         text = open(out).read()
         report = FitReport.from_json(text)
         assert FitReport.from_json(report.to_json()) == report
+
+    def test_report_layout(self):
+        report = FitReport(*[(i,) for i in range(len(dataclasses.fields(FitReport)))])
+        payload = json.loads(report.to_json())
+        assert list(payload) == [
+            "config", "covariates", "estimates", "svc_share", "sd_svc", "sd_nvc", "converged",
+            "n_loglik_evals", "inactive_terms", "n_obs", "n_eigvecs", "n_dropped_rows", "timing_seconds",
+        ]  # fmt: skip
+        assert payload["estimates"] == {
+            "b_hat": [2], "tau2_s": [3], "alpha": [4], "tau2_n": [5], "sigma2": [6], "restricted_loglik": [7],
+        }  # fmt: skip
+        assert payload["covariates"] == [1] and payload["timing_seconds"] == [17]
 
     def test_report_lists_inactive_terms(self, spatial_csv, tmp_path):
         # The response has no spatial or non-spatial variation: terms whose
@@ -363,6 +387,32 @@ class TestSimulateCommand:
         assert main(["simulate", "--tau2", "1,x", "--out", str(tmp_path / "s.json")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigInvalid", "message": "--tau2 expects two numbers, got '1,x'"}
+
+    def test_site_limit_is_a_config_error_found_before_any_distance(self, tmp_path, capsys, monkeypatch):
+        def no_distances(self):
+            raise AssertionError("distance matrix built before the site limit was checked")
+
+        monkeypatch.setattr(SiteSet, "distances", no_distances)
+        argv = ["simulate", "--n", str(DEFAULT_MAX_SITES + 1), "--iters", "1", "--estimators", "LM"]
+        assert main(argv + ["--out", str(tmp_path / "s.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid"
+        assert f"n_sites must be <= {DEFAULT_MAX_SITES}, got {DEFAULT_MAX_SITES + 1}" in err["message"]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--tau2", "inf,1", "tau2_2 must be finite and positive, got inf"),
+            ("--tau2", "1,inf", "tau2_3 must be finite and positive, got inf"),
+        ],
+        ids=["negative-seed", "infinite-tau2-2", "infinite-tau2-3"],
+    )
+    def test_seed_and_tau2_out_of_range_are_config_errors(self, tmp_path, capsys, flag, value, message):
+        argv = ["simulate", "--n", "40", "--iters", "1", "--estimators", "LM", flag, value]
+        assert main(argv + ["--out", str(tmp_path / "s.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigInvalid", "message": message}
 
     def test_unreadable_config_path_is_data_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "s.json")]) == 3

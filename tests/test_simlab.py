@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from snvc import simlab
+from snvc import simlab, spatial
 from snvc.errors import ConfigInvalid, DimensionMismatch, NumericalBreakdown
 from snvc.simlab import (
     ScenarioConfig,
@@ -46,6 +47,17 @@ def test_row_standardization_rows_sum_to_one():
     c_bar = row_standardized_proximity(SiteSet(rng.normal(size=(40, 2))))
     np.testing.assert_allclose(c_bar.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(np.diag(c_bar) == 0.0)
+
+
+def test_row_standardization_holds_one_n_by_n_buffer():
+    sites = SiteSet(np.random.default_rng(1).normal(size=(300, 2)))
+    tracemalloc.start()
+    try:
+        row_standardized_proximity(sites)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 300 * 300 * 8
 
 
 class TestGenCovariate:
@@ -200,6 +212,13 @@ class TestScenarioConfig:
             ScenarioConfig(estimators=("XXX",)).validate()
         with pytest.raises(ConfigInvalid, match="n_iters"):
             ScenarioConfig(n_iters=0).validate()
+
+    def test_site_limit_read_at_call_time(self, monkeypatch):
+        with pytest.raises(ConfigInvalid, match="n_sites must be <= 10000, got 10001"):
+            ScenarioConfig(n_sites=10_001).validate()
+        monkeypatch.setattr(spatial, "DEFAULT_MAX_SITES", 30)
+        with pytest.raises(ConfigInvalid, match="n_sites must be <= 30, got 40"):
+            ScenarioConfig(n_sites=40).validate()
 
     def test_grid_layout_requires_full_grid(self):
         with pytest.raises(ConfigInvalid, match="1600"):
