@@ -103,7 +103,6 @@ class GeneratedInstance:
     X: np.ndarray  # (N, K); scenario instances have K = 3 with X[:, 0] = 1
     true_betas: np.ndarray  # (N, K)
     y: np.ndarray
-    noise_sd: float
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def gen_instance(config: ScenarioConfig, iteration: int) -> GeneratedInstance:
     X = np.column_stack([np.ones(n), x2, x3])
     noise = NOISE_SD * rng_for(config.seed, iteration, "noise").standard_normal(n)
     y = (X * betas).sum(axis=1) + noise
-    return GeneratedInstance(sites=sites, X=X, true_betas=betas, y=y, noise_sd=NOISE_SD)
+    return GeneratedInstance(sites=sites, X=X, true_betas=betas, y=y)
 
 
 def gen_toy(seed: int, grid: tuple[int, int] = (40, 40)) -> GeneratedInstance:
@@ -221,7 +220,7 @@ def gen_toy(seed: int, grid: tuple[int, int] = (40, 40)) -> GeneratedInstance:
     betas = np.column_stack([beta1, beta2])
     noise = TOY_NOISE_SD * rng_for(seed, 0, "toy-noise").standard_normal(sites.n_sites)
     y = x1 * beta1 + x2 * beta2 + noise
-    return GeneratedInstance(sites=sites, X=X, true_betas=betas, y=y, noise_sd=TOY_NOISE_SD)
+    return GeneratedInstance(sites=sites, X=X, true_betas=betas, y=y)
 
 
 def rmse(true_beta: np.ndarray, predicted: np.ndarray, per_site: bool = False) -> float:
@@ -288,69 +287,41 @@ def coef_correlations(fields_per_iteration) -> CorrelationSummary:
 # ---------------------------------------------------------------------------
 
 
-def _fit_ols_field(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    coefs, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return np.tile(coefs, (X.shape[0], 1))
-
-
 def predict_estimator(
     estimator: str,
     inst: GeneratedInstance,
-    spatial: SpatialBasis | None,
-    config: ScenarioConfig,
-) -> tuple[np.ndarray, bool]:
-    """Per-site coefficient predictions (N x 3) for one scenario estimator,
-    and whether its REML fit converged (True for estimators without one)."""
-    X, y, sites = inst.X, inst.y, inst.sites
-    if estimator == "LM":
-        return _fit_ols_field(X, y), True
-    if estimator in ("GWR", "GWR_A"):
-        kernel = "exponential_fixed" if estimator == "GWR" else "exponential_adaptive"
-        fit = select_bandwidth(sites, X[:, 1:], y, kernel=kernel, include_intercept=True)
-        return fit.local_coefs, True
-    if estimator in ("SVC_M", "SNVC_M"):
-        with_nvc = estimator == "SNVC_M"
-        spec = ModelSpec(
-            covariate_names=("intercept", "x2", "x3"),
-            has_svc=(True, True, True),
-            has_nvc=(False, with_nvc, with_nvc),
-            n_basis_nvc=(config.n_basis_nvc,) * 3,
-            spline_family=config.spline_family,
-        )
-        fit, fld = fit_snvc(X, y, spec, spatial)
-        return fld.total, fit.converged
-    raise ConfigInvalid(f"unknown estimator {estimator!r}")
-
-
-TOY_ESTIMATORS = ("GWR", "GWR_A", "SVC_M", "NVC_M", "SNVC_M")
-
-
-def predict_toy_estimator(
-    estimator: str,
-    inst: GeneratedInstance,
     spatial: SpatialBasis | None = None,
-    max_eigvecs: int = 200,
     n_basis: int = 10,
-) -> np.ndarray:
-    """Coefficient predictions (N x 2) for the grid toy; no intercept anywhere."""
-    X, y, sites = inst.X, inst.y, inst.sites
+    spline_family: str = "natural_cubic",
+) -> tuple[np.ndarray, bool]:
+    """Per-site coefficient predictions (N x K) of one estimator on ``inst.X``,
+    and whether its REML fit converged (True for estimators without one).
+
+    LM and GWR regress on ``inst.X`` as it stands (a scenario's X holds its
+    ones column).  NVC terms go on every non-constant column.  An SVC
+    estimator needs ``spatial``: without it ``build_design`` raises
+    EmptySpatialBasis.
+    """
+    X, y = inst.X, inst.y
+    if estimator == "LM":
+        coefs, *_ = np.linalg.lstsq(X, y, rcond=None)
+        return np.tile(coefs, (X.shape[0], 1)), True
     if estimator in ("GWR", "GWR_A"):
         kernel = "exponential_fixed" if estimator == "GWR" else "exponential_adaptive"
-        return select_bandwidth(sites, X, y, kernel=kernel, include_intercept=False).local_coefs
-    if estimator not in TOY_ESTIMATORS:
-        raise ConfigInvalid(f"unknown toy estimator {estimator!r}")
-    with_svc = estimator in ("SVC_M", "SNVC_M")
-    with_nvc = estimator in ("NVC_M", "SNVC_M")
-    if with_svc and spatial is None:
-        spatial = moran_basis(sites, max_components=max_eigvecs)
+        return select_bandwidth(inst.sites, X, y, kernel, include_intercept=False).local_coefs, True
+    if estimator not in ("SVC_M", "NVC_M", "SNVC_M"):
+        raise ConfigInvalid(f"unknown estimator {estimator!r}")
+    with_svc, with_nvc = estimator != "NVC_M", estimator != "SVC_M"
+    k = X.shape[1]
     spec = ModelSpec(
-        covariate_names=("x1", "x2"),
-        has_svc=(with_svc,) * 2,
-        has_nvc=(with_nvc,) * 2,
-        n_basis_nvc=(n_basis,) * 2,
+        covariate_names=tuple(f"x{j + 1}" for j in range(k)),
+        has_svc=(with_svc,) * k,
+        has_nvc=tuple(with_nvc and float(np.std(X[:, j])) != 0.0 for j in range(k)),
+        n_basis_nvc=(n_basis,) * k,
+        spline_family=spline_family,
     )
-    _, fld = fit_snvc(X, y, spec, spatial if with_svc else None)
-    return fld.total
+    fit, fld = fit_snvc(X, y, spec, spatial if with_svc else None)
+    return fld.total, fit.converged
 
 
 # ---------------------------------------------------------------------------
@@ -410,64 +381,44 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     config.validate()
     k = 3
     needs_basis = any(e in ("SVC_M", "SNVC_M") for e in config.estimators)
-
-    sq_err = {e: np.zeros(k) for e in config.estimators}
-    predictions = {e: [] for e in config.estimators}
-    seconds = {e: 0.0 for e in config.estimators}
-    failures = {e: 0 for e in config.estimators}
-    n_success = {e: 0 for e in config.estimators}
-    n_unconverged = {e: 0 for e in config.estimators}
+    runs = {e: [] for e in config.estimators}  # (truth, prediction, seconds, converged) per success
+    failures = dict.fromkeys(config.estimators, 0)
     true_fields = []
-
-    shared_basis: SpatialBasis | None = None
+    basis = None
     for it in range(config.n_iters):
         inst = gen_instance(config, it)
-        if needs_basis:
-            if config.site_layout == "grid_40x40" and shared_basis is not None:
-                basis = shared_basis  # grid sites never change across iterations
-            else:
-                basis = moran_basis(inst.sites, max_components=config.max_eigvecs)
-                if config.site_layout == "grid_40x40":
-                    shared_basis = basis
-        else:
-            basis = None
-
         true_fields.append(inst.true_betas)
-
+        # Grid sites never change across iterations, so the grid keeps its first basis.
+        if needs_basis and not (config.site_layout == "grid_40x40" and basis is not None):
+            basis = moran_basis(inst.sites, max_components=config.max_eigvecs)
         for est in config.estimators:
             t0 = time.perf_counter()
             try:
-                pred, converged = predict_estimator(est, inst, basis, config)
+                pred, converged = predict_estimator(est, inst, basis, config.n_basis_nvc, config.spline_family)
             except SnvcError:
                 failures[est] += 1
                 continue
-            seconds[est] += time.perf_counter() - t0
-            n_success[est] += 1
-            n_unconverged[est] += not converged
-            sq_err[est] += ((inst.true_betas - pred) ** 2).sum(axis=0)
-            predictions[est].append(pred)
+            runs[est].append((inst.true_betas, pred, time.perf_counter() - t0, converged))
 
-    report_rmse = {
-        e: np.sqrt(sq_err[e] / n_success[e]) if n_success[e] else np.full(k, np.nan)
-        for e in config.estimators
-    }
     cc = {
-        e: coef_correlations(p) if p else CorrelationSummary(np.full((k, k), np.nan), np.zeros((k, k), dtype=int))
-        for e, p in predictions.items()
+        e: coef_correlations([r[1] for r in rs])
+        if rs
+        else CorrelationSummary(np.full((k, k), np.nan), np.zeros((k, k), dtype=int))
+        for e, rs in runs.items()
     }
     true_cc = coef_correlations(true_fields)
     return ScenarioReport(
         config=config,
-        rmse=report_rmse,
+        rmse={
+            e: np.sqrt(sum(((t - p) ** 2).sum(axis=0) for t, p, *_ in rs) / len(rs)) if rs else np.full(k, np.nan)
+            for e, rs in runs.items()
+        },
         mean_cc={e: s.mean for e, s in cc.items()},
         cc_counts={e: s.counts for e, s in cc.items()},
         true_mean_cc=true_cc.mean,
         true_cc_counts=true_cc.counts,
-        mean_fit_seconds={
-            e: (seconds[e] / n_success[e]) if n_success[e] else float("nan")
-            for e in config.estimators
-        },
+        mean_fit_seconds={e: sum(r[2] for r in rs) / len(rs) if rs else float("nan") for e, rs in runs.items()},
         failures=failures,
-        n_success=n_success,
-        n_unconverged=n_unconverged,
+        n_success={e: len(rs) for e, rs in runs.items()},
+        n_unconverged={e: sum(not r[3] for r in rs) for e, rs in runs.items()},
     )

@@ -23,7 +23,7 @@ from snvc.simlab import (
     ScenarioConfig,
     coef_correlations,
     gen_toy,
-    predict_toy_estimator,
+    predict_estimator,
     run_scenario,
 )
 from snvc.spatial import (
@@ -155,7 +155,7 @@ def test_criterion_4_motivating_example_spurious_correlation():
     for seed in seeds:
         inst = gen_toy(seed)
         for est in preds:
-            preds[est].append(predict_toy_estimator(est, inst, spatial=basis))
+            preds[est].append(predict_estimator(est, inst, spatial=basis)[0])
     cc = {est: float(coef_correlations(fields).mean[0, 1]) for est, fields in preds.items()}
     elapsed = time.perf_counter() - t0
     ok = cc["SVC_M"] <= -0.4 and cc["GWR"] <= -0.3 and abs(cc["NVC_M"]) <= 0.25 and elapsed < 600

@@ -91,6 +91,24 @@ class TestLoadTable:
         np.testing.assert_array_equal(table.y, data[:, 2])
         np.testing.assert_array_equal(table.X, data[:, 3:])
 
+    @pytest.mark.parametrize("text", [
+        "px,py,price,x1,x2\n1,2,3,4,5\n6,7,8,9,0\n\n",
+        "px,py,price,x1,x2\n1,2,3,4,5\n\n6,7,8,9,0\n",
+    ], ids=["trailing", "interior"])  # fmt: skip
+    def test_blank_lines_are_skipped_and_not_dropped(self, tmp_path, text):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        table = load_table(str(path), SCHEMA)
+        np.testing.assert_array_equal(table.coords, [[1.0, 2.0], [6.0, 7.0]])
+        assert table.n_dropped == 0
+
+    def test_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfpx,py,price,x1,x2\n1,2,3,4,5\n6,7,8,9,0\n")
+        table = load_table(str(path), SCHEMA)
+        np.testing.assert_array_equal(table.coords, [[1.0, 2.0], [6.0, 7.0]])
+        np.testing.assert_array_equal(table.X, [[4.0, 5.0], [9.0, 0.0]])
+
     def test_coords_must_differ_from_response(self):
         with pytest.raises(ConfigInvalid):
             TableSchema(coord_x="a", coord_y="b", response="a")
@@ -471,6 +489,20 @@ class TestBasisCommand:
         assert len(rows) == 2 + 80
         eigvals = np.array([float(v) for v in eigen_row[4:]])
         assert np.all(np.diff(eigvals) <= 0) and np.all(eigvals > 0)
+
+    @pytest.mark.parametrize("data", [
+        b"px,py\n0,1\n2,3\n4,5\n\n",
+        b"px,py\n0,1\n\n2,3\n4,5\n",
+        b"\xef\xbb\xbfpx,py\n0,1\n2,3\n4,5\n",
+    ], ids=["trailing-blank", "interior-blank", "byte-order-mark"])  # fmt: skip
+    def test_blank_lines_and_byte_order_mark_are_read(self, tmp_path, data):
+        path = tmp_path / "sites.csv"
+        path.write_bytes(data)
+        out = tmp_path / "b.csv"
+        assert main(["basis", "--data", str(path), "--coords", "px,py", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(l for l in fh if not l.startswith("#")))
+        assert [r[1:4] for r in rows[2:]] == [["0", "0.0", "1.0"], ["1", "2.0", "3.0"], ["2", "4.0", "5.0"]]
 
     def test_one_complete_row_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

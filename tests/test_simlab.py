@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from snvc import simlab, spatial
-from snvc.errors import ConfigInvalid, DimensionMismatch, NumericalBreakdown
+from snvc.errors import ConfigInvalid, DimensionMismatch, EmptySpatialBasis, NumericalBreakdown
+from snvc.gwr import select_bandwidth
 from snvc.simlab import (
     ScenarioConfig,
     coef_correlations,
@@ -13,7 +14,7 @@ from snvc.simlab import (
     gen_covariate,
     gen_instance,
     gen_toy,
-    predict_toy_estimator,
+    predict_estimator,
     rmse,
     rng_for,
     row_standardized_proximity,
@@ -195,8 +196,8 @@ class TestCoefCorrelations:
         # negative correlation, the spline fit stays near the true value.
         inst = gen_toy(5, grid=(20, 20))
         basis = moran_basis(inst.sites, max_components=200)
-        svc = predict_toy_estimator("SVC_M", inst, spatial=basis)
-        nvc = predict_toy_estimator("NVC_M", inst)
+        svc = predict_estimator("SVC_M", inst, spatial=basis)[0]
+        nvc = predict_estimator("NVC_M", inst)[0]
         cc_svc = coef_correlations([svc]).mean[0, 1]
         cc_nvc = coef_correlations([nvc]).mean[0, 1]
         true_cc = float(np.corrcoef(inst.true_betas[:, 0], inst.true_betas[:, 1])[0, 1])
@@ -225,7 +226,66 @@ class TestScenarioConfig:
             ScenarioConfig(site_layout="grid_40x40", n_sites=100).validate()
 
 
+class TestPredictEstimator:
+    @pytest.mark.parametrize("kernel", ["exponential_fixed", "exponential_adaptive"])
+    def test_gwr_on_the_scenario_design_equals_the_added_intercept(self, kernel):
+        # The scenario's X holds its ones column, so fitting X as it stands
+        # is the same design as adding an intercept to the covariates.
+        inst = gen_instance(ScenarioConfig(n_sites=60, seed=13), 0)
+        a = select_bandwidth(inst.sites, inst.X, inst.y, kernel, include_intercept=False)
+        b = select_bandwidth(inst.sites, inst.X[:, 1:], inst.y, kernel, include_intercept=True)
+        np.testing.assert_array_equal(a.local_coefs, b.local_coefs)
+        assert a.aicc == b.aicc
+
+    def test_svc_needs_a_basis_and_nvc_and_lm_do_not(self):
+        inst = gen_toy(5, grid=(12, 12))
+        with pytest.raises(EmptySpatialBasis):
+            predict_estimator("SVC_M", inst)
+        for est in ("NVC_M", "LM"):
+            field, _ = predict_estimator(est, inst)
+            assert field.shape == (144, 2) and np.all(np.isfinite(field))
+
+    def test_nvc_terms_go_on_the_non_constant_columns(self, monkeypatch):
+        specs = []
+
+        def fit_snvc(X, y, spec, spatial):
+            specs.append(spec)
+            raise NumericalBreakdown("spec recorded")
+
+        monkeypatch.setattr(simlab, "fit_snvc", fit_snvc)
+        inst = gen_instance(ScenarioConfig(n_sites=40, seed=5), 0)
+        for est in ("SVC_M", "NVC_M", "SNVC_M"):
+            with pytest.raises(NumericalBreakdown):
+                predict_estimator(est, inst, spatial=None, n_basis=7, spline_family="thin_plate_1d")
+        assert [s.covariate_names for s in specs] == [("x1", "x2", "x3")] * 3
+        assert [s.has_svc for s in specs] == [(True,) * 3, (False,) * 3, (True,) * 3]
+        assert [s.has_nvc for s in specs] == [(False,) * 3, (False, True, True), (False, True, True)]
+        assert all(s.n_basis_nvc == (7,) * 3 and s.spline_family == "thin_plate_1d" for s in specs)
+
+    def test_unknown_estimator_is_a_config_error(self):
+        with pytest.raises(ConfigInvalid, match="XXX"):
+            predict_estimator("XXX", gen_toy(5, grid=(6, 6)))
+
+
 class TestRunScenario:
+    @pytest.mark.parametrize("layout, n_sites, n_calls", [("grid_40x40", 1600, 1), ("gaussian_random", 50, 3)])
+    def test_basis_is_built_once_on_the_grid_and_per_iteration_elsewhere(self, monkeypatch, layout, n_sites, n_calls):
+        calls = []
+
+        def moran_basis(sites, max_components=None):
+            calls.append(sites.n_sites)
+            return object()  # never read: every fit fails first
+
+        def fit_snvc(X, y, spec, spatial):
+            raise NumericalBreakdown("no fit needed")
+
+        monkeypatch.setattr(simlab, "moran_basis", moran_basis)
+        monkeypatch.setattr(simlab, "fit_snvc", fit_snvc)
+        cfg = ScenarioConfig(n_sites=n_sites, site_layout=layout, n_iters=3, seed=5, estimators=("SVC_M",))
+        rep = run_scenario(cfg)
+        assert calls == [n_sites] * n_calls
+        assert rep.failures == {"SVC_M": 3} and rep.n_success == {"SVC_M": 0}
+
     def test_single_iteration_lm(self):
         cfg = ScenarioConfig(n_sites=50, n_iters=1, seed=7, estimators=("LM",))
         rep = run_scenario(cfg)
