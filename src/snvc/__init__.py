@@ -34,7 +34,6 @@ from .simlab import (
     run_scenario,
 )
 from .spatial import (
-    ProximityMatrix,
     SiteSet,
     SpatialBasis,
     build_proximity,
@@ -56,7 +55,6 @@ __all__ = [
     "GwrFit",
     "ModelSpec",
     "NvcBasis",
-    "ProximityMatrix",
     "ScenarioConfig",
     "ScenarioReport",
     "SiteSet",

@@ -88,7 +88,8 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
     is reported on the table); unparseable tokens, non-UTF-8 bytes included,
     raise ParseError with the file line and column, and a record the csv
     module rejects (a field over its size limit, say) a ParseError at that
-    line.  Blank and ``#`` lines are ignored, and so is a UTF-8 byte-order mark.
+    line.  Blank, whitespace-only and ``#`` lines are ignored, and so is a UTF-8
+    byte-order mark.
     """
     header = None
     kept: list[list[float]] = []
@@ -96,7 +97,7 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         for row in _records(reader):
-            if not row or row[0].lstrip().startswith("#"):
+            if (len(row) < 2 and not "".join(row).strip()) or row[0].lstrip().startswith("#"):
                 continue
             if header is None:
                 header = [h.strip() for h in row]

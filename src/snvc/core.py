@@ -123,11 +123,11 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Fixed-effect block X and row-scaled random-effect blocks."""
+    """Fixed-effect block X and the row-scaled random-effect columns E."""
 
     X: np.ndarray  # (N, K)
+    E: np.ndarray  # (N, P), the columns of each block at its layout range
     blocks: tuple[BlockLayout, ...]
-    block_values: tuple[np.ndarray, ...]  # aligned with blocks
 
     @property
     def n_obs(self) -> int:
@@ -139,13 +139,7 @@ class DesignMatrix:
 
     @property
     def n_random(self) -> int:
-        return self.blocks[-1].stop if self.blocks else 0
-
-    def random_effects(self) -> np.ndarray:
-        """All random-effect columns as one N x P matrix."""
-        if not self.block_values:
-            return np.empty((self.n_obs, 0))
-        return np.hstack(self.block_values)
+        return self.E.shape[1]
 
 
 @dataclass(frozen=True)
@@ -315,7 +309,8 @@ def build_design(
             values.append(block)
             offset += block.shape[1]
 
-    return DesignMatrix(X=X, blocks=tuple(blocks), block_values=tuple(values))
+    E = np.hstack(values) if values else np.empty((n, 0))
+    return DesignMatrix(X=X, E=E, blocks=tuple(blocks))
 
 
 def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
@@ -330,15 +325,13 @@ def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
         raise DimensionMismatch("y length must match the design rows")
     if n <= Z.n_fixed:
         raise ValueError("need more observations than fixed effects")
-    E = Z.random_effects()
-    XtE, EtE, Ety = Z.X.T @ E, E.T @ E, E.T @ y
-    del E  # so that the Fortran copy of E'E below does not raise the peak memory
+    X, E = Z.X, Z.E
     return Crossproducts(
-        XtX=Z.X.T @ Z.X,
-        XtE=XtE,
-        EtE=np.asfortranarray(EtE),
-        Xty=Z.X.T @ y,
-        Ety=Ety,
+        XtX=X.T @ X,
+        XtE=X.T @ E,
+        EtE=np.asfortranarray(E.T @ E),
+        Xty=X.T @ y,
+        Ety=E.T @ y,
         yty=float(y @ y),
         n_obs=n,
         blocks=Z.blocks,
@@ -1025,8 +1018,8 @@ def fit_snvc(
                 nvc_bases[k] = spline_basis(X[:, k], spec.n_basis_nvc[k], spec.spline_family)
             except (ConstantCovariate, TooFewDistinctValues) as exc:
                 raise type(exc)(f"the NVC term of {name!r}: {exc}") from exc
-    design = build_design(X, spec, spatial, nvc_bases)
-    cp = precompute_crossproducts(design, y)
+    # The design, E above all, is freed before the REML search.
+    cp = precompute_crossproducts(build_design(X, spec, spatial, nvc_bases), y)
     fit = fit_reml(cp, spec, spatial)
     field = predict_coefficients(fit, spatial, nvc_bases)
     return fit, field

@@ -54,7 +54,7 @@ def standardize(v: np.ndarray) -> np.ndarray:
 
 def row_standardized_proximity(sites: SiteSet) -> np.ndarray:
     """exp(-d_ij) with zero diagonal, each row scaled to sum 1, in one N x N buffer."""
-    c = spatial.build_proximity(sites, 1.0).values
+    c = spatial.build_proximity(sites, 1.0)
     c /= c.sum(axis=1, keepdims=True)
     return c
 

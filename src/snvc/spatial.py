@@ -70,26 +70,6 @@ class SiteSet:
 
 
 @dataclass(frozen=True)
-class ProximityMatrix:
-    """Symmetric distance-decay weights ``exp(-d_ij / r)`` with zero diagonal."""
-
-    values: np.ndarray
-    range_r: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_sites(self) -> int:
-        return self.values.shape[0]
-
-    def total_weight(self) -> float:
-        """1'C1, the grand sum of the weights."""
-        return float(self.values.sum())
-
-
-@dataclass(frozen=True)
 class SpatialBasis:
     """Positive-eigenvalue eigenpairs of M C M, eigenvalues sorted descending."""
 
@@ -120,11 +100,11 @@ def mst_range(sites: SiteSet) -> float:
     return _mst_max_edge(sites.distances())
 
 
-def build_proximity(sites: SiteSet, range_r: float) -> ProximityMatrix:
-    """Exponential proximity matrix ``exp(-d_ij / range_r)``, zero diagonal."""
+def build_proximity(sites: SiteSet, range_r: float) -> np.ndarray:
+    """Exponential proximity matrix C, ``exp(-d_ij / range_r)`` with a zero diagonal, N x N."""
     if not range_r > 0.0:
         raise NonPositiveRange(f"range must be positive, got {range_r}")
-    return ProximityMatrix(values=_proximity(sites.distances(), range_r), range_r=float(range_r))
+    return _proximity(sites.distances(), range_r)
 
 
 def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBasis:
@@ -198,6 +178,7 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
         # whose largest eigenvalue is a floating-point zero (e.g. an
         # equilateral triangle) come back empty instead of keeping noise.
         threshold = cutoff * float(np.abs(eigvals).max())
+    del c  # evr writes the eigenvectors elsewhere: free the N x N buffer before copying them
 
     # eigh returns ascending eigenvalues: the kept ones are the last m.
     m = min(int((eigvals > threshold).sum()), k)
@@ -259,7 +240,7 @@ def scale_eigenvalues(basis: SpatialBasis, alpha: float) -> np.ndarray:
     return (basis.eigvals / basis.eigvals[0]) ** alpha
 
 
-def moran_coefficient(z: np.ndarray, C: ProximityMatrix) -> float:
+def moran_coefficient(z: np.ndarray, C: np.ndarray) -> float:
     """Moran coefficient  N (z'MCMz) / ((1'C1)(z'Mz))  of a vector ``z``.
 
     Raises
@@ -268,12 +249,12 @@ def moran_coefficient(z: np.ndarray, C: ProximityMatrix) -> float:
         If z is constant (z'Mz = 0), which leaves the statistic undefined.
     """
     z = np.asarray(z, dtype=float)
-    n = C.n_sites
+    n = C.shape[0]
     if z.shape != (n,):
         raise ValueError(f"z must have length {n}")
     zc = z - z.mean()
     denom = float(zc @ zc)
     if denom <= 0.0:
         raise ConstantVector("z is constant; z'Mz = 0")
-    num = float(zc @ C.values @ zc)
-    return n * num / (C.total_weight() * denom)
+    num = float(zc @ C @ zc)
+    return n * num / (float(C.sum()) * denom)

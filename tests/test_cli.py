@@ -94,13 +94,21 @@ class TestLoadTable:
     @pytest.mark.parametrize("text", [
         "px,py,price,x1,x2\n1,2,3,4,5\n6,7,8,9,0\n\n",
         "px,py,price,x1,x2\n1,2,3,4,5\n\n6,7,8,9,0\n",
-    ], ids=["trailing", "interior"])  # fmt: skip
+        "px,py,price,x1,x2\n1,2,3,4,5\n \t\n6,7,8,9,0\n  \n",
+    ], ids=["trailing", "interior", "whitespace"])  # fmt: skip
     def test_blank_lines_are_skipped_and_not_dropped(self, tmp_path, text):
         path = tmp_path / "blank.csv"
         path.write_text(text)
         table = load_table(str(path), SCHEMA)
         np.testing.assert_array_equal(table.coords, [[1.0, 2.0], [6.0, 7.0]])
         assert table.n_dropped == 0
+
+    def test_rows_of_delimiters_only_are_dropped_and_counted(self, tmp_path):
+        path = tmp_path / "commas.csv"
+        path.write_text("px,py\n1,2\n,\n \n , \n6,7\n")
+        table = load_table(str(path), TableSchema(coord_x="px", coord_y="py", response=None))
+        np.testing.assert_array_equal(table.coords, [[1.0, 2.0], [6.0, 7.0]])
+        assert table.n_dropped == 2
 
     def test_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -215,8 +223,12 @@ class TestFitCommand:
 
     @pytest.mark.parametrize(
         "x, message",
-        [("price", "the response 'price' cannot also be a covariate"), ("x1,x1", "covariates must be distinct")],
-        ids=["response-as-covariate", "repeated-covariate"],
+        [
+            ("price", "the response 'price' cannot also be a covariate"),
+            ("x1,x1", "covariates must be distinct"),
+            (",", "--x must name at least one covariate column"),
+        ],
+        ids=["response-as-covariate", "repeated-covariate", "no-covariate"],
     )
     def test_bad_covariate_list_is_a_config_error_before_reading(
         self, spatial_csv, tmp_path, capsys, monkeypatch, x, message
@@ -284,6 +296,25 @@ class TestFitCommand:
             "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
         ])
         assert code == 3
+
+    def test_log_response_fits_the_log_of_the_response(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 60
+        coords, x1 = rng.uniform(0, 10, (n, 2)), rng.normal(size=n)
+        price = np.exp(0.5 + 0.3 * x1 + 0.2 * rng.normal(size=n))
+        estimates = []
+        for response, flags in ((price, ["--log-response"]), (np.log(price), [])):
+            path = tmp_path / "data.csv"
+            # csv writes a float as its repr, so the log column is np.log(price) exactly.
+            write_csv(path, ["px", "py", "price", "x1"], np.column_stack([coords, response, x1]).tolist())
+            out = tmp_path / "r.json"
+            code = main([
+                "fit", "--data", str(path), "--y", "price", "--x", "x1", "--coords", "px,py",
+                "--out", str(out), "--coef-out", str(tmp_path / "c.csv"),
+            ] + flags)  # fmt: skip
+            assert code == 0
+            estimates.append(json.loads(out.read_text())["estimates"])
+        assert estimates[0] == estimates[1]
 
     def test_too_few_rows_rejected(self, tmp_path):
         rows = [[i, i + 1.0, 2.0 * i, i] for i in range(5)]
@@ -397,6 +428,13 @@ class TestSimulateCommand:
         ja.pop("timing"), jb.pop("timing")
         assert ja == jb
 
+    def test_grid_layout_sets_the_40_by_40_grid(self, tmp_path):
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--layout", "grid", "--estimators", "LM", "--iters", "1", "--out", str(out)]
+        assert main(argv) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["site_layout"] == "grid_40x40" and config["n_sites"] == 1600
+
     def test_invalid_weight_rejected(self, tmp_path):
         code = main(["simulate", "--w-s", "1.5", "--out", str(tmp_path / "s.json")])
         assert code == 2
@@ -423,8 +461,9 @@ class TestSimulateCommand:
             ("--seed", "-1", "seed must be >= 0, got -1"),
             ("--tau2", "inf,1", "tau2_2 must be finite and positive, got inf"),
             ("--tau2", "1,inf", "tau2_3 must be finite and positive, got inf"),
+            ("--tau2", "1", "--tau2 expects two comma-separated values, e.g. 1,9"),
         ],
-        ids=["negative-seed", "infinite-tau2-2", "infinite-tau2-3"],
+        ids=["negative-seed", "infinite-tau2-2", "infinite-tau2-3", "single-tau2"],
     )
     def test_seed_and_tau2_out_of_range_are_config_errors(self, tmp_path, capsys, flag, value, message):
         argv = ["simulate", "--n", "40", "--iters", "1", "--estimators", "LM", flag, value]
@@ -453,8 +492,12 @@ class TestSimulateCommand:
             ({"n_basis_nvc": 2}, "n_basis_nvc must lie in [3, 50], got 2"),
             ({"spline_family": "cubic"}, "spline_family must be one of"),
             (["n_sites"], "--config must hold a JSON object"),
+            ({"n_site": 45}, "unknown config fields: ['n_site']"),
         ],
-        ids=["string-n-sites", "null-w-s", "null-estimators", "n-basis-nvc", "spline-family", "not-an-object"],
+        ids=[
+            "string-n-sites", "null-w-s", "null-estimators", "n-basis-nvc", "spline-family", "not-an-object",
+            "unknown-field",
+        ],
     )
     def test_bad_config_field_is_a_config_error(self, tmp_path, capsys, fields, message):
         cfg = tmp_path / "cfg.json"
@@ -494,7 +537,8 @@ class TestBasisCommand:
         b"px,py\n0,1\n2,3\n4,5\n\n",
         b"px,py\n0,1\n\n2,3\n4,5\n",
         b"\xef\xbb\xbfpx,py\n0,1\n2,3\n4,5\n",
-    ], ids=["trailing-blank", "interior-blank", "byte-order-mark"])  # fmt: skip
+        b"px,py\n0,1\n \n2,3\n4,5\n\t \n",
+    ], ids=["trailing-blank", "interior-blank", "byte-order-mark", "whitespace"])  # fmt: skip
     def test_blank_lines_and_byte_order_mark_are_read(self, tmp_path, data):
         path = tmp_path / "sites.csv"
         path.write_bytes(data)
@@ -525,6 +569,16 @@ def test_bytes_that_are_not_utf8_are_a_parse_error(spatial_csv, tmp_path, capsys
     assert main([command, "--data", spatial_csv, "--coords", "px,py", "--out", out] + args[command]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError" and "at row 81, column 'py'" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["fit", "basis"])
+def test_one_coordinate_name_is_a_config_error(spatial_csv, tmp_path, capsys, command):
+    args = {"fit": ["--y", "price", "--x", "x1,x2", "--coef-out", str(tmp_path / "c.csv")], "basis": []}
+    out = str(tmp_path / "out")
+    assert main([command, "--data", spatial_csv, "--coords", "px", "--out", out] + args[command]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert err["message"] == "--coords expects two comma-separated column names, e.g. px,py"
 
 
 @pytest.mark.parametrize("command", ["fit", "basis"])

@@ -67,14 +67,16 @@ class TestBuildDesign:
         X = np.ones((25, 1))
         spec = ModelSpec(("intercept",), (True,), (False,))
         design = build_design(X, spec, basis, [None])
-        np.testing.assert_array_equal(design.block_values[0], basis.eigvecs)
+        blk = design.blocks[0]
+        np.testing.assert_array_equal(design.E[:, blk.start : blk.stop], basis.eigvecs)
 
     def test_zero_covariate_gives_zero_block(self):
         _, _, basis = make_spatial_problem(25, seed=1)
         X = np.column_stack([np.ones(25), np.zeros(25)])
         spec = ModelSpec(("intercept", "z"), (False, True), (False, False))
         design = build_design(X, spec, basis, [None, None])
-        assert np.all(design.block_values[0] == 0.0)
+        blk = design.blocks[0]
+        assert np.all(design.E[:, blk.start : blk.stop] == 0.0)
 
     def test_elementwise_oracle(self):
         rng, _, basis = make_spatial_problem(8, seed=2, n_eig=3)
@@ -88,7 +90,8 @@ class TestBuildDesign:
         design = build_design(X, spec, basis, [None, nb])
         # block order: svc(a), svc(b), nvc(b)
         for bi, (k, src) in enumerate([(0, basis.eigvecs), (1, basis.eigvecs), (1, nb.values)]):
-            block = design.block_values[bi]
+            blk = design.blocks[bi]
+            block = design.E[:, blk.start : blk.stop]
             for i in range(8):
                 for j in range(block.shape[1]):
                     assert block[i, j] == X[i, k] * src[i, j]
@@ -114,8 +117,8 @@ class TestCrossproducts:
         q, _ = np.linalg.qr(rng.normal(size=(30, 5)))
         design = DesignMatrix(
             X=q[:, :2],
+            E=q[:, 2:5],
             blocks=(BlockLayout(0, "svc", 0, 3),),
-            block_values=(q[:, 2:5],),
         )
         cp = precompute_crossproducts(design, rng.normal(size=30))
         np.testing.assert_allclose(cp.XtX, np.eye(2), atol=1e-12)
@@ -128,7 +131,7 @@ class TestCrossproducts:
         design = build_design(X, spec, basis, [None, None])
         y = rng.normal(size=18)
         cp = precompute_crossproducts(design, y)
-        E = design.random_effects()
+        E = design.E
         assert np.abs(cp.XtX - X.T @ X).max() < 1e-12
         assert np.abs(cp.XtE - X.T @ E).max() < 1e-12
         assert np.abs(cp.EtE - E.T @ E).max() < 1e-12
@@ -181,7 +184,7 @@ def v_diag_for(basis, nb, theta):
 class TestRestrictedLoglik:
     def test_agrees_with_dense_oracle_on_theta_grid(self):
         spec, basis, X, nb, y, design, cp = reml_problem()
-        E = design.random_effects()
+        E = design.E
         for tau_s in (0.05, 0.7, 3.0):
             for alpha in (0.0, 1.0, 2.5):
                 for tau_n in (0.05, 0.7, 3.0):
@@ -226,7 +229,7 @@ class TestRestrictedLoglik:
 
     def test_blup_equals_augmented_least_squares(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=8)
-        E = design.random_effects()
+        E = design.E
         theta = VarianceParams(1.0, [0.8, 0.0], [1.3, 0.0], [0.0, 0.4])
         v = v_diag_for(basis, nb, theta)
         res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.3), None])
@@ -261,7 +264,7 @@ class TestRestrictedLoglik:
         cp = precompute_crossproducts(design, y)
         theta = VarianceParams(1.0, [1e12, 0.0], [0.0, 0.0], [0.0, 0.0])
         res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 0.0), None])
-        E = design.random_effects()
+        E = design.E
         v = np.zeros(E.shape[1])
         v[:] = 1e6
         fitted = X @ res.b_hat + E @ (v * res.u_hat)
@@ -858,6 +861,21 @@ def toy_cli_fit(request):
     X = np.column_stack([np.ones(inst.sites.n_sites), inst.X])
     spec = ModelSpec(("intercept", "x1", "x2"), (True,) * 3, (False, True, True))
     return fit_snvc(X, inst.y, spec, moran_basis(inst.sites, 200))[0], floor
+
+
+def test_evaluation_budget_stops_the_search_unconverged(monkeypatch):
+    # The snvc fit spec on a 20 x 20 toy grid with 50 eigenvectors converges
+    # in more than 30 evaluations; a budget of 30 stops the search short.
+    inst = gen_toy(3, grid=(20, 20))
+    X = np.column_stack([np.ones(inst.sites.n_sites), inst.X])
+    spec = ModelSpec(("intercept", "x1", "x2"), (True,) * 3, (False, True, True))
+    basis = moran_basis(inst.sites, 50)
+    full = fit_snvc(X, inst.y, spec, basis)[0]
+    assert full.converged and full.n_loglik_evals > 30
+    monkeypatch.setattr("snvc.core._MAX_EVALS_TOTAL", 30)
+    fit = fit_snvc(X, inst.y, spec, basis)[0]
+    assert fit.converged is False
+    assert 30 <= fit.n_loglik_evals <= 35
 
 
 class TestToyFits:

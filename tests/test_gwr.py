@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from snvc.errors import DegreesExhausted, SingularLocalFit
-from snvc.gwr import _weights, gwr_fit_at, select_bandwidth
+from snvc.gwr import GwrFit, _adaptive_candidates, _weights, gwr_fit_at, select_bandwidth
 from snvc.spatial import SiteSet
 
 
@@ -150,3 +152,23 @@ class TestSelectBandwidth:
         for cand in range(5, 30):
             other = gwr_fit_at(sites, X, y, "exponential_adaptive", cand)
             assert fit.aicc <= other.aicc + 1e-9
+
+    def test_adaptive_coarse_grid_then_refinement(self):
+        # 295 neighbor counts are more than are scanned one by one: an even
+        # grid of 256 is, then every count within 8 of its winner.
+        sites, X, y = make_problem(n=300, seed=0, local=False)
+        grid = _adaptive_candidates(5, 299)
+        assert len(grid) == 256 and grid[0] == 5 and grid[-1] == 299
+        assert np.all(np.diff(grid) > 0)
+        fit = select_bandwidth(sites, X, y, "exponential_adaptive")
+
+        def aicc(m):
+            return gwr_fit_at(sites, X, y, "exponential_adaptive", m).aicc
+
+        on_grid = {m: aicc(m) for m in grid}
+        m0 = min(on_grid, key=on_grid.get)
+        near = {m: aicc(m) for m in range(max(5, m0 - 8), min(299, m0 + 8) + 1)}
+        assert fit.aicc <= min(on_grid.values()) and fit.aicc <= min(near.values())
+        fresh = gwr_fit_at(sites, X, y, "exponential_adaptive", fit.bandwidth)
+        for f in dataclasses.fields(GwrFit):
+            np.testing.assert_array_equal(getattr(fit, f.name), getattr(fresh, f.name))

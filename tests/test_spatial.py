@@ -101,12 +101,12 @@ class TestMstRange:
 class TestBuildProximity:
     def test_two_points_at_range_distance(self):
         c = build_proximity(SiteSet([[0, 0], [5, 0]]), range_r=5.0)
-        assert c.values[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
-        assert c.values[0, 0] == 0.0 and c.values[1, 1] == 0.0
+        assert c[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+        assert c[0, 0] == 0.0 and c[1, 1] == 0.0
 
     def test_duplicate_coordinates_give_weight_one(self):
         c = build_proximity(SiteSet([[1, 1], [1, 1], [0, 0]]), range_r=2.0)
-        assert c.values[0, 1] == 1.0
+        assert c[0, 1] == 1.0
 
     def test_matches_bruteforce_distance_oracle(self):
         sites = random_sites(10, seed=4)
@@ -115,13 +115,13 @@ class TestBuildProximity:
         for i in range(10):
             for j in range(10):
                 if i == j:
-                    assert c.values[i, j] == 0.0
+                    assert c[i, j] == 0.0
                 else:
                     d = np.sqrt(
                         (sites.coords[i, 0] - sites.coords[j, 0]) ** 2
                         + (sites.coords[i, 1] - sites.coords[j, 1]) ** 2
                     )
-                    assert abs(c.values[i, j] - np.exp(-d / r)) < 1e-14
+                    assert abs(c[i, j] - np.exp(-d / r)) < 1e-14
 
     def test_nonpositive_range(self):
         with pytest.raises(NonPositiveRange):
@@ -132,7 +132,7 @@ class TestBuildProximity:
         r = mst_range(sites)
         ref = np.exp(-sites.distances() / r)
         np.fill_diagonal(ref, 0.0)
-        assert np.array_equal(build_proximity(sites, r).values, ref)
+        assert np.array_equal(build_proximity(sites, r), ref)
 
 
 def dense_mcm(c_values):
@@ -156,7 +156,7 @@ class TestMoranEigenBasis:
         basis = moran_basis(sites)
         assert basis.n_components == 1
         # independent dense eigen oracle on the explicitly formed M C M
-        w = np.linalg.eigvalsh(dense_mcm(build_proximity(sites, basis.range_r).values))
+        w = np.linalg.eigvalsh(dense_mcm(build_proximity(sites, basis.range_r)))
         assert abs(basis.eigvals[0] - w[-1]) < 1e-10
 
     def test_eigvals_sorted_descending_and_positive(self):
@@ -247,7 +247,7 @@ class TestCappedBasis:
         # lambda_21 is at most cutoff * B, B = N max_i mean_j c_ij, a looser
         # bound on max|lambda|: the -1 floor decides it from one subset solve.
         sites = random_sites(200, seed=1)
-        c = build_proximity(sites, mst_range(sites)).values
+        c = build_proximity(sites, mst_range(sites))
         spectrum, e = np.linalg.eigh(dense_mcm(c))
         lam, e = spectrum[::-1], e[:, ::-1]
         cutoff = (lam[20] + lam[21]) / (2 * lam[0])
@@ -290,7 +290,7 @@ def composed_basis(sites, max_components=None):
     mst_range, build_proximity, M C M out of place, the eigensolver
     moran_basis picks, and the kept set taken from the whole spectrum.
     """
-    c = build_proximity(sites, mst_range(sites)).values
+    c = build_proximity(sites, mst_range(sites))
     row_means = c.mean(axis=1)
     mcm = (c - row_means[:, None]) - row_means[None, :] + c.mean()
     n = sites.n_sites
@@ -501,7 +501,7 @@ class TestMoranCoefficient:
         sites = random_sites(30, seed=9)
         basis = moran_basis(sites)
         c = build_proximity(sites, basis.range_r)
-        total = c.total_weight()
+        total = float(c.sum())
         n = sites.n_sites
         for l in range(basis.n_components):
             mc = moran_coefficient(basis.eigvecs[:, l], c)
@@ -524,12 +524,12 @@ class TestSpectralInvariants:
         basis = moran_basis(sites)
         c = build_proximity(sites, basis.range_r)
 
-        mcm = dense_mcm(c.values)
+        mcm = dense_mcm(c)
         w, v = np.linalg.eigh(mcm)
         tol = 1e-12 * np.abs(w).max()
         neg = w < -tol
         m = np.eye(n) - np.ones((n, n)) / n
-        lhs = m @ (c.values + np.eye(n)) @ m
+        lhs = m @ (c + np.eye(n)) @ m
         rhs = (
             basis.eigvecs @ np.diag(basis.eigvals) @ basis.eigvecs.T
             + v[:, neg] @ np.diag(w[neg]) @ v[:, neg].T
@@ -562,7 +562,7 @@ class TestSpectralInvariants:
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0, 10, (n, 2))
         sites = SiteSet(np.vstack([coords, coords[rng.integers(0, n, n_duplicates)]]))
-        mcm = dense_mcm(build_proximity(sites, mst_range(sites)).values)
+        mcm = dense_mcm(build_proximity(sites, mst_range(sites)))
         w = np.linalg.eigvalsh(mcm)
         eps = 1e-12 * sites.n_sites
         assert w[0] >= -1.0 - eps
@@ -578,8 +578,8 @@ class TestSpectralInvariants:
     def test_trace_balance(self):
         sites = random_sites(35, seed=5)
         c = build_proximity(sites, mst_range(sites))
-        w = np.linalg.eigvalsh(dense_mcm(c.values))
-        assert abs(w.sum() + c.total_weight() / c.n_sites) < 1e-10
+        w = np.linalg.eigvalsh(dense_mcm(c))
+        assert abs(w.sum() + float(c.sum()) / c.shape[0]) < 1e-10
 
     def test_moran_ordering_decreasing(self):
         sites = random_sites(50, seed=11)
