@@ -87,8 +87,8 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
     Rows with a missing or non-finite designated value are dropped (the count
     is reported on the table); unparseable tokens, non-UTF-8 bytes included,
     raise ParseError with the file line and column, and a record the csv
-    module rejects (a field over its size limit, say) a ParseError at that
-    line.  Blank, whitespace-only and ``#`` lines are ignored, and so is a UTF-8
+    module rejects (a field over its size limit, say) or one of the wrong
+    length a ParseError at that line that says what is wrong.  Blank, whitespace-only and ``#`` lines are ignored, and so is a UTF-8
     byte-order mark.
     """
     header = None
@@ -107,7 +107,7 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
                 positions = {col: header.index(col) for col in schema.designated}
                 continue
             if len(row) != len(header):
-                raise ParseError(reader.line_num, "*", f"expected {len(header)} fields, got {len(row)}")
+                raise ParseError(reader.line_num, "*", None, f"expected {len(header)} fields, got {len(row)}")
             values = []
             for col, i in positions.items():
                 token = row[i].strip()
@@ -146,7 +146,7 @@ def _records(reader):
     try:
         yield from reader
     except csv.Error as exc:
-        raise ParseError(reader.line_num, "*", str(exc)) from exc
+        raise ParseError(reader.line_num, "*", None, str(exc)) from exc
 
 
 def write_table(path: str, header: list[str], rows: np.ndarray, comment: str | None = None) -> None:
@@ -266,7 +266,7 @@ def fit_command(args) -> int:
         covariate_names=tuple(names),
         has_svc=tuple(c in svc_terms for c in names),
         has_nvc=tuple(c in nvc_terms for c in names),
-        n_basis_nvc=(args.n_basis,) * len(names),
+        n_basis_nvc=args.n_basis,
         spline_family=spline,
     )
 
@@ -360,8 +360,7 @@ def simulate_command(args) -> int:
         config = simlab.ScenarioConfig(**base)
     except TypeError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    config.validate()
-
+    # run_scenario validates the config before it draws any data.
     report = simlab.run_scenario(config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report.to_payload(include_timing=True), indent=2) + "\n")

@@ -88,7 +88,7 @@ class ModelSpec:
     covariate_names: tuple[str, ...]
     has_svc: tuple[bool, ...]
     has_nvc: tuple[bool, ...]
-    n_basis_nvc: tuple[int, ...] = ()
+    n_basis_nvc: int = 10  # the spline size of every NVC term
     spline_family: str = "natural_cubic"
 
     def __post_init__(self):
@@ -97,10 +97,8 @@ class ModelSpec:
             raise ValueError("need at least one covariate")
         if len(self.has_svc) != k or len(self.has_nvc) != k:
             raise ValueError("per-covariate switch lengths must match covariate_names")
-        if not self.n_basis_nvc:
-            object.__setattr__(self, "n_basis_nvc", tuple(10 for _ in range(k)))
-        elif len(self.n_basis_nvc) != k:
-            raise ValueError("n_basis_nvc length must match covariate_names")
+        if isinstance(self.n_basis_nvc, bool) or not isinstance(self.n_basis_nvc, (int, np.integer)):
+            raise ValueError(f"n_basis_nvc must be one integer for every NVC term, got {self.n_basis_nvc!r}")
 
     @property
     def n_covariates(self) -> int:
@@ -176,7 +174,7 @@ class Crossproducts:
         return Crossproducts(
             XtX=self.XtX,
             XtE=self.XtE[:, cols],
-            EtE=np.asfortranarray(self.EtE[np.ix_(cols, cols)]),
+            EtE=self.EtE[np.ix_(cols, cols)].T,  # exactly symmetric, as E'E is
             Xty=self.Xty,
             Ety=self.Ety[cols],
             yty=self.yty,
@@ -316,8 +314,9 @@ def build_design(
 def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
     """One pass of dense products; everything downstream is N-free.
 
-    E'E is stored Fortran-ordered, the memory order of the joint system it
-    is copied into at every evaluation.
+    E'E is stored Fortran-ordered, the memory order of the joint system it is
+    copied into at every evaluation: numpy forms it with syrk, so it is exactly
+    symmetric and its transpose is already that matrix in Fortran order.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = Z.n_obs
@@ -329,7 +328,7 @@ def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
     return Crossproducts(
         XtX=X.T @ X,
         XtE=X.T @ E,
-        EtE=np.asfortranarray(E.T @ E),
+        EtE=(E.T @ E).T,
         Xty=X.T @ y,
         Ety=E.T @ y,
         yty=float(y @ y),
@@ -504,10 +503,10 @@ class RemlProblem:
     of t that belongs to ``cp.blocks[i]``, and ``bounds`` the search bounds
     of t.
 
-    Built once per fit: the rank check on X'X, the log eigenvalue ratios
-    log(lambda_l / lambda_1) and the map from t to the log scaling diagonal
-    are the same at every evaluation, and the (K+P) square system buffer is
-    reused.  With v the diagonal of V,
+    Built once per active set: the rank check on X'X, ``search_alpha``, the
+    log eigenvalue ratios ``log_eig_ratio`` = log(lambda_l / lambda_1) and the
+    map from t to the log scaling diagonal are the same at every evaluation,
+    and the (K+P) square system buffer is reused.  With v the diagonal of V,
 
         log v = C' t + offset,
 
@@ -526,8 +525,8 @@ class RemlProblem:
         _check_fixed_block(cp.XtX)
         self.cp = cp
         n_eig = spatial.n_components if spatial is not None else 0
-        if n_eig:
-            half_log_ratio = 0.5 * np.log(spatial.eigvals / spatial.eigvals[0])
+        self.log_eig_ratio = np.log(spatial.eigvals / spatial.eigvals[0]) if n_eig else np.empty(0)
+        self.search_alpha = n_eig >= _MIN_ALPHA_EIGVALS
         rows: list[np.ndarray] = []  # the rows of C
         self.slices: list[slice] = []
         self.bounds: list[tuple[float, float]] = []
@@ -537,12 +536,12 @@ class RemlProblem:
             rows.append(np.zeros(cp.n_random))
             rows[-1][cols] = 0.5
             self.bounds.append(_LOG_TAU2_BOUNDS)
-            if blk.kind == "svc" and n_eig >= _MIN_ALPHA_EIGVALS:
+            if blk.kind == "svc" and self.search_alpha:
                 rows.append(np.zeros(cp.n_random))
-                rows[-1][cols] = half_log_ratio[: blk.size]
+                rows[-1][cols] = 0.5 * self.log_eig_ratio[: blk.size]
                 self.bounds.append(ALPHA_BOUNDS)
             elif blk.kind == "svc":
-                self._offset[cols] = _FIXED_ALPHA * half_log_ratio[: blk.size]
+                self._offset[cols] = _FIXED_ALPHA * (0.5 * self.log_eig_ratio[: blk.size])
             self.slices.append(slice(first, len(rows)))
         self._C = np.array(rows).reshape(len(rows), cp.n_random)
         size = cp.n_fixed + cp.n_random
@@ -672,8 +671,8 @@ class _ActiveSet:
     """The state of one active-set search.
 
     ``values[blk]`` holds an active block's part of the searched vector: its
-    log variance ratio, then its alpha if ``search_alpha``.  Every other
-    block of ``cp`` has variance exactly 0.  ``problem`` is the
+    log variance ratio, then its alpha if ``problem.search_alpha``.  Every
+    other block of ``cp`` has variance exactly 0.  ``problem`` is the
     ``RemlProblem`` over the active blocks, rebuilt from one
     ``Crossproducts.subset`` whenever the set changes; its t is the
     concatenation of ``values`` in block order, and ``problem.slices`` cuts
@@ -685,17 +684,14 @@ class _ActiveSet:
     says that run used ``_FTOL`` and nothing has entered since.
     """
 
-    def __init__(self, cp: Crossproducts, spec: ModelSpec, spatial: SpatialBasis | None):
-        self.cp, self.spec, self.spatial = cp, spec, spatial
-        n_eig = spatial.n_components if spatial is not None else 0
-        self.search_alpha = n_eig >= _MIN_ALPHA_EIGVALS
-        self.alphas = _ALPHA_GRID if self.search_alpha else np.array([_FIXED_ALPHA])
-        self.log_eig_ratio = np.log(spatial.eigvals / spatial.eigvals[0]) if n_eig else np.empty(0)
+    def __init__(self, cp: Crossproducts, spatial: SpatialBasis | None):
+        self.cp, self.spatial = cp, spatial
         self.values: dict[BlockLayout, np.ndarray] = {}
         self.entry_alpha: dict[BlockLayout, float] = {}
         self.dropped: set[BlockLayout] = set()  # a block is dropped at most once
         self.n_evals, self.converged, self.tight, self.loglik = 0, True, True, -math.inf
         self._rebuild()
+        self.alphas = _ALPHA_GRID if self.problem.search_alpha else np.array([_FIXED_ALPHA])
 
     def _rebuild(self) -> None:
         self.active = tuple(b for b in self.cp.blocks if b in self.values)
@@ -705,7 +701,7 @@ class _ActiveSet:
         """log max_l w_l of ``blk`` at ``alpha``: its largest column variance ratio per unit ratio."""
         if blk.kind == "nvc":
             return 0.0
-        return np.maximum(0.0, alpha * self.log_eig_ratio[blk.size - 1])
+        return np.maximum(0.0, alpha * self.problem.log_eig_ratio[blk.size - 1])
 
     def point(self) -> np.ndarray:
         return np.concatenate([np.empty(0)] + [self.values[b] for b in self.active])
@@ -725,7 +721,7 @@ class _ActiveSet:
         self.loglik = point[0]
         inactive = tuple(b for b in self.cp.blocks if b not in self.values)
         scores = _boundary_scores(
-            self.cp, self.active, inactive, self.problem.scaling(t), point, self.log_eig_ratio, self.alphas
+            self.cp, self.active, inactive, self.problem.scaling(t), point, self.problem.log_eig_ratio, self.alphas
         )
         best, best_score = None, -math.inf
         for blk, s in zip(inactive, scores):
@@ -749,7 +745,7 @@ class _ActiveSet:
         and the search unconverged, if none of those does either.
         """
         alpha = self.entry_alpha.get(blk, _FIXED_ALPHA)
-        self.values[blk] = np.array([0.0, alpha] if blk.kind == "svc" and self.search_alpha else [0.0])
+        self.values[blk] = np.array([0.0, alpha] if blk.kind == "svc" and self.problem.search_alpha else [0.0])
         self._rebuild()
         best, best_loglik = None, self.loglik
         for trials in (_ENTRY_LOG_RATIOS, _ENTRY_SMALL_LOG_RATIOS):
@@ -824,13 +820,13 @@ class _ActiveSet:
         v[_columns(self.active)] = self.problem.scaling(self.point())
         return v
 
-    def theta(self) -> VarianceParams:
-        """Variance ratios (sigma2 = 1) from ``values``, exactly 0 on the inactive blocks.
+    def theta(self, sigma2: float) -> VarianceParams:
+        """``values`` as variances: each tau2 is its ratio (tau/sigma)^2 times ``sigma2``, 0 if inactive.
 
         An active SVC block whose alpha is not searched carries
         ``_FIXED_ALPHA``, an inactive one its entry alpha.
         """
-        n = self.spec.n_covariates
+        n = self.cp.n_fixed
         tau2, alpha = {"svc": np.zeros(n), "nvc": np.zeros(n)}, np.zeros(n)
         for blk in self.cp.blocks:
             k = blk.covariate
@@ -841,7 +837,7 @@ class _ActiveSet:
                     alpha[k] = rest[0] if rest else _FIXED_ALPHA
             elif blk.kind == "svc":
                 alpha[k] = self.entry_alpha[blk]
-        return VarianceParams(sigma2=1.0, tau2_s=tau2["svc"], alpha=alpha, tau2_n=tau2["nvc"])
+        return VarianceParams(sigma2=sigma2, tau2_s=tau2["svc"] * sigma2, alpha=alpha, tau2_n=tau2["nvc"] * sigma2)
 
 
 def fit_reml(
@@ -900,7 +896,7 @@ def fit_reml(
     its score, which the likelihood does not depend on.  Deterministic given
     identical inputs.
     """
-    search = _ActiveSet(cp, spec, spatial)
+    search = _ActiveSet(cp, spatial)
     best, score = search.assess()
     polished = False
     while search.n_evals < _MAX_EVALS_TOTAL:
@@ -920,16 +916,11 @@ def fit_reml(
 
     size = cp.n_fixed + cp.n_random
     loglik, sol, s2, _ = _factor_joint(cp, search.scaling(), np.empty((size, size), order="F"))
-    # Searched parameters are variance ratios relative to sigma2 = 1; rescale
-    # by the profiled sigma2 so the stored tau2 are absolute variances with
-    # identical ratios (the likelihood value is unchanged).
-    ratio = search.theta()
-    theta = VarianceParams(sigma2=s2, tau2_s=ratio.tau2_s * s2, alpha=ratio.alpha, tau2_n=ratio.tau2_n * s2)
     names = spec.covariate_names
     k = cp.n_fixed
     return FittedModel(
         spec=spec,
-        theta=theta,
+        theta=search.theta(s2),
         b_hat=sol[:k],
         u_hat=sol[k:],
         restricted_loglik=loglik,
@@ -998,26 +989,24 @@ def fit_snvc(
     y: np.ndarray,
     spec: ModelSpec,
     spatial: SpatialBasis | None,
-    nvc_bases: list[NvcBasis | None] | None = None,
 ) -> tuple[FittedModel, CoefficientField]:
-    """Design assembly, crossproducts, REML fit, and coefficient field in one call.
+    """Spline bases, design assembly, crossproducts, REML fit, and coefficient field in one call.
 
-    When ``nvc_bases`` is omitted, spline bases are built from the covariate
-    columns flagged in the spec; a column that cannot carry one raises
+    Each covariate flagged in ``spec.has_nvc`` gets the spline basis of the
+    spec's size and family; a column that cannot carry one raises
     ``spline_basis``'s error with the covariate's name in the message.  The
     coefficient field is produced even for an unconverged fit; check
     ``FittedModel.converged``.
     """
     X = np.asarray(X, dtype=float)
-    if nvc_bases is None:
-        nvc_bases = [None] * spec.n_covariates
-        for k, name in enumerate(spec.covariate_names):
-            if not spec.has_nvc[k]:
-                continue
-            try:
-                nvc_bases[k] = spline_basis(X[:, k], spec.n_basis_nvc[k], spec.spline_family)
-            except (ConstantCovariate, TooFewDistinctValues) as exc:
-                raise type(exc)(f"the NVC term of {name!r}: {exc}") from exc
+    nvc_bases = [None] * spec.n_covariates
+    for k, name in enumerate(spec.covariate_names):
+        if not spec.has_nvc[k]:
+            continue
+        try:
+            nvc_bases[k] = spline_basis(X[:, k], spec.n_basis_nvc, spec.spline_family)
+        except (ConstantCovariate, TooFewDistinctValues) as exc:
+            raise type(exc)(f"the NVC term of {name!r}: {exc}") from exc
     # The design, E above all, is freed before the REML search.
     cp = precompute_crossproducts(build_design(X, spec, spatial, nvc_bases), y)
     fit = fit_reml(cp, spec, spatial)

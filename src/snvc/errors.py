@@ -28,8 +28,11 @@ class MissingColumn(DataError):
 
 
 class ParseError(DataError):
-    def __init__(self, row, column, token):
-        super().__init__(f"cannot parse {token!r} at row {row}, column {column!r}")
+    """A cell ``token`` that is not a number, or, with ``token`` None, an unreadable record."""
+
+    def __init__(self, row, column, token, problem=None):
+        what = f"cannot parse {token!r}" if token is not None else problem
+        super().__init__(f"{what} at row {row}, column {column!r}")
         self.row = row
         self.column = column
         self.token = token

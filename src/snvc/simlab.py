@@ -170,11 +170,15 @@ class ScenarioConfig:
             raise ConfigInvalid("; ".join(problems))
 
 
+def _grid_sites(nx: int, ny: int) -> SiteSet:
+    """The integer points of [1, nx] x [1, ny], the second coordinate varying fastest."""
+    px, py = np.meshgrid(np.arange(1, nx + 1, dtype=float), np.arange(1, ny + 1, dtype=float), indexing="ij")
+    return SiteSet(np.column_stack([px.ravel(), py.ravel()]))
+
+
 def _scenario_sites(config: ScenarioConfig, iteration: int) -> SiteSet:
     if config.site_layout == "grid_40x40":
-        g = np.arange(1, 41, dtype=float)
-        px, py = np.meshgrid(g, g, indexing="ij")
-        return SiteSet(np.column_stack([px.ravel(), py.ravel()]))
+        return _grid_sites(40, 40)
     rng = rng_for(config.seed, iteration, "sites")
     return SiteSet(rng.standard_normal((config.n_sites, 2)))
 
@@ -206,11 +210,8 @@ def gen_toy(seed: int, grid: tuple[int, int] = (40, 40)) -> GeneratedInstance:
     axes with decay anchors at the center and the (1, 1) corner.
     """
     nx, ny = grid
-    gx = np.arange(1, nx + 1, dtype=float)
-    gy = np.arange(1, ny + 1, dtype=float)
-    px, py = np.meshgrid(gx, gy, indexing="ij")
-    coords = np.column_stack([px.ravel(), py.ravel()])
-    sites = SiteSet(coords)
+    sites = _grid_sites(nx, ny)
+    coords = sites.coords
 
     x1 = np.hypot(coords[:, 0] - nx / 2.0, coords[:, 1] - ny / 2.0)
     x2 = np.hypot(coords[:, 0] - 1.0, coords[:, 1] - 1.0)
@@ -223,9 +224,8 @@ def gen_toy(seed: int, grid: tuple[int, int] = (40, 40)) -> GeneratedInstance:
     return GeneratedInstance(sites=sites, X=X, true_betas=betas, y=y)
 
 
-def rmse(true_beta: np.ndarray, predicted: np.ndarray, per_site: bool = False) -> float:
-    """sqrt(mean over predictions of squared-error sums); with ``per_site``
-    the sum is additionally divided by N."""
+def rmse(true_beta: np.ndarray, predicted: np.ndarray) -> float:
+    """sqrt(mean over predictions of squared-error sums)."""
     true_beta = np.asarray(true_beta, dtype=float).ravel()
     predicted = np.atleast_2d(np.asarray(predicted, dtype=float))
     if predicted.shape[1] != true_beta.shape[0]:
@@ -233,8 +233,6 @@ def rmse(true_beta: np.ndarray, predicted: np.ndarray, per_site: bool = False) -
             f"predictions have {predicted.shape[1]} sites, truth has {true_beta.shape[0]}"
         )
     sq = ((predicted - true_beta[None, :]) ** 2).sum(axis=1)
-    if per_site:
-        sq = sq / true_beta.shape[0]
     return float(np.sqrt(sq.mean()))
 
 
@@ -317,7 +315,7 @@ def predict_estimator(
         covariate_names=tuple(f"x{j + 1}" for j in range(k)),
         has_svc=(with_svc,) * k,
         has_nvc=tuple(with_nvc and float(np.std(X[:, j])) != 0.0 for j in range(k)),
-        n_basis_nvc=(n_basis,) * k,
+        n_basis_nvc=n_basis,
         spline_family=spline_family,
     )
     fit, fld = fit_snvc(X, y, spec, spatial if with_svc else None)

@@ -84,7 +84,7 @@ def test_criterion_2_reml_oracle_equivalence():
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=4)
     assert nb.n_components == 4
     y = rng.normal(size=n)
-    spec = ModelSpec(("intercept", "x"), (True, False), (False, True), (4, 4))
+    spec = ModelSpec(("intercept", "x"), (True, False), (False, True), 4)
     design = build_design(X, spec, basis, [None, nb])
     cp = precompute_crossproducts(design, y)
     E = design.E
@@ -234,7 +234,7 @@ def _timed_evaluations(n, seed, n_evals=200):
     basis = SpatialBasis(q[:, :50], np.linspace(3.0, 0.3, 50), 1.0)
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=10)
-    spec = ModelSpec(("intercept", "x"), (True, False), (False, True), (10, 10))
+    spec = ModelSpec(("intercept", "x"), (True, False), (False, True), 10)
     design = build_design(X, spec, basis, [None, nb])
     cp = precompute_crossproducts(design, rng.normal(size=n))
 

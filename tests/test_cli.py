@@ -64,6 +64,22 @@ class TestLoadTable:
         assert err.value.column == "x1"
         assert err.value.token == "abc"
 
+    @pytest.mark.parametrize(
+        "text, message, token",
+        [
+            ("px,py\n0,1\n2,3\n4\n", "expected 2 fields, got 1 at row 4, column '*'", None),
+            ("px,py\n0,abc\n", "cannot parse 'abc' at row 2, column 'py'", "abc"),
+        ],
+        ids=["field-count", "cell"],
+    )
+    def test_parse_error_says_what_is_wrong(self, tmp_path, text, message, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_table(str(path), TableSchema(coord_x="px", coord_y="py", response=None))
+        assert str(err.value) == message
+        assert err.value.token == token
+
     def test_parse_error_after_a_multiline_field_names_the_file_line(self, tmp_path):
         path = tmp_path / "multiline.csv"
         write_csv(path, ["px", "py", "price", "x1", "x2", "note"], [

@@ -61,6 +61,17 @@ def synthetic_basis(n, n_eig, seed):
     )
 
 
+class TestModelSpec:
+    def test_one_spline_size_serves_every_nvc_term(self):
+        spec = ModelSpec(("intercept", "x"), (True, True), (False, True))
+        assert spec.n_basis_nvc == 10
+
+    @pytest.mark.parametrize("size", [(6, 6), 6.0, True], ids=["tuple", "float", "bool"])
+    def test_spline_size_other_than_one_integer_is_rejected(self, size):
+        with pytest.raises(ValueError, match="n_basis_nvc"):
+            ModelSpec(("intercept", "x"), (True, True), (False, True), size)
+
+
 class TestBuildDesign:
     def test_intercept_svc_block_is_the_basis_itself(self):
         _, _, basis = make_spatial_problem(25, seed=0)
@@ -86,7 +97,7 @@ class TestBuildDesign:
         from snvc.splines import NvcBasis
 
         nb = NvcBasis(values=nvc, knots=np.arange(5.0), family="natural_cubic", source_range=(0, 5))
-        spec = ModelSpec(("a", "b"), (True, True), (False, True), (4, 4))
+        spec = ModelSpec(("a", "b"), (True, True), (False, True), 4)
         design = build_design(X, spec, basis, [None, nb])
         # block order: svc(a), svc(b), nvc(b)
         for bi, (k, src) in enumerate([(0, basis.eigvecs), (1, basis.eigvecs), (1, nb.values)]):
@@ -139,6 +150,22 @@ class TestCrossproducts:
         assert np.abs(cp.Ety - E.T @ y).max() < 1e-12
         assert abs(cp.yty - y @ y) < 1e-12
 
+    def test_ete_is_one_fortran_ordered_symmetric_matrix(self):
+        # E'E and each subset's E'E are held once, Fortran-ordered, with the
+        # bits of E.T @ E.
+        X, y, spec, basis = five_covariate_data()
+        nbs = [spline_basis(X[:, k], spec.n_basis_nvc) if spec.has_nvc[k] else None for k in range(5)]
+        design = build_design(X, spec, basis, nbs)
+        cp = precompute_crossproducts(design, y)
+        ete = design.E.T @ design.E
+        sub_blocks = cp.blocks[1::3]
+        sub = cp.subset(sub_blocks)
+        cols = np.concatenate([np.arange(b.start, b.stop) for b in sub_blocks])
+        for got, want in ((cp.EtE, ete), (sub.EtE, ete[np.ix_(cols, cols)])):
+            assert got.flags.f_contiguous
+            np.testing.assert_array_equal(got, got.T)
+            np.testing.assert_array_equal(got, want)
+
 
 def reml_problem(n=30, seed=7, n_eig=3, n_spline=4):
     """Shared fixture: intercept + one covariate, SVC on the intercept,
@@ -149,7 +176,7 @@ def reml_problem(n=30, seed=7, n_eig=3, n_spline=4):
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     nb = spline_basis(rng.uniform(0, 5, n), n_basis=n_spline)
     y = rng.normal(size=n)
-    spec = ModelSpec(("intercept", "x"), (True, False), (False, True), (n_spline, n_spline))
+    spec = ModelSpec(("intercept", "x"), (True, False), (False, True), n_spline)
     design = build_design(X, spec, basis, [None, nb])
     cp = precompute_crossproducts(design, y)
     return spec, basis, X, nb, y, design, cp
@@ -290,7 +317,7 @@ def five_covariate_data(seed=20):
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 4))])
     y = X @ np.array([1.0, 0.5, -0.5, 1.0, 0.0]) + X[:, 1] * basis.eigvecs[:, 0]
     y += rng.normal(size=n)
-    spec = ModelSpec(("intercept", "a", "b", "c", "d"), (True,) * 5, (False,) + (True,) * 4, (6,) * 5)
+    spec = ModelSpec(("intercept", "a", "b", "c", "d"), (True,) * 5, (False,) + (True,) * 4, 6)
     return X, y, spec, basis
 
 
@@ -303,7 +330,7 @@ def reml_problem_k1():
     x = 1.0 + rng.normal(size=n)
     nb = spline_basis(x, n_basis=6)
     y = x * (1.0 + basis.eigvecs[:, 0]) + rng.normal(size=n)
-    spec = ModelSpec(("x",), (True,), (True,), (6,))
+    spec = ModelSpec(("x",), (True,), (True,), 6)
     cp = precompute_crossproducts(build_design(x[:, None], spec, basis, [nb]), y)
     return RemlProblem(cp, basis), cp, spec, basis
 
@@ -325,7 +352,7 @@ def reml_problem_large():
     basis = moran_basis(sites, max_components=100)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     y = X @ np.array([1.0, 0.5, -0.5]) + X[:, 1] * basis.eigvecs[:, 0] + rng.normal(size=n)
-    spec = ModelSpec(("intercept", "a", "b"), (True,) * 3, (False, True, True), (6,) * 3)
+    spec = ModelSpec(("intercept", "a", "b"), (True,) * 3, (False, True, True), 6)
     nbs = [None] + [spline_basis(X[:, k], 6) for k in (1, 2)]
     cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
     assert cp.n_random > 2 * _TRI_LEAF
@@ -341,7 +368,7 @@ def reml_problem_two_eigvecs():
     basis = moran_basis(sites, max_components=2)
     X = np.column_stack([np.ones(n), 1.0 + rng.normal(size=n)])
     y = X @ np.array([1.0, 0.5]) + 2.0 * basis.eigvecs[:, 0] + X[:, 1] * np.sin(X[:, 1]) + rng.normal(size=n)
-    spec = ModelSpec(("intercept", "x"), (True, True), (False, True), (6, 6))
+    spec = ModelSpec(("intercept", "x"), (True, True), (False, True), 6)
     nbs = [None, spline_basis(X[:, 1], 6)]
     cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
     return RemlProblem(cp, basis), cp, spec, basis
@@ -636,6 +663,38 @@ def scenario_fit(w_s, iteration, estimator):
     return fit_snvc(inst.X, inst.y, spec, basis)[0]
 
 
+class TestFitInvariance:
+    """A fit does not depend on the order of the sites or of the covariates."""
+
+    @staticmethod
+    def fit(inst, order, cols, estimator):
+        names, nvc = ("intercept", "x2", "x3"), estimator == "SNVC_M"
+        spec = ModelSpec(tuple(names[j] for j in cols), (True,) * 3, (False, nvc, nvc))
+        basis = moran_basis(SiteSet(inst.sites.coords[order]), 200)
+        return fit_snvc(inst.X[np.ix_(order, cols)], inst.y[order], spec, basis)
+
+    @pytest.mark.parametrize("estimator", ["SVC_M", "SNVC_M"])
+    @pytest.mark.parametrize("w_s, iteration", [(0.5, 0), (1.0, 2)])
+    @pytest.mark.parametrize("case", ["permuted-sites", "swapped-x2-x3"])
+    def test_fit_is_invariant_to_the_order_of_sites_and_covariates(self, case, w_s, iteration, estimator):
+        inst = gen_instance(ScenarioConfig(n_sites=150, seed=3, w_s=w_s), iteration)
+        identity, cols = np.arange(150), [0, 1, 2]
+        fit, fld = self.fit(inst, identity, cols, estimator)
+        if case == "permuted-sites":
+            order = np.random.default_rng(0).permutation(150)
+            other, other_fld = self.fit(inst, order, cols, estimator)
+            expected_total = fld.total[order]
+        else:
+            order, cols = identity, [0, 2, 1]
+            other, other_fld = self.fit(inst, order, cols, estimator)
+            expected_total = fld.total[:, cols]
+        assert fit.converged and other.converged
+        # Term names travel with their covariate, so the sets compare directly.
+        assert set(other.inactive_terms) == set(fit.inactive_terms)
+        assert abs(other.restricted_loglik - fit.restricted_loglik) <= 1e-9 * abs(fit.restricted_loglik)
+        assert np.abs(other_fld.total - expected_total).max() <= 1e-4 * np.abs(fld.total).max()
+
+
 class TestFitReml:
     def test_pure_noise_shrinks_spatial_variance(self):
         # On pure noise the fitted spatial surface must be near-uniform:
@@ -675,7 +734,7 @@ class TestFitReml:
             gamma_n = nb.values @ rng.standard_normal(nb.n_components)
             beta = 1.0 + gamma_s + gamma_n
             y = x * beta + rng.standard_normal(n)
-            spec = ModelSpec(("x",), (True,), (True,), (6,))
+            spec = ModelSpec(("x",), (True,), (True,), 6)
             design = build_design(X, spec, basis, [nb])
             cp = precompute_crossproducts(design, y)
             fit = fit_reml(cp, spec, basis)
@@ -715,7 +774,7 @@ class TestFitReml:
         # the ceiling would be a correct converged answer.
         _, cp, _, basis = reml_problem_k1()
         cp = cp.subset(tuple(b for b in cp.blocks if b.kind == "nvc"))
-        spec = ModelSpec(("x",), (False,), (True,), (6,))
+        spec = ModelSpec(("x",), (False,), (True,), 6)
         honest = fit_reml(cp, spec, basis)
         assert honest.converged
         zero = VarianceParams(1.0, [0.0], [1.0], [0.0])
@@ -742,7 +801,7 @@ class TestFitReml:
         # the run has stalled at a converged point.  At a gain of 1e-12 an
         # N = 1600 fit used to resume the same run until the budget ran out.
         _, cp, spec, basis = reml_problem_k1()
-        search = _ActiveSet(cp, spec, basis)
+        search = _ActiveSet(cp, basis)
         best, _ = search.assess()
         search.enter(best)
         search.optimize(_FTOL)
@@ -803,7 +862,7 @@ class TestFitReml:
         x = rng.uniform(0, 5, 120)
         X = np.column_stack([np.ones(120), x])
         y = 1.0 + basis.eigvecs[:, 0] + np.sin(x) * x + rng.normal(size=120)
-        spec = ModelSpec(("intercept", "x"), (True, True), (False, True), (6, 6))
+        spec = ModelSpec(("intercept", "x"), (True, True), (False, True), 6)
         fit, field = fit_snvc(X, y, spec, basis)
         assert fit.converged
         np.testing.assert_array_equal(field.total, field.mean[None, :] + field.svc + field.nvc)
@@ -836,7 +895,7 @@ class TestFitReml:
         # each entry ratio lies inside the search bounds and ends above the
         # likelihood before it.
         _, cp, spec, basis = reml_problem_k5()
-        search = _ActiveSet(cp, spec, basis)
+        search = _ActiveSet(cp, basis)
         best, score = search.assess()
         n_entries = 0
         while score > _SCORE_TOL * abs(search.loglik):
@@ -913,7 +972,7 @@ class TestPredictAndShares:
         # so unit-tau sds give the tau that hits a target pair of sds.
         rng, _, basis = make_spatial_problem(40, seed=17, n_eig=5)
         nb = spline_basis(rng.uniform(0, 5, 40), n_basis=4)
-        spec = ModelSpec(("x",), (True,), (True,), (4,))
+        spec = ModelSpec(("x",), (True,), (True,), 4)
         design = build_design(np.ones((40, 1)), spec, basis, [nb])
         u = rng.normal(size=design.n_random)
 
@@ -953,7 +1012,7 @@ class TestPredictAndShares:
         def at_theta(order):
             sites, X, y = SiteSet(inst.sites.coords[order]), inst.X[order], inst.y[order]
             basis = moran_basis(sites, config.max_eigvecs)
-            nbs = [spline_basis(X[:, k], spec.n_basis_nvc[k]) if spec.has_nvc[k] else None for k in range(3)]
+            nbs = [spline_basis(X[:, k], spec.n_basis_nvc) if spec.has_nvc[k] else None for k in range(3)]
             cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
             res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, a) for a in theta.alpha])
             fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.n_obs, cp.blocks)
@@ -974,7 +1033,7 @@ class TestPredictAndShares:
         cut = SpatialBasis(full.eigvecs[:, :20], full.eigvals[:20], full.range_r)
         spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False, True, True))
         theta = VarianceParams(1.0, [0.5, 1.0, 2.0], [1.0, 0.5, 2.0], [0.0, 0.3, 0.3])
-        nbs = [spline_basis(inst.X[:, k], spec.n_basis_nvc[k]) if spec.has_nvc[k] else None for k in range(3)]
+        nbs = [spline_basis(inst.X[:, k], spec.n_basis_nvc) if spec.has_nvc[k] else None for k in range(3)]
 
         def field(basis):
             cp = precompute_crossproducts(build_design(inst.X, spec, basis, nbs), inst.y)
