@@ -88,8 +88,9 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
     is reported on the table); unparseable tokens, non-UTF-8 bytes included,
     raise ParseError with the file line and column, and a record the csv
     module rejects (a field over its size limit, say) or one of the wrong
-    length a ParseError at that line that says what is wrong.  Blank, whitespace-only and ``#`` lines are ignored, and so is a UTF-8
-    byte-order mark.
+    length a ParseError at that line that says what is wrong, as does a
+    header that names a designated column twice.  Blank, whitespace-only and
+    ``#`` lines are ignored, and so is a UTF-8 byte-order mark.
     """
     header = None
     kept: list[list[float]] = []
@@ -104,6 +105,8 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
                 for col in schema.designated:
                     if col not in header:
                         raise MissingColumn(col)
+                    if header.count(col) > 1:
+                        raise ParseError(reader.line_num, col, None, "the header repeats the column")
                 positions = {col: header.index(col) for col in schema.designated}
                 continue
             if len(row) != len(header):
@@ -239,10 +242,10 @@ def fit_command(args) -> int:
     cx, cy = _parse_coords(args.coords)
     schema = TableSchema(coord_x=cx, coord_y=cy, response=args.y, covariates=tuple(covariates))
     table = load_table(args.data, schema)
-    if table.n_rows < _MIN_FIT_ROWS:
-        raise EmptyAfterFiltering(
-            f"need at least {_MIN_FIT_ROWS} complete rows to fit, got {table.n_rows}"
-        )
+    # REML needs more rows than fixed effects: the intercept and the covariates.
+    min_rows = max(_MIN_FIT_ROWS, len(covariates) + 2)
+    if table.n_rows < min_rows:
+        raise EmptyAfterFiltering(f"need at least {min_rows} complete rows to fit, got {table.n_rows}")
 
     y = table.y
     if args.log_response:
@@ -356,12 +359,8 @@ def simulate_command(args) -> int:
     if isinstance(base.get("estimators"), list):
         base["estimators"] = tuple(base["estimators"])
 
-    try:
-        config = simlab.ScenarioConfig(**base)
-    except TypeError as exc:
-        raise ConfigInvalid(str(exc)) from exc
     # run_scenario validates the config before it draws any data.
-    report = simlab.run_scenario(config)
+    report = simlab.run_scenario(simlab.ScenarioConfig(**base))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report.to_payload(include_timing=True), indent=2) + "\n")
     return 0

@@ -678,7 +678,8 @@ class _ActiveSet:
     concatenation of ``values`` in block order, and ``problem.slices`` cuts
     it back.
     ``loglik`` is the log-likelihood at ``values``; an entry or a run only
-    replaces ``values`` with a higher point.
+    replaces ``values`` with a higher point.  ``solution`` (on the active
+    layout) and ``sigma2_hat`` are those of the last ``assess``'s solve.
     ``n_evals`` counts value-and-gradient calls and factorizations.
     ``converged`` is the last L-BFGS-B run's stopping test, and ``tight``
     says that run used ``_FTOL`` and nothing has entered since.
@@ -718,7 +719,7 @@ class _ActiveSet:
         t = self.point()
         point = self.problem.solve(t)
         self.n_evals += 1
-        self.loglik = point[0]
+        self.loglik, self.solution, self.sigma2_hat, _ = point
         inactive = tuple(b for b in self.cp.blocks if b not in self.values)
         scores = _boundary_scores(
             self.cp, self.active, inactive, self.problem.scaling(t), point, self.problem.log_eig_ratio, self.alphas
@@ -741,8 +742,8 @@ class _ActiveSet:
 
         The block's largest column variance ratio is set to the best of
         ``_ENTRY_LOG_RATIOS`` that beats ``loglik``, or, if none does, of
-        ``_ENTRY_SMALL_LOG_RATIOS``.  Returns False, leaving ``blk`` inactive
-        and the search unconverged, if none of those does either.
+        ``_ENTRY_SMALL_LOG_RATIOS``.  Returns False, leaving ``blk`` inactive,
+        if none of those does either.
         """
         alpha = self.entry_alpha.get(blk, _FIXED_ALPHA)
         self.values[blk] = np.array([0.0, alpha] if blk.kind == "svc" and self.problem.search_alpha else [0.0])
@@ -765,7 +766,6 @@ class _ActiveSet:
         if best is None:
             del self.values[blk]
             self._rebuild()
-            self.converged = False
             return False
         self.values[blk][0] = best
         self.loglik, self.tight = best_loglik, False
@@ -813,12 +813,6 @@ class _ActiveSet:
                 del self.values[blk]
             self.dropped.update(gone)
             self._rebuild()
-
-    def scaling(self) -> np.ndarray:
-        """The scaling diagonal on ``cp``'s full layout, exactly 0 on the inactive blocks."""
-        v = np.zeros(self.cp.n_random)
-        v[_columns(self.active)] = self.problem.scaling(self.point())
-        return v
 
     def theta(self, sigma2: float) -> VarianceParams:
         """``values`` as variances: each tau2 is its ratio (tau/sigma)^2 times ``sigma2``, 0 if inactive.
@@ -889,9 +883,9 @@ def fit_reml(
     at such a point and call it success, nor is a search that ran out of
     budget.  ``n_loglik_evals``
     counts value-and-gradient calls (L-BFGS-B evaluations) and
-    factorizations (the entry ratios, one per score check, and the final
-    one, on the full layout with the inactive blocks at v = 0, which gives
-    the effects and the profiled variance).  ``FittedModel.inactive_terms``
+    factorizations (the entry ratios and one per score check).  The fit's
+    log-likelihood, effects and profiled variance come from the last score
+    check's factorization, on the active blocks.  ``FittedModel.inactive_terms``
     names the inactive blocks; an inactive SVC term reports the alpha of
     its score, which the likelihood does not depend on.  Deterministic given
     identical inputs.
@@ -914,17 +908,17 @@ def fit_reml(
         best, score = search.assess()
     converged = search.converged and search.tight and score <= _SCORE_TOL * abs(search.loglik)
 
-    size = cp.n_fixed + cp.n_random
-    loglik, sol, s2, _ = _factor_joint(cp, search.scaling(), np.empty((size, size), order="F"))
-    names = spec.covariate_names
     k = cp.n_fixed
+    u_hat = np.zeros(cp.n_random)
+    u_hat[_columns(search.active)] = search.solution[k:]
+    names = spec.covariate_names
     return FittedModel(
         spec=spec,
-        theta=search.theta(s2),
-        b_hat=sol[:k],
-        u_hat=sol[k:],
-        restricted_loglik=loglik,
-        n_loglik_evals=search.n_evals + 1,
+        theta=search.theta(search.sigma2_hat),
+        b_hat=search.solution[:k],
+        u_hat=u_hat,
+        restricted_loglik=search.loglik,
+        n_loglik_evals=search.n_evals,
         converged=converged,
         n_obs=cp.n_obs,
         blocks=cp.blocks,

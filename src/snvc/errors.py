@@ -28,7 +28,7 @@ class MissingColumn(DataError):
 
 
 class ParseError(DataError):
-    """A cell ``token`` that is not a number, or, with ``token`` None, an unreadable record."""
+    """A cell ``token`` that is not a number, or, with ``token`` None, an unreadable record or header."""
 
     def __init__(self, row, column, token, problem=None):
         what = f"cannot parse {token!r}" if token is not None else problem

@@ -156,6 +156,8 @@ class ScenarioConfig:
             problems.append(f"n_iters must be >= 1, got {self.n_iters}")
         if not self.estimators:
             problems.append("estimators must be nonempty")
+        if len(set(self.estimators)) != len(self.estimators):
+            problems.append(f"estimators must be distinct, got {list(self.estimators)}")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 problems.append(f"unknown estimator {est!r}; choose from {ESTIMATORS}")

@@ -40,9 +40,10 @@ class TestLoadTable:
         assert table.n_rows == 80
         assert table.n_dropped == 0
 
-    def test_na_rows_dropped_with_count(self, tmp_path):
+    @pytest.mark.parametrize("token", ["NA", "inf", "-inf"])
+    def test_na_rows_dropped_with_count(self, tmp_path, token):
         rows = [[1.0, 2.0, 3.0, 4.0, 5.0] for _ in range(99)]
-        rows.insert(42, [1.0, 2.0, "NA", 4.0, 5.0])
+        rows.insert(42, [1.0, 2.0, token, 4.0, 5.0])
         path = tmp_path / "na.csv"
         write_csv(path, ["px", "py", "price", "x1", "x2"], rows)
         table = load_table(str(path), SCHEMA)
@@ -69,8 +70,9 @@ class TestLoadTable:
         [
             ("px,py\n0,1\n2,3\n4\n", "expected 2 fields, got 1 at row 4, column '*'", None),
             ("px,py\n0,abc\n", "cannot parse 'abc' at row 2, column 'py'", "abc"),
+            ("# note\npx,py,py\n0,1,2\n", "the header repeats the column at row 2, column 'py'", None),
         ],
-        ids=["field-count", "cell"],
+        ids=["field-count", "cell", "repeated-column"],
     )
     def test_parse_error_says_what_is_wrong(self, tmp_path, text, message, token):
         path = tmp_path / "bad.csv"
@@ -90,6 +92,19 @@ class TestLoadTable:
         with pytest.raises(ParseError) as err:
             load_table(str(path), SCHEMA)
         assert (err.value.row, err.value.column, err.value.token) == (5, "x1", "abc")
+
+    def test_repeated_column_the_loader_does_not_read_is_allowed(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text("px,note,py,note\n0,a,1,b\n")
+        table = load_table(str(path), TableSchema(coord_x="px", coord_y="py", response=None))
+        np.testing.assert_array_equal(table.coords, [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "# comment only\n"], ids=["empty", "blank", "comment"])
+    def test_file_without_a_header_row(self, tmp_path, text):
+        path = tmp_path / "headless.csv"
+        path.write_text(text)
+        with pytest.raises(EmptyAfterFiltering, match="has no header row"):
+            load_table(str(path), SCHEMA)
 
     def test_empty_after_filtering(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -332,16 +347,38 @@ class TestFitCommand:
             estimates.append(json.loads(out.read_text())["estimates"])
         assert estimates[0] == estimates[1]
 
-    def test_too_few_rows_rejected(self, tmp_path):
-        rows = [[i, i + 1.0, 2.0 * i, i] for i in range(5)]
+    @pytest.mark.parametrize(
+        "n_rows, covariates, flags, message",
+        [
+            (5, ["x1"], [], "need at least 10 complete rows to fit, got 5"),
+            # 12 fixed effects need 13 rows, more than the floor of 10.
+            (10, [f"x{j}" for j in range(11)], ["--svc", "none", "--nvc", "none"],
+             "need at least 13 complete rows to fit, got 10"),
+        ],
+        ids=["below-the-floor", "no-more-rows-than-fixed-effects"],
+    )  # fmt: skip
+    def test_too_few_rows_rejected(self, tmp_path, capsys, n_rows, covariates, flags, message):
+        rows = [[i, i + 1.0, 2.0 * i] + [i + j * j for j in range(len(covariates))] for i in range(n_rows)]
         path = tmp_path / "tiny.csv"
-        write_csv(path, ["px", "py", "price", "x1"], rows)
+        write_csv(path, ["px", "py", "price"] + covariates, rows)
         code = main([
-            "fit", "--data", str(path), "--y", "price", "--x", "x1",
+            "fit", "--data", str(path), "--y", "price", "--x", ",".join(covariates),
             "--coords", "px,py", "--out", str(tmp_path / "r.json"),
             "--coef-out", str(tmp_path / "c.csv"),
-        ])
+        ] + flags)  # fmt: skip
         assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "EmptyAfterFiltering", "message": message}
+
+    @pytest.mark.parametrize("flag", ["--svc", "--nvc"])
+    def test_unknown_term_covariate_is_a_config_error(self, spatial_csv, tmp_path, capsys, flag):
+        code = main([
+            "fit", "--data", spatial_csv, "--y", "price", "--x", "x1,x2", "--coords", "px,py", flag, "nosuch",
+            "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and f"{flag} names unknown covariate 'nosuch'" in err["message"]
 
     def test_collinear_covariates_exit_four(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -509,10 +546,11 @@ class TestSimulateCommand:
             ({"spline_family": "cubic"}, "spline_family must be one of"),
             (["n_sites"], "--config must hold a JSON object"),
             ({"n_site": 45}, "unknown config fields: ['n_site']"),
+            ({"estimators": ["LM", "LM"]}, "estimators must be distinct, got ['LM', 'LM']"),
         ],
         ids=[
             "string-n-sites", "null-w-s", "null-estimators", "n-basis-nvc", "spline-family", "not-an-object",
-            "unknown-field",
+            "unknown-field", "repeated-estimator",
         ],
     )
     def test_bad_config_field_is_a_config_error(self, tmp_path, capsys, fields, message):

@@ -71,6 +71,19 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="n_basis_nvc"):
             ModelSpec(("intercept", "x"), (True, True), (False, True), size)
 
+    @pytest.mark.parametrize(
+        "names, has_svc, has_nvc, message",
+        [
+            ((), (), (), "need at least one covariate"),
+            (("intercept", "x"), (True,), (False, True), "switch lengths"),
+            (("intercept", "x"), (True, True), (False, True, True), "switch lengths"),
+        ],
+        ids=["no-covariate", "short-svc", "long-nvc"],
+    )
+    def test_switches_must_match_the_covariates(self, names, has_svc, has_nvc, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(names, has_svc, has_nvc)
+
 
 class TestBuildDesign:
     def test_intercept_svc_block_is_the_basis_itself(self):
@@ -908,6 +921,33 @@ class TestFitReml:
             search.optimize(_SCREEN_FTOL)
             best, score = search.assess()
         assert n_entries >= 3
+
+    def test_fit_ends_on_the_solve_its_search_certified(self, monkeypatch):
+        # The K = 5 fit converges with b:nvc and c:nvc inactive.  Every
+        # counted evaluation is one factorization, and the last one, of the
+        # active blocks' system at the end point, gives the fit's numbers.
+        _, cp, spec, basis = reml_problem_k5()
+        orders, results = [], []
+
+        def recorder(cp_, v, g, factor_joint=core._factor_joint):
+            orders.append(g.shape[0])  # before the call, which may break down
+            results.append(factor_joint(cp_, v, g))
+            return results[-1]
+
+        monkeypatch.setattr(core, "_factor_joint", recorder)
+        fit = fit_reml(cp, spec, basis)
+        assert fit.converged
+        assert {"b:nvc", "c:nvc"} <= set(fit.inactive_terms)
+        assert len(orders) == fit.n_loglik_evals
+        names = spec.covariate_names
+        inactive = [b for b in cp.blocks if f"{names[b.covariate]}:{b.kind}" in fit.inactive_terms]
+        assert orders[-1] == cp.n_fixed + cp.n_random - sum(b.size for b in inactive)
+        loglik, sol, sigma2_hat, _ = results[-1]
+        assert loglik == fit.restricted_loglik
+        assert fit.theta.sigma2 == sigma2_hat
+        np.testing.assert_array_equal(fit.b_hat, sol[: cp.n_fixed])
+        for blk in inactive:
+            assert np.all(fit.u_hat[blk.start : blk.stop] == 0.0)
 
 
 @pytest.fixture(scope="module", params=[(3, 185.805), (11, 294.26)], ids=["seed3", "seed11"])

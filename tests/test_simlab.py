@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,16 @@ class TestScenarioConfig:
             ScenarioConfig(estimators=("XXX",)).validate()
         with pytest.raises(ConfigInvalid, match="n_iters"):
             ScenarioConfig(n_iters=0).validate()
+        with pytest.raises(ConfigInvalid, match=re.escape("estimators must be distinct, got ['LM', 'LM']")):
+            ScenarioConfig(estimators=("LM", "LM")).validate()
+        with pytest.raises(ConfigInvalid, match="estimators must be nonempty"):
+            ScenarioConfig(estimators=()).validate()
+        with pytest.raises(ConfigInvalid, match="site_layout must be one of"):
+            ScenarioConfig(site_layout="hex").validate()
+        with pytest.raises(ConfigInvalid, match="n_sites must be >= 20, got 19"):
+            ScenarioConfig(n_sites=19).validate()
+        with pytest.raises(ConfigInvalid, match="max_eigvecs must be >= 1"):
+            ScenarioConfig(max_eigvecs=0).validate()
 
     def test_site_limit_read_at_call_time(self, monkeypatch):
         with pytest.raises(ConfigInvalid, match="n_sites must be <= 10000, got 10001"):
