@@ -30,7 +30,6 @@ from .simlab import (
     gen_coefficients,
     gen_instance,
     gen_toy,
-    rmse,
     run_scenario,
 )
 from .spatial import (
@@ -77,7 +76,6 @@ __all__ = [
     "precompute_crossproducts",
     "predict_coefficients",
     "restricted_loglik",
-    "rmse",
     "run_scenario",
     "scale_eigenvalues",
     "select_bandwidth",

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -152,15 +154,17 @@ def _records(reader):
         raise ParseError(reader.line_num, "*", None, str(exc)) from exc
 
 
-def write_table(path: str, header: list[str], rows: np.ndarray, comment: str | None = None) -> None:
-    """CSV writer using shortest round-trip float text."""
+def write_table(path: str, header: list[str], rows: Iterable, comment: str | None = None) -> None:
+    """CSV writer for any iterable of rows, a 2-D array or a generator alike:
+    text cells are written as they are, every other cell as shortest
+    round-trip float text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in np.atleast_2d(rows):
-            writer.writerow([repr(float(v)) for v in row])
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +363,7 @@ def simulate_command(args) -> int:
     if isinstance(base.get("estimators"), list):
         base["estimators"] = tuple(base["estimators"])
 
-    # run_scenario validates the config before it draws any data.
+    # The config checks itself when it is built, before any data is drawn.
     report = simlab.run_scenario(simlab.ScenarioConfig(**base))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report.to_payload(include_timing=True), indent=2) + "\n")
@@ -377,16 +381,12 @@ def basis_command(args) -> int:
     n, L = sites.n_sites, basis.n_components
     header = ["kind", "site_id", "coord_x", "coord_y"] + [f"ev_{i + 1}" for i in range(L)]
     config_echo = {"command": "basis", "data": args.data, "coords": [cx, cy], "range_r": basis.range_r}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# {json.dumps(config_echo)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerow(["eigenvalue", "", "", ""] + [repr(float(v)) for v in basis.eigvals])
-        for i in range(n):
-            writer.writerow(
-                ["site", i, repr(float(table.coords[i, 0])), repr(float(table.coords[i, 1]))]
-                + [repr(float(v)) for v in basis.eigvecs[i]]
-            )
+    # One row at a time: an N x L list of floats would not fit at N = 10,000.
+    rows = itertools.chain(
+        [["eigenvalue", "", "", "", *basis.eigvals]],
+        (["site", str(i), *table.coords[i], *basis.eigvecs[i]] for i in range(n)),
+    )
+    write_table(args.out, header, rows, comment=json.dumps(config_echo))
     return 0
 
 

@@ -248,7 +248,6 @@ class FittedModel:
 class CoefficientField:
     """Per-site coefficient decomposition: total = mean + svc + nvc exactly."""
 
-    covariate_names: tuple[str, ...]
     mean: np.ndarray  # (K,)
     svc: np.ndarray  # (N, K)
     nvc: np.ndarray  # (N, K)
@@ -966,7 +965,6 @@ def predict_coefficients(
     constant = denom == 0.0
     shares = np.where(constant, 1.0, sd_svc / np.where(constant, 1.0, denom))
     return CoefficientField(
-        covariate_names=spec.covariate_names,
         mean=mean,
         svc=svc,
         nvc=nvc,

@@ -38,17 +38,15 @@ _MAX_EXHAUSTIVE = 256
 class GwrFit:
     local_coefs: np.ndarray  # (N, K)
     bandwidth: float | int
-    kernel: str
     aicc: float
     trace_S: float
-    include_intercept: bool
     fitted: np.ndarray  # (N,)
     rss: float
 
 
-def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None = None) -> np.ndarray:
-    """Kernel weights from the distances ``d``; ``d_sorted`` holds the rows of
-    ``d`` sorted ascending and is sorted here when not given."""
+def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None) -> np.ndarray:
+    """Kernel weights from the distances ``d``; the adaptive kernel reads its
+    radii from ``d_sorted``, the rows of ``d`` sorted ascending."""
     if kernel == "exponential_fixed":
         if not bw > 0:
             raise ValueError("fixed bandwidth must be positive")
@@ -58,8 +56,6 @@ def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None = None)
         m = int(bw)
         if not 1 <= m <= d.shape[0] - 1:
             raise ValueError(f"neighbor count must lie in [1, {d.shape[0] - 1}]")
-        if d_sorted is None:
-            d_sorted = np.sort(d, axis=1)
         scale = np.maximum(d_sorted[:, m], np.finfo(float).tiny)[:, None]  # column 0 is self
     w = d / -scale  # exp(-d / scale) in one N x N buffer
     return np.exp(w, out=w)
@@ -91,7 +87,9 @@ def gwr_fit_at(
     """
     X = _design(X, sites.n_sites, include_intercept)
     y = np.asarray(y, dtype=float).ravel()
-    return _fit_at(X, y, sites.distances(), None, kernel, bw, include_intercept)
+    d = sites.distances()
+    d_sorted = np.sort(d, axis=1) if kernel == "exponential_adaptive" else None
+    return _fit_at(X, y, d, d_sorted, kernel, bw)
 
 
 def _fit_at(
@@ -101,7 +99,6 @@ def _fit_at(
     d_sorted: np.ndarray | None,
     kernel: str,
     bw,
-    include_intercept: bool,
 ) -> GwrFit:
     """``gwr_fit_at`` on a prepared design (intercept included) and geometry."""
     if kernel not in KERNELS:
@@ -129,16 +126,7 @@ def _fit_at(
     rss = float(((y - fitted) ** 2).sum())
     sigma2 = max(rss / n, 1e-300)
     aicc = n * math.log(sigma2) + n * math.log(2.0 * math.pi) + n * (n + trace_s) / (n - 2.0 - trace_s)
-    return GwrFit(
-        local_coefs=betas,
-        bandwidth=bw,
-        kernel=kernel,
-        aicc=aicc,
-        trace_S=trace_s,
-        include_intercept=include_intercept,
-        fitted=fitted,
-        rss=rss,
-    )
+    return GwrFit(local_coefs=betas, bandwidth=bw, aicc=aicc, trace_S=trace_s, fitted=fitted, rss=rss)
 
 
 def select_bandwidth(
@@ -166,7 +154,7 @@ def select_bandwidth(
 
     def try_fit(bw):
         try:
-            return _fit_at(X, y, d, d_sorted, kernel, bw, include_intercept)
+            return _fit_at(X, y, d, d_sorted, kernel, bw)
         except (SingularLocalFit, DegreesExhausted):
             return None
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import spatial
 from .core import ModelSpec, fit_snvc
-from .errors import ConfigInvalid, DimensionMismatch, SnvcError
+from .errors import ConfigInvalid, SnvcError
 from .gwr import select_bandwidth
 from .spatial import SiteSet, SpatialBasis, moran_basis
 from .splines import FAMILIES, N_BASIS_RANGE, spline_basis
@@ -119,6 +119,9 @@ class ScenarioConfig:
     max_eigvecs: int = 200
     n_basis_nvc: int = 10
     spline_family: str = "natural_cubic"
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         # Types first: the range checks below compare numbers.
@@ -224,18 +227,6 @@ def gen_toy(seed: int, grid: tuple[int, int] = (40, 40)) -> GeneratedInstance:
     noise = TOY_NOISE_SD * rng_for(seed, 0, "toy-noise").standard_normal(sites.n_sites)
     y = x1 * beta1 + x2 * beta2 + noise
     return GeneratedInstance(sites=sites, X=X, true_betas=betas, y=y)
-
-
-def rmse(true_beta: np.ndarray, predicted: np.ndarray) -> float:
-    """sqrt(mean over predictions of squared-error sums)."""
-    true_beta = np.asarray(true_beta, dtype=float).ravel()
-    predicted = np.atleast_2d(np.asarray(predicted, dtype=float))
-    if predicted.shape[1] != true_beta.shape[0]:
-        raise DimensionMismatch(
-            f"predictions have {predicted.shape[1]} sites, truth has {true_beta.shape[0]}"
-        )
-    sq = ((predicted - true_beta[None, :]) ** 2).sum(axis=1)
-    return float(np.sqrt(sq.mean()))
 
 
 @dataclass(frozen=True)
@@ -376,9 +367,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     Per-iteration estimator failures are counted and that iteration is
     dropped from the failing estimator's aggregates only.  A fit that did
     not converge still counts as a success, and also in ``n_unconverged``.
-    Deterministic given the config (timings aside).
+    Deterministic given the config (timings aside); the config checked
+    itself when it was built.
     """
-    config.validate()
     k = 3
     needs_basis = any(e in ("SVC_M", "SNVC_M") for e in config.estimators)
     runs = {e: [] for e in config.estimators}  # (truth, prediction, seconds, converged) per success

@@ -33,8 +33,6 @@ class NvcBasis:
 
     values: np.ndarray  # (N, L), column means zero, unit column sd
     knots: np.ndarray  # strictly increasing
-    family: str
-    source_range: tuple[float, float]
 
     @property
     def n_components(self) -> int:
@@ -112,10 +110,5 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
     keep = sds > _NEAR_CONSTANT_REL * x_scale
     cols = cols[:, keep] / sds[keep]
 
-    return NvcBasis(
-        values=cols,
-        knots=knots,
-        family=family,
-        source_range=(float(x.min()), float(x.max())),
-    )
+    return NvcBasis(values=cols, knots=knots)
 

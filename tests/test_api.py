@@ -27,6 +27,7 @@ def test_removed_helpers_are_gone():
         "predict_toy_estimator",
         "TOY_ESTIMATORS",
         "ProximityMatrix",
+        "rmse",
     ):
         assert name not in snvc.__all__
         assert not hasattr(snvc, name)

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,10 +36,10 @@ from snvc.core import (
     DesignMatrix,
     BlockLayout,
 )
-from snvc.errors import EmptySpatialBasis, NumericalBreakdown, SingularFixedBlock
+from snvc.errors import DimensionMismatch, EmptySpatialBasis, NumericalBreakdown, SingularFixedBlock
 from snvc.simlab import ScenarioConfig, gen_instance, gen_toy
 from snvc.spatial import SiteSet, SpatialBasis, moran_basis, scale_eigenvalues
-from snvc.splines import spline_basis
+from snvc.splines import NvcBasis, spline_basis
 
 
 def make_spatial_problem(n, seed, n_eig=None):
@@ -107,9 +108,7 @@ class TestBuildDesign:
         X = rng.normal(size=(8, 2))
         xn = rng.uniform(0, 5, 8)
         nvc = spline_basis(np.concatenate([xn, xn]), n_basis=4).values[:8]
-        from snvc.splines import NvcBasis
-
-        nb = NvcBasis(values=nvc, knots=np.arange(5.0), family="natural_cubic", source_range=(0, 5))
+        nb = NvcBasis(values=nvc, knots=np.arange(5.0))
         spec = ModelSpec(("a", "b"), (True, True), (False, True), 4)
         design = build_design(X, spec, basis, [None, nb])
         # block order: svc(a), svc(b), nvc(b)
@@ -178,6 +177,56 @@ class TestCrossproducts:
             assert got.flags.f_contiguous
             np.testing.assert_array_equal(got, got.T)
             np.testing.assert_array_equal(got, want)
+
+
+# One-covariate specs: no random effect, an SVC term, an NVC term.
+SPEC_PLAIN = ModelSpec(("x",), (False,), (False,))
+SPEC_SVC = ModelSpec(("x",), (True,), (False,))
+SPEC_NVC = ModelSpec(("x",), (False,), (True,))
+
+
+def svc_crossproducts():
+    basis = synthetic_basis(10, 3, seed=0)
+    design = build_design(np.ones((10, 1)), SPEC_SVC, basis, [None])
+    return precompute_crossproducts(design, np.arange(10.0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_design(np.ones((10, 2)), SPEC_PLAIN, None, [None]),
+         DimensionMismatch, "X must be N x K with K matching the model spec"),
+        (lambda: build_design(np.ones((10, 1)), SPEC_SVC, synthetic_basis(12, 3, seed=0), [None]),
+         DimensionMismatch, "spatial basis rows must match X rows"),
+        (lambda: build_design(np.ones((10, 1)), SPEC_PLAIN, None, []),
+         DimensionMismatch, "nvc_bases must have one entry per covariate"),
+        (lambda: build_design(np.ones((10, 1)), SPEC_NVC, None, [None]),
+         DimensionMismatch, "covariate 0 has NVC enabled but no basis"),
+        (lambda: build_design(np.ones((10, 1)), SPEC_NVC, None, [NvcBasis(np.zeros((12, 3)), np.arange(5.0))]),
+         DimensionMismatch, "NVC basis rows must match X rows"),
+        (lambda: precompute_crossproducts(build_design(np.ones((10, 1)), SPEC_PLAIN, None, [None]), np.zeros(9)),
+         DimensionMismatch, "y length must match the design rows"),
+        (lambda: precompute_crossproducts(DesignMatrix(np.eye(2), np.empty((2, 0)), ()), np.zeros(2)),
+         ValueError, "need more observations than fixed effects"),
+        (lambda: VarianceParams(0.0, [0.0], [1.0], [0.0]), ValueError, "sigma2 must be positive"),
+        (lambda: VarianceParams(1.0, [0.0], [1.0], [-1.0]), ValueError, "tau2 values must be nonnegative"),
+        (lambda: VarianceParams(1.0, [0.0], [10.5], [0.0]), ValueError, "alpha must lie in [-5.0, 10.0]"),
+        (lambda: VarianceParams(1.0, [1.0], [1.0], [0.0]).validate_against(SPEC_PLAIN),
+         ValueError, "tau2_s[0] must be 0 when has_svc is false"),
+        (lambda: VarianceParams(1.0, [0.0], [1.0], [1.0]).validate_against(SPEC_PLAIN),
+         ValueError, "tau2_n[0] must be 0 when has_nvc is false"),
+        (lambda: restricted_loglik(svc_crossproducts(), SPEC_SVC, VarianceParams(1.0, [1.0], [1.0], [0.0]), [None]),
+         ValueError, "missing eigen scaling for covariate 0"),
+    ],
+    ids=[
+        "design-X-shape", "design-spatial-rows", "design-nvc-count", "design-nvc-missing", "design-nvc-rows",
+        "crossproducts-y-length", "crossproducts-too-few-rows", "theta-sigma2", "theta-tau2", "theta-alpha",
+        "theta-svc-off", "theta-nvc-off", "loglik-scaling-missing",
+    ],
+)  # fmt: skip
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def reml_problem(n=30, seed=7, n_eig=3, n_spline=4):
@@ -975,6 +1024,78 @@ def test_evaluation_budget_stops_the_search_unconverged(monkeypatch):
     fit = fit_snvc(X, inst.y, spec, basis)[0]
     assert fit.converged is False
     assert 30 <= fit.n_loglik_evals <= 35
+
+
+class TestSearchRobustness:
+    """The search's ways out when an entry or a run goes wrong, each forced on
+    ``reml_problem_k1``, which converges with both blocks active."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        _, cp, spec, basis = reml_problem_k1()
+        return cp, spec, basis, fit_reml(cp, spec, basis)
+
+    def test_entry_trial_that_breaks_down_is_skipped(self, case, monkeypatch):
+        cp, spec, basis, honest = case
+        enter, solve = _ActiveSet.enter, RemlProblem.solve
+        trial, broken = [None], []  # trial: solves since the current entry began
+
+        def entering(self, blk):
+            trial[0] = 0
+            try:
+                return enter(self, blk)
+            finally:
+                trial[0] = None
+
+        def first_trial_breaks(self, t):
+            if trial[0] is not None:
+                trial[0] += 1
+                if trial[0] == 1:
+                    broken.append(t)
+                    raise NumericalBreakdown("forced breakdown of an entry's first trial")
+            return solve(self, t)
+
+        monkeypatch.setattr(_ActiveSet, "enter", entering)
+        monkeypatch.setattr(RemlProblem, "solve", first_trial_breaks)
+        fit = fit_reml(cp, spec, basis)
+        assert len(broken) == 2  # both blocks entered past a breakdown
+        assert fit.converged
+        assert fit.inactive_terms == ()
+        assert fit.restricted_loglik == pytest.approx(honest.restricted_loglik, rel=1e-10)
+
+    def test_entry_whose_trials_all_lower_the_likelihood_ends_unconverged(self, case, monkeypatch):
+        cp, spec, basis, _ = case
+        monkeypatch.setattr(core, "_ENTRY_LOG_RATIOS", np.log([1e12]))
+        monkeypatch.setattr(core, "_ENTRY_SMALL_LOG_RATIOS", np.log([1e13]))
+        fit = fit_reml(cp, spec, basis)
+        # One score check, then the two trials of the best block's entry.
+        assert fit.n_loglik_evals == 3
+        assert fit.converged is False
+        assert fit.inactive_terms == ("x:svc", "x:nvc")
+        assert np.all(fit.theta.tau2_s == 0.0) and np.all(fit.theta.tau2_n == 0.0)
+
+    def test_budget_spent_inside_an_entry_ends_unconverged(self, case, monkeypatch):
+        cp, spec, basis, _ = case
+        monkeypatch.setattr(core, "_MAX_EVALS_TOTAL", 3)
+        fit = fit_reml(cp, spec, basis)
+        # A score check and two entry trials spend the budget, so the run
+        # after the entry does not start; the closing score check is the 4th.
+        assert fit.n_loglik_evals == 4
+        assert fit.converged is False
+
+    def test_runs_that_only_break_down_keep_the_stored_point(self, case, monkeypatch):
+        cp, spec, basis, honest = case
+
+        def broken(self, t):
+            raise NumericalBreakdown("forced breakdown of every gradient evaluation")
+
+        monkeypatch.setattr(RemlProblem, "value_and_grad", broken)
+        fit = fit_reml(cp, spec, basis)
+        assert fit.converged is False
+        # The entries' points stand, and the reported numbers are theirs.
+        assert fit.inactive_terms == ()
+        assert math.isfinite(fit.restricted_loglik) and fit.restricted_loglik < honest.restricted_loglik
+        assert fit.restricted_loglik == pytest.approx(loglik_at(cp, spec, basis, fitted_ratios(fit)), rel=1e-12)
 
 
 class TestToyFits:

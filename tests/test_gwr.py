@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from snvc.errors import DegreesExhausted, SingularLocalFit
+from snvc import gwr
+from snvc.errors import DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
 from snvc.gwr import GwrFit, _adaptive_candidates, _weights, gwr_fit_at, select_bandwidth
 from snvc.spatial import SiteSet
 
@@ -67,7 +69,7 @@ class TestGwrFitAt:
         sites, _, _ = make_problem(seed=4)
         d = sites.distances()
         for kernel, bw in (("exponential_fixed", 1.7), ("exponential_adaptive", 5)):
-            w = _weights(d, kernel, bw)
+            w = _weights(d, kernel, bw, np.sort(d, axis=1))
             np.testing.assert_allclose(np.diag(w), 1.0, atol=1e-15)
             assert np.all(w > 0)
 
@@ -86,7 +88,6 @@ class TestGwrFitAt:
             with np.errstate(over="ignore"):  # zero radii scale by the tiny floor
                 expected = np.exp(-d / np.maximum(r, np.finfo(float).tiny)[:, None])
                 assert np.array_equal(_weights(d, "exponential_adaptive", m, d_sorted), expected)
-                assert np.array_equal(_weights(d, "exponential_adaptive", m), expected)
 
     def test_degrees_exhausted_for_tiny_bandwidth(self):
         sites, X, y = make_problem(seed=5)
@@ -97,7 +98,21 @@ class TestGwrFitAt:
         sites, X, y = make_problem(seed=6)
         fit = gwr_fit_at(sites, X, y, "exponential_fixed", 3.0, include_intercept=False)
         assert fit.local_coefs.shape == (25, 2)
-        assert fit.include_intercept is False
+
+    @pytest.mark.parametrize(
+        "kernel, bw, message",
+        [
+            ("exponential_fixed", 0.0, "fixed bandwidth must be positive"),
+            ("exponential_adaptive", 0, "neighbor count must lie in [1, 24]"),
+            ("exponential_adaptive", 25, "neighbor count must lie in [1, 24]"),
+            ("gaussian", 1.0, "kernel must be one of"),
+        ],
+        ids=["fixed-zero", "adaptive-zero", "adaptive-all", "unknown-kernel"],
+    )
+    def test_input_checks(self, kernel, bw, message):
+        sites, X, y = make_problem(seed=6)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gwr_fit_at(sites, X, y, kernel, bw)
 
 
 class TestSelectBandwidth:
@@ -105,6 +120,45 @@ class TestSelectBandwidth:
         sites, X, y = make_problem(n=6, seed=7)
         with pytest.raises(ValueError, match="N >= K"):
             select_bandwidth(sites, X, y, "exponential_fixed")
+
+    @pytest.mark.parametrize(
+        "kernel, error", [("exponential_fixed", SingularLocalFit), ("exponential_adaptive", DegreesExhausted)]
+    )
+    def test_failed_candidates_are_skipped(self, kernel, error, monkeypatch):
+        # Every candidate below twice the free optimum fails, the free
+        # optimum included: the search returns the best of the rest.
+        sites, X, y = make_problem(n=40, seed=8)
+        floor = 2 * select_bandwidth(sites, X, y, kernel).bandwidth
+        fit_at = gwr._fit_at
+
+        def failing_below(X_, y_, d, d_sorted, kernel_, bw):
+            if bw < floor:
+                raise error("forced failure")
+            return fit_at(X_, y_, d, d_sorted, kernel_, bw)
+
+        monkeypatch.setattr(gwr, "_fit_at", failing_below)
+        fit = select_bandwidth(sites, X, y, kernel)
+        monkeypatch.undo()
+        assert fit.bandwidth >= floor
+        assert fit.aicc == pytest.approx(gwr_fit_at(sites, X, y, kernel, fit.bandwidth).aicc, rel=1e-12)
+        if kernel == "exponential_adaptive":
+            feasible = range(int(floor), 40)
+        else:
+            feasible = np.linspace(fit.bandwidth, sites.distances().max(), 50)
+        assert fit.aicc <= min(gwr_fit_at(sites, X, y, kernel, bw).aicc for bw in feasible) + 1e-9
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [("exponential_fixed", "every candidate bandwidth failed"), ("exponential_adaptive", "all neighbor counts failed")],
+    )
+    def test_no_feasible_candidate_raises(self, kernel, message, monkeypatch):
+        def failing(*args):
+            raise SingularLocalFit("forced failure")
+
+        monkeypatch.setattr(gwr, "_fit_at", failing)
+        sites, X, y = make_problem(n=40, seed=8)
+        with pytest.raises(NoFeasibleBandwidth, match=message):
+            select_bandwidth(sites, X, y, kernel)
 
     def test_constant_coefficients_prefer_upper_bound(self):
         hits = 0

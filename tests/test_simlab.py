@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snvc import simlab, spatial
-from snvc.errors import ConfigInvalid, DimensionMismatch, EmptySpatialBasis, NumericalBreakdown
+from snvc.errors import ConfigInvalid, EmptySpatialBasis, NumericalBreakdown
 from snvc.gwr import select_bandwidth
 from snvc.simlab import (
     ScenarioConfig,
@@ -16,7 +16,6 @@ from snvc.simlab import (
     gen_instance,
     gen_toy,
     predict_estimator,
-    rmse,
     rng_for,
     row_standardized_proximity,
     run_scenario,
@@ -95,6 +94,10 @@ class TestGenCovariate:
         rho = float(np.corrcoef(a, b)[0, 1])
         assert abs(x.var(ddof=1) - (0.25 + 0.25 + 2 * 0.25 * rho)) < 1e-12
 
+    def test_standardize_rejects_a_constant_vector(self):
+        with pytest.raises(ValueError, match="cannot standardize a constant vector"):
+            simlab.standardize(np.full(5, 2.0))
+
 
 class TestGenCoefficients:
     def setup_method(self):
@@ -140,31 +143,6 @@ class TestGenToy:
     def test_reproducible(self):
         a, b = gen_toy(9), gen_toy(9)
         np.testing.assert_array_equal(a.y, b.y)
-
-
-class TestRmse:
-    def test_perfect_prediction(self):
-        truth = np.arange(5.0)
-        assert rmse(truth, truth[None, :]) == 0.0
-
-    def test_constant_error(self):
-        truth = np.zeros(16)
-        preds = np.full((3, 16), 0.25)
-        assert rmse(truth, preds) == pytest.approx(0.25 * 4.0, abs=1e-14)
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(4)
-        truth = rng.normal(size=12)
-        preds = rng.normal(size=(5, 12))
-        total = 0.0
-        for p in range(5):
-            for i in range(12):
-                total += (truth[i] - preds[p, i]) ** 2
-        assert abs(rmse(truth, preds) - np.sqrt(total / 5)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            rmse(np.zeros(4), np.zeros((2, 5)))
 
 
 class TestCoefCorrelations:
@@ -230,6 +208,22 @@ class TestScenarioConfig:
     def test_grid_layout_requires_full_grid(self):
         with pytest.raises(ConfigInvalid, match="1600"):
             ScenarioConfig(site_layout="grid_40x40", n_sites=100).validate()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"site_layout": "grid_40x40"}, "site_layout grid_40x40 requires n_sites = 1600"),
+            ({"tau2_2": -1.0, "n_sites": 30}, "tau2_2 must be finite and positive, got -1.0"),
+            ({"site_layout": "hex", "n_sites": 30}, "site_layout must be one of"),
+        ],
+        ids=["grid-without-1600", "negative-tau2", "unknown-layout"],
+    )
+    def test_checked_when_built(self, fields, message):
+        # gen_instance must never see a config that run_scenario would reject:
+        # a grid of 1600 sites under n_sites = 150, NaN coefficients from a
+        # negative variance, or gaussian sites for an unknown layout.
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            gen_instance(ScenarioConfig(**fields), 0)
 
 
 class TestPredictEstimator:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -511,6 +512,22 @@ class TestMoranCoefficient:
         c = build_proximity(SiteSet([[0, 0], [1, 0], [2, 2]]), 1.0)
         with pytest.raises(ConstantVector):
             moran_coefficient(np.ones(3), c)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SiteSet(np.zeros(4)), "coords must be an N x 2 array"),
+        (lambda: SiteSet(np.zeros((4, 3))), "coords must be an N x 2 array"),
+        (lambda: SiteSet([[0.0, 0.0]]), "need at least 2 sites"),
+        (lambda: SiteSet([[0.0, 0.0], [np.nan, 1.0]]), "coordinates must be finite"),
+        (lambda: moran_coefficient(np.ones(2), np.eye(3)), "z must have length 3"),
+    ],
+    ids=["flat-coords", "three-columns", "one-site", "nan-coordinate", "moran-length"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestSpectralInvariants:

