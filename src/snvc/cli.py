@@ -322,11 +322,12 @@ def fit_command(args) -> int:
         fh.write(report.to_json() + "\n")
 
     header = ["site_id", "coord_x", "coord_y"]
-    cols = [np.arange(n, dtype=float), table.coords[:, 0], table.coords[:, 1]]
+    cols = [table.coords[:, 0], table.coords[:, 1]]
     for k, name in enumerate(names):
         header += [f"{name}_mean", f"{name}_svc", f"{name}_nvc", f"{name}_total"]
         cols += [np.full(n, fld.mean[k]), fld.svc[:, k], fld.nvc[:, k], fld.total[:, k]]
-    write_table(args.coef_out, header, np.column_stack(cols), comment=json.dumps(config_echo))
+    rows = ([str(i), *row] for i, row in enumerate(np.column_stack(cols)))  # site_id as integer text
+    write_table(args.coef_out, header, rows, comment=json.dumps(config_echo))
     return 0
 
 

@@ -8,10 +8,11 @@ bandwidth (or neighbor count) is chosen by minimizing the corrected AIC
     AICc = 2 N ln(sigma_hat) + N ln(2 pi) + N (N + tr(S)) / (N - 2 - tr(S)),
 
 with sigma_hat^2 = RSS / N and S the hat matrix of the local fits.  A search
-computes the distances once (and, for the adaptive kernel, sorts each row
-once, so a neighbor count's radii are one column); each candidate forms all
-N local moment matrices X' diag(w_i) X as one product of the weight matrix
-with the per-site outer products x_j x_j'.
+computes the distances (for the adaptive kernel, sorted row by row) and the
+moments x_j x_j' and x_j y_j once.  A candidate forms all N local systems
+X' diag(w_i) X b = X' diag(w_i) y as one product of its weights with those
+moments; the adaptive scan fits chunks of candidates, and one vectorized
+Cholesky factorization solves all of a chunk's site systems.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ _BW_REL_TOL = 1e-3
 # this many counts, then refine around the grid winner.
 _MAX_EXHAUSTIVE = 256
 
+# A chunk of candidates stacks about 4 K^2 + 8 K doubles per site and
+# candidate.  At most this many site systems per chunk bound that by 1 MB at
+# K = 3 (2.3 MB at K = 5), the size of one candidate's N x N weights at N = 360.
+_STACK_SITES = 2048
+
 
 @dataclass(frozen=True)
 class GwrFit:
@@ -42,6 +48,28 @@ class GwrFit:
     trace_S: float
     fitted: np.ndarray  # (N,)
     rss: float
+
+
+@dataclass(frozen=True)
+class _Problem:  # what every candidate of one search shares
+    X: np.ndarray  # (N, K), intercept included
+    y: np.ndarray  # (N,)
+    d: np.ndarray  # (N, N) distances
+    d_sorted: np.ndarray | None  # rows of d sorted ascending, adaptive kernel only
+    kernel: str
+    moments: np.ndarray  # (K (K + 1), N): row (a, b) is x_ja x_jb, row (a, K) is x_ja y_j
+
+
+def _problem(sites: SiteSet, X, y, kernel: str, include_intercept: bool) -> _Problem:
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}")
+    ones = [np.ones(sites.n_sites)] if include_intercept else []
+    X = np.column_stack(ones + [np.asarray(X, dtype=float)])  # a 1-D X is one column
+    y = np.asarray(y, dtype=float).ravel()
+    moments = (X.T[:, None] * np.column_stack([X, y]).T).reshape(-1, sites.n_sites)
+    d = sites.distances()
+    d_sorted = np.sort(d, axis=1) if kernel == "exponential_adaptive" else None
+    return _Problem(X, y, d, d_sorted, kernel, moments)
 
 
 def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None) -> np.ndarray:
@@ -57,15 +85,37 @@ def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None) -> np.
         if not 1 <= m <= d.shape[0] - 1:
             raise ValueError(f"neighbor count must lie in [1, {d.shape[0] - 1}]")
         scale = np.maximum(d_sorted[:, m], np.finfo(float).tiny)[:, None]  # column 0 is self
-    w = d / -scale  # exp(-d / scale) in one N x N buffer
+    with np.errstate(over="ignore"):  # a zero radius (coincident sites) scales by the tiny floor
+        w = d / -scale  # exp(-d / scale) in one N x N buffer
     return np.exp(w, out=w)
 
 
-def _design(X: np.ndarray, n: int, include_intercept: bool) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return np.column_stack([np.ones(n), X]) if include_intercept else X
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions (K, R, S) of the systems a[:, :, s] x = b[:, :, s] stacked on
+    the last axis, and their pivots D (K, S), by a square-root-free Cholesky
+    factorization a = L D L' in vector operations over the stack.  Only the
+    lower triangle of ``a`` is read.  A system is positive definite when its
+    pivots are positive and finite; two equal columns give a zero pivot."""
+    k = a.shape[0]
+    low = np.empty_like(a)  # L below its unit diagonal
+    low_d = np.empty_like(a)  # L D on and below the diagonal, so D on it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k):
+            col = a[j:, j].copy()
+            for q in range(j):
+                col -= low_d[j:, q] * low[j, q]
+            low_d[j:, j] = col
+            low[j + 1 :, j] = col[1:] / col[0]
+        piv = np.diagonal(low_d).T
+        x = b.copy()
+        for j in range(k):
+            for q in range(j):
+                x[j] -= low[j, q] * x[q]
+        x /= piv[:, None]
+        for j in reversed(range(k)):
+            for q in range(j + 1, k):
+                x[j] -= low[q, j] * x[q]
+    return x, piv
 
 
 def gwr_fit_at(
@@ -81,52 +131,59 @@ def gwr_fit_at(
     Raises
     ------
     SingularLocalFit
-        Some site's weighted moment matrix is rank-deficient.
+        Some site's weighted moment matrix is not positive definite.
     DegreesExhausted
         tr(S) >= N - 2, leaving AICc undefined.
     """
-    X = _design(X, sites.n_sites, include_intercept)
-    y = np.asarray(y, dtype=float).ravel()
-    d = sites.distances()
-    d_sorted = np.sort(d, axis=1) if kernel == "exponential_adaptive" else None
-    return _fit_at(X, y, d, d_sorted, kernel, bw)
+    (fit,) = _fit_candidates(_problem(sites, X, y, kernel, include_intercept), [bw])
+    if not isinstance(fit, GwrFit):
+        raise fit
+    return fit
 
 
-def _fit_at(
-    X: np.ndarray,
-    y: np.ndarray,
-    d: np.ndarray,
-    d_sorted: np.ndarray | None,
-    kernel: str,
-    bw,
-) -> GwrFit:
-    """``gwr_fit_at`` on a prepared design (intercept included) and geometry."""
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}")
-    n, k = X.shape
-    w = _weights(d, kernel, bw, d_sorted)
+def _fit_candidates(p: _Problem, bws) -> list:
+    """Each bandwidth or neighbor count's GwrFit, or the SingularLocalFit or
+    DegreesExhausted it raises.  All candidates' site systems are solved as
+    one stack; a candidate's result is the same bit for bit in any list."""
+    n, k = p.X.shape
+    g = np.empty((p.moments.shape[0], len(bws) * n))
+    for j, bw in enumerate(bws):
+        np.matmul(p.moments, _weights(p.d, p.kernel, bw, p.d_sorted).T, out=g[:, j * n : (j + 1) * n])
+    g = g.reshape(k, k + 1, -1)  # [:, :K, i] is A_i = X' diag(w_i) X, [:, K, i] is X' diag(w_i) y
+    x = np.tile(p.X.T, len(bws))
+    sol, piv = _solve_spd(g[:, :k], np.stack([g[:, k], x], axis=1))  # beta_i and A_i^{-1} x_i
+    with np.errstate(invalid="ignore", over="ignore"):
+        fitted_all = (x * sol[:, 0]).sum(axis=0)
+        # S_ii = w_ii x_i' A_i^{-1} x_i with w_ii = 1 for both kernels.
+        leverage = (x * sol[:, 1]).sum(axis=0)
+    positive = ((piv > 0) & (piv < math.inf)).all(axis=0)
 
-    # A_i = X' diag(w_i) X and c_i = X' diag(w_i) y for every site at once.
-    a = (w @ (X[:, :, None] * X[:, None, :]).reshape(n, k * k)).reshape(n, k, k)
-    c = w @ (X * y[:, None])
-    try:
-        betas = np.linalg.solve(a, c[:, :, None])[:, :, 0]
-        ainv_x = np.linalg.solve(a, X[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularLocalFit("a site's weighted moment matrix is rank-deficient") from exc
+    out = []
+    for j, bw in enumerate(bws):
+        sites = slice(j * n, (j + 1) * n)
+        trace_s = float(leverage[sites].sum())
+        if not (positive[sites].all() and math.isfinite(trace_s)):
+            out.append(SingularLocalFit("a site's weighted moment matrix is singular"))
+        elif trace_s >= n - 2:
+            out.append(DegreesExhausted(f"tr(S) = {trace_s:.2f} >= N - 2 = {n - 2}"))
+        else:
+            fitted = fitted_all[sites].copy()
+            rss = float(((p.y - fitted) ** 2).sum())
+            sigma2 = max(rss / n, 1e-300)
+            aicc = n * math.log(sigma2) + n * math.log(2.0 * math.pi) + n * (n + trace_s) / (n - 2.0 - trace_s)
+            coefs = sol[:, 0, sites].T.copy()
+            out.append(GwrFit(local_coefs=coefs, bandwidth=bw, aicc=aicc, trace_S=trace_s, fitted=fitted, rss=rss))
+    return out
 
-    fitted = np.einsum("ik,ik->i", X, betas)
-    # S_ii = w_ii x_i' A_i^{-1} x_i with w_ii = 1 for both kernels.
-    trace_s = float(np.einsum("ik,ik->i", X, ainv_x).sum())
-    if not np.isfinite(trace_s):
-        raise SingularLocalFit("hat-matrix trace is not finite")
-    if trace_s >= n - 2:
-        raise DegreesExhausted(f"tr(S) = {trace_s:.2f} >= N - 2 = {n - 2}")
 
-    rss = float(((y - fitted) ** 2).sum())
-    sigma2 = max(rss / n, 1e-300)
-    aicc = n * math.log(sigma2) + n * math.log(2.0 * math.pi) + n * (n + trace_s) / (n - 2.0 - trace_s)
-    return GwrFit(local_coefs=betas, bandwidth=bw, aicc=aicc, trace_S=trace_s, fitted=fitted, rss=rss)
+def _best_of(p: _Problem, candidates: list, best: GwrFit | None) -> GwrFit | None:
+    """The lowest-AICc fit of ``best`` and the candidates, fit by chunks; a later one wins by over 1e-12."""
+    chunk = max(1, _STACK_SITES // p.X.shape[0])
+    for start in range(0, len(candidates), chunk):
+        for fit in _fit_candidates(p, candidates[start : start + chunk]):
+            if isinstance(fit, GwrFit) and (best is None or fit.aicc < best.aicc - 1e-12):
+                best = fit
+    return best
 
 
 def select_bandwidth(
@@ -142,44 +199,26 @@ def select_bandwidth(
     Candidates whose local fits fail are skipped; if every candidate fails,
     NoFeasibleBandwidth is raised.
     """
-    n = sites.n_sites
-    X = _design(X, n, include_intercept)
-    y = np.asarray(y, dtype=float).ravel()
-    k = X.shape[1]
+    p = _problem(sites, X, y, kernel, include_intercept)
+    n, k = p.X.shape
     if n < k + 5:
         raise ValueError(f"need N >= K + 5 = {k + 5} sites, got {n}")
-    # Every candidate shares the distances and, for the adaptive kernel, their sorted rows.
-    d = sites.distances()
-    d_sorted = np.sort(d, axis=1) if kernel == "exponential_adaptive" else None
-
-    def try_fit(bw):
-        try:
-            return _fit_at(X, y, d, d_sorted, kernel, bw)
-        except (SingularLocalFit, DegreesExhausted):
-            return None
 
     if kernel == "exponential_adaptive":
         lo, hi = k + 2, n - 1
-        candidates = _adaptive_candidates(lo, hi)
-        best = None
-        for m in candidates:
-            fit = try_fit(m)
-            if fit is not None and (best is None or fit.aicc < best.aicc - 1e-12):
-                best = fit
-        if best is not None and hi - lo + 1 > len(candidates):
-            # Refine around the coarse winner.
+        grid = _adaptive_candidates(lo, hi)
+        best = _best_of(p, grid, None)
+        if best is not None and hi - lo + 1 > len(grid):
+            # Refine around the coarse winner, over the counts the grid skipped.
             m0 = int(best.bandwidth)
-            for m in range(max(lo, m0 - 8), min(hi, m0 + 8) + 1):
-                fit = try_fit(m)
-                if fit is not None and fit.aicc < best.aicc - 1e-12:
-                    best = fit
+            near = sorted(set(range(max(lo, m0 - 8), min(hi, m0 + 8) + 1)) - set(grid))
+            best = _best_of(p, near, best)
         if best is None:
             raise NoFeasibleBandwidth("all neighbor counts failed")
         return best
 
-    maxdist = float(d.max())
-    a, b = 0.01 * maxdist, maxdist
-    return _golden_section(try_fit, a, b)
+    maxdist = float(p.d.max())
+    return _golden_section(p, 0.01 * maxdist, maxdist)
 
 
 def _adaptive_candidates(lo: int, hi: int) -> list[int]:
@@ -190,12 +229,12 @@ def _adaptive_candidates(lo: int, hi: int) -> list[int]:
     return [int(m) for m in grid]
 
 
-def _golden_section(try_fit, a: float, b: float) -> GwrFit:
+def _golden_section(p: _Problem, a: float, b: float) -> GwrFit:
     """AICc golden-section over [a, b]; ties resolve toward larger bandwidths."""
 
     def score(bw):
-        fit = try_fit(bw)
-        return (math.inf if fit is None else fit.aicc), fit
+        (fit,) = _fit_candidates(p, [bw])
+        return (fit.aicc, fit) if isinstance(fit, GwrFit) else (math.inf, None)
 
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

@@ -196,6 +196,22 @@ class TestFitCommand:
         report = FitReport.from_json(text)
         assert FitReport.from_json(report.to_json()) == report
 
+    def test_site_id_is_integer_text_as_in_the_basis_csv(self, spatial_csv, tmp_path):
+        coef, basis = tmp_path / "c.csv", tmp_path / "b.csv"
+        assert main([
+            "fit", "--data", spatial_csv, "--y", "price", "--x", "x1,x2",
+            "--coords", "px,py", "--svc", "none", "--nvc", "none",
+            "--out", str(tmp_path / "r.json"), "--coef-out", str(coef),
+        ]) == 0
+        assert main(["basis", "--data", spatial_csv, "--coords", "px,py", "--out", str(basis)]) == 0
+
+        def site_ids(path):
+            with open(path) as fh:
+                rows = csv.DictReader(l for l in fh if not l.startswith("#"))
+                return [r["site_id"] for r in rows if r.get("kind", "site") == "site"]
+
+        assert site_ids(coef) == site_ids(basis) == [str(i) for i in range(80)]
+
     def test_report_layout(self):
         report = FitReport(*[(i,) for i in range(len(dataclasses.fields(FitReport)))])
         payload = json.loads(report.to_json())

@@ -1,12 +1,13 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from snvc import gwr
 from snvc.errors import DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
-from snvc.gwr import GwrFit, _adaptive_candidates, _weights, gwr_fit_at, select_bandwidth
+from snvc.gwr import GwrFit, _adaptive_candidates, _problem, _solve_spd, _weights, gwr_fit_at, select_bandwidth
 from snvc.spatial import SiteSet
 
 
@@ -89,6 +90,27 @@ class TestGwrFitAt:
                 expected = np.exp(-d / np.maximum(r, np.finfo(float).tiny)[:, None])
                 assert np.array_equal(_weights(d, "exponential_adaptive", m, d_sorted), expected)
 
+    def test_zero_adaptive_radius_raises_no_warning(self):
+        # Coincident sites make the m-th neighbor radius 0 at m = 1: the
+        # weights divide by the tiny floor, and that overflow is expected.
+        coords = np.random.default_rng(12).uniform(0, 10, (40, 2))
+        coords[[5, 17]] = coords[2]
+        coords[20] = coords[9]
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularLocalFit):  # sites 9 and 20 alone carry weight at site 9
+                gwr_fit_at(SiteSet(coords), rng.normal(size=(40, 2)), rng.normal(size=40), "exponential_adaptive", 1)
+
+    @pytest.mark.parametrize("kernel, bw", [("exponential_fixed", 2.0), ("exponential_adaptive", 10)])
+    def test_repeated_covariate_is_singular(self, kernel, bw):
+        sites, X, y = make_problem(n=40, seed=11)
+        X = np.column_stack([X, X[:, 1]])
+        with pytest.raises(SingularLocalFit):
+            gwr_fit_at(sites, X, y, kernel, bw)
+        with pytest.raises(NoFeasibleBandwidth):
+            select_bandwidth(sites, X, y, kernel)
+
     def test_degrees_exhausted_for_tiny_bandwidth(self):
         sites, X, y = make_problem(seed=5)
         with pytest.raises((DegreesExhausted, SingularLocalFit)):
@@ -115,6 +137,57 @@ class TestGwrFitAt:
             gwr_fit_at(sites, X, y, kernel, bw)
 
 
+class TestFitCandidates:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_solve_matches_linalg_solve(self, k, r):
+        rng = np.random.default_rng(10 * k + r)
+        m = rng.normal(size=(200, k, k + 2))
+        a = m @ m.transpose(0, 2, 1)  # (S, K, K), symmetric positive definite
+        b = rng.normal(size=(200, k, r))
+        # Stack on the last axis, as the search lays it out.
+        x, piv = _solve_spd(np.moveaxis(a, 0, -1).copy(), np.moveaxis(b, 0, -1).copy())
+        expected = np.linalg.solve(a, b)
+        np.testing.assert_allclose(np.moveaxis(x, -1, 0), expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        assert np.all(piv > 0)
+
+    @pytest.mark.parametrize(
+        "kernel, bws", [("exponential_fixed", [2.5, 1e-8, 0.9, 6.0]), ("exponential_adaptive", [7, 1, 30, 12])]
+    )
+    def test_a_candidate_fits_alike_alone_or_in_a_chunk(self, kernel, bws):
+        # The second candidate fails: a bandwidth of 1e-8, or one neighbor,
+        # where only site 9 and its twin 20, whose covariates are 0, weigh
+        # at site 9.  Its neighbors in the chunk must not notice.
+        sites, X, y = make_problem(n=40, seed=13)
+        coords = sites.coords.copy()
+        coords[20] = coords[9]
+        X[[9, 20]] = 0.0
+        problem = _problem(SiteSet(coords), X, y, kernel, True)
+        chunk = gwr._fit_candidates(problem, bws)
+        assert isinstance(chunk[1], SingularLocalFit | DegreesExhausted)
+        for bw, fit in zip(bws, chunk):
+            (alone,) = gwr._fit_candidates(problem, [bw])
+            assert type(alone) is type(fit)
+            if isinstance(fit, GwrFit):
+                assert fit.bandwidth == bw
+                for f in dataclasses.fields(GwrFit):
+                    np.testing.assert_array_equal(getattr(fit, f.name), getattr(alone, f.name))
+                assert fit.local_coefs.flags.owndata and fit.fitted.flags.owndata
+
+    def test_adaptive_refinement_fits_each_count_once(self, monkeypatch):
+        fitted = []
+        weights = gwr._weights
+
+        def counting(d, kernel, bw, d_sorted):
+            fitted.append(bw)
+            return weights(d, kernel, bw, d_sorted)
+
+        monkeypatch.setattr(gwr, "_weights", counting)
+        sites, X, y = make_problem(n=300, seed=0, local=False)
+        select_bandwidth(sites, X, y, "exponential_adaptive")
+        assert len(fitted) == len(set(fitted)) > 256
+
+
 class TestSelectBandwidth:
     def test_requires_enough_sites(self):
         sites, X, y = make_problem(n=6, seed=7)
@@ -129,14 +202,13 @@ class TestSelectBandwidth:
         # optimum included: the search returns the best of the rest.
         sites, X, y = make_problem(n=40, seed=8)
         floor = 2 * select_bandwidth(sites, X, y, kernel).bandwidth
-        fit_at = gwr._fit_at
+        fit_candidates = gwr._fit_candidates
 
-        def failing_below(X_, y_, d, d_sorted, kernel_, bw):
-            if bw < floor:
-                raise error("forced failure")
-            return fit_at(X_, y_, d, d_sorted, kernel_, bw)
+        def failing_below(problem, bws):
+            fits = fit_candidates(problem, bws)
+            return [error("forced failure") if bw < floor else fit for bw, fit in zip(bws, fits)]
 
-        monkeypatch.setattr(gwr, "_fit_at", failing_below)
+        monkeypatch.setattr(gwr, "_fit_candidates", failing_below)
         fit = select_bandwidth(sites, X, y, kernel)
         monkeypatch.undo()
         assert fit.bandwidth >= floor
@@ -152,10 +224,10 @@ class TestSelectBandwidth:
         [("exponential_fixed", "every candidate bandwidth failed"), ("exponential_adaptive", "all neighbor counts failed")],
     )
     def test_no_feasible_candidate_raises(self, kernel, message, monkeypatch):
-        def failing(*args):
-            raise SingularLocalFit("forced failure")
+        def failing(problem, bws):
+            return [SingularLocalFit("forced failure") for _ in bws]
 
-        monkeypatch.setattr(gwr, "_fit_at", failing)
+        monkeypatch.setattr(gwr, "_fit_candidates", failing)
         sites, X, y = make_problem(n=40, seed=8)
         with pytest.raises(NoFeasibleBandwidth, match=message):
             select_bandwidth(sites, X, y, kernel)
