@@ -161,27 +161,6 @@ class Crossproducts:
     def n_random(self) -> int:
         return self.EtE.shape[0]
 
-    def subset(self, blocks: tuple[BlockLayout, ...]) -> Crossproducts:
-        """The crossproducts of the model with only ``blocks``, laid out contiguously.
-
-        ``blocks`` are taken from ``self.blocks`` in layout order.
-        """
-        relaid, offset = [], 0
-        for blk in blocks:
-            relaid.append(BlockLayout(blk.covariate, blk.kind, offset, offset + blk.size))
-            offset += blk.size
-        cols = _columns(blocks)
-        return Crossproducts(
-            XtX=self.XtX,
-            XtE=self.XtE[:, cols],
-            EtE=self.EtE[np.ix_(cols, cols)].T,  # exactly symmetric, as E'E is
-            Xty=self.Xty,
-            Ety=self.Ety[cols],
-            yty=self.yty,
-            n_obs=self.n_obs,
-            blocks=tuple(relaid),
-        )
-
 
 def _columns(blocks: tuple[BlockLayout, ...]) -> np.ndarray:
     """Indices of the random-effect columns of ``blocks``, in order."""
@@ -313,9 +292,9 @@ def build_design(
 def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
     """One pass of dense products; everything downstream is N-free.
 
-    E'E is stored Fortran-ordered, the memory order of the joint system it is
-    copied into at every evaluation: numpy forms it with syrk, so it is exactly
-    symmetric and its transpose is already that matrix in Fortran order.
+    E'E is stored Fortran-ordered, the memory order of the joint matrix it is
+    gathered into once per active set: numpy forms it with syrk, so it is
+    exactly symmetric and its transpose is already that matrix in Fortran order.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = Z.n_obs
@@ -366,43 +345,69 @@ def _check_fixed_block(XtX: np.ndarray) -> None:
         raise SingularFixedBlock("X'X is rank-deficient")
 
 
-def _factor_joint(
-    cp: Crossproducts, v: np.ndarray, g: np.ndarray
-) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Assemble the joint system into ``g``, factor it in place and solve it.
+class _JointSystem:
+    """The joint system over the fixed effects and some random-effect blocks.
 
-    ``g`` is a Fortran-ordered (K+P) x (K+P) buffer.  V E'E V is formed in
-    place in its lower-right block as (v_i e_ij) v_j; ``precompute_crossproducts``
-    and ``subset`` store E'E Fortran-ordered too, so that pass reads it in
-    ``g``'s memory order.  Any order gives the same values.  Returns the
-    restricted log-likelihood, the solution (b, u), the profiled variance,
-    and the clean lower Cholesky factor, which shares ``g``'s memory.
+    Gathered once, on the columns of ``blocks`` in order: the Fortran-ordered
+    A = [[X'X, X'E], [E'X, E'E]] and b = [X'y; E'y].  With w = [1_K; v],
+    ``factor(v)`` assembles the system of ``restricted_loglik``,
+    G = (a_ij w_i) w_j plus 1 on the random-effect diagonal and rhs = w b,
+    in two passes over A into one buffer that is factored in place.  A
+    product with 1 is exact, so every entry has the bits of a block-by-block
+    assembly, (e_ij v_i) v_j on V E'E V.
     """
-    n, k = cp.n_obs, cp.n_fixed
-    g[:k, :k] = cp.XtX
-    g[:k, k:] = cp.XtE * v
-    g[k:, :k] = g[:k, k:].T
-    vev = g[k:, k:]
-    np.multiply(cp.EtE, v[:, None], out=vev)
-    vev *= v
-    np.einsum("ii->i", vev)[:] += 1.0  # a writeable view of the diagonal
-    rhs = np.concatenate([cp.Xty, v * cp.Ety])
 
-    factor, info = lapack.dpotrf(g, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise NumericalBreakdown("joint system factorization failed")
-    sol, _ = lapack.dpotrs(factor, rhs, lower=1)
+    def __init__(self, cp: Crossproducts, blocks: tuple[BlockLayout, ...]):
+        k, cols = cp.n_fixed, _columns(blocks)
+        size = k + cols.size
+        self.n_obs, self.n_fixed, self.yty = cp.n_obs, k, cp.yty
+        self.a = np.empty((size, size), order="F")
+        self.a[:k, :k] = cp.XtX
+        self.a[:k, k:] = cp.XtE[:, cols]
+        self.a[k:, :k] = self.a[:k, k:].T
+        # E'E is exactly symmetric, so the transpose of the gathered block
+        # is that block in the Fortran order of ``a``.
+        self.a[k:, k:] = cp.EtE[np.ix_(cols, cols)].T
+        self.b = np.concatenate([cp.Xty, cp.Ety[cols]])
+        self._w = np.ones(size)
+        self._g = np.empty_like(self.a)
+        self._diag = np.einsum("ii->i", self._g)[k:]  # a writeable view
 
-    quad = cp.yty - float(rhs @ sol)  # residual SS + ||u||^2
-    sigma2_hat = quad / (n - k)
-    if not sigma2_hat > VARIANCE_FLOOR:
-        raise NumericalBreakdown(
-            f"profiled variance {sigma2_hat:.3e} is at or below the floor {VARIANCE_FLOOR}"
-        )
+    def factor(self, v: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+        """Assemble the system at the scaling ``v``, factor it and solve it.
 
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    loglik = -0.5 * logdet - 0.5 * (n - k) * (1.0 + math.log(2.0 * math.pi * sigma2_hat))
-    return loglik, sol, sigma2_hat, factor
+        Returns the restricted log-likelihood, the solution (b, u), the
+        profiled variance, and the clean lower Cholesky factor, which shares
+        the buffer's memory until the next call.
+
+        Raises
+        ------
+        NumericalBreakdown
+            The system cannot be factorized, or the profiled variance falls
+            below the degeneracy floor.
+        """
+        n, k, g, w = self.n_obs, self.n_fixed, self._g, self._w
+        w[k:] = v
+        np.multiply(self.a, w[:, None], out=g)
+        np.multiply(g, w, out=g)
+        self._diag += 1.0
+        rhs = w * self.b
+
+        factor, info = lapack.dpotrf(g, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
+            raise NumericalBreakdown("joint system factorization failed")
+        sol, _ = lapack.dpotrs(factor, rhs, lower=1)
+
+        quad = self.yty - float(rhs @ sol)  # residual SS + ||u||^2
+        sigma2_hat = quad / (n - k)
+        if not sigma2_hat > VARIANCE_FLOOR:
+            raise NumericalBreakdown(
+                f"profiled variance {sigma2_hat:.3e} is at or below the floor {VARIANCE_FLOOR}"
+            )
+
+        logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+        loglik = -0.5 * logdet - 0.5 * (n - k) * (1.0 + math.log(2.0 * math.pi * sigma2_hat))
+        return loglik, sol, sigma2_hat, factor
 
 
 def restricted_loglik(
@@ -418,7 +423,8 @@ def restricted_loglik(
         [ X'X      X'E V     ] [b]   [ X'y  ]
         [ V E'X    V E'E V+I ] [u] = [ V E'y]
 
-    from the crossproducts alone, solves it by Cholesky, and evaluates
+    from the crossproducts alone (``_JointSystem``, the assembly every
+    evaluation of the search uses), solves it by Cholesky, and evaluates
 
         -log|system|/2 - (N-K)/2 * (1 + log(2 pi sigma2_hat)),
 
@@ -437,8 +443,7 @@ def restricted_loglik(
     theta.validate_against(spec)
     _check_fixed_block(cp.XtX)
     v = _v_diagonal(cp.blocks, theta, scalings)
-    size = cp.n_fixed + cp.n_random
-    loglik, sol, sigma2_hat, _ = _factor_joint(cp, v, np.empty((size, size), order="F"))
+    loglik, sol, sigma2_hat, _ = _JointSystem(cp, cp.blocks).factor(v)
     k = cp.n_fixed
     return LoglikResult(
         loglik=loglik,
@@ -495,17 +500,19 @@ def _lower_inverse(l: np.ndarray, norms_only: bool = False) -> np.ndarray:
 class RemlProblem:
     """The restricted log-likelihood and its gradient over the searched vector t.
 
-    t lists each block's parameters in ``cp.blocks`` order: its log variance
-    ratio (tau/sigma)^2, then, for an SVC block, its alpha if the basis has
-    at least ``_MIN_ALPHA_EIGVALS`` eigenvalues (from fewer, alpha is
-    unidentifiable and fixed at ``_FIXED_ALPHA``).  ``slices[i]`` is the part
-    of t that belongs to ``cp.blocks[i]``, and ``bounds`` the search bounds
-    of t.
+    Over the ``blocks`` of ``cp`` (all of them by default), laid out
+    contiguously in that order as ``self.blocks``.  t lists each block's
+    parameters in that order: its log variance ratio (tau/sigma)^2, then,
+    for an SVC block, its alpha if the basis has at least
+    ``_MIN_ALPHA_EIGVALS`` eigenvalues (from fewer, alpha is unidentifiable
+    and fixed at ``_FIXED_ALPHA``).  ``slices[i]`` is the part of t that
+    belongs to ``self.blocks[i]``, and ``bounds`` the search bounds of t.
 
     Built once per active set: the rank check on X'X, ``search_alpha``, the
-    log eigenvalue ratios ``log_eig_ratio`` = log(lambda_l / lambda_1) and the
-    map from t to the log scaling diagonal are the same at every evaluation,
-    and the (K+P) square system buffer is reused.  With v the diagonal of V,
+    log eigenvalue ratios ``log_eig_ratio`` = log(lambda_l / lambda_1), the
+    map from t to the log scaling diagonal and the joint matrix of the
+    blocks (``_JointSystem``, one (K+P) square matrix and its assembly
+    buffer) are the same at every evaluation.  With v the diagonal of V,
 
         log v = C' t + offset,
 
@@ -514,37 +521,49 @@ class RemlProblem:
     alpha.  ``offset`` carries ``_FIXED_ALPHA`` on the SVC blocks whose
     alpha is not searched.
 
+    The last point factored is kept: ``solve`` at the same t, bit for bit,
+    returns its result without refactoring, and ``value_and_grad`` there
+    goes straight to the gradient.  A point that breaks down is not kept.
+
     Raises
     ------
     SingularFixedBlock
         X'X is not positive definite.
     """
 
-    def __init__(self, cp: Crossproducts, spatial: SpatialBasis | None):
+    def __init__(
+        self, cp: Crossproducts, spatial: SpatialBasis | None, blocks: tuple[BlockLayout, ...] | None = None
+    ):
         _check_fixed_block(cp.XtX)
-        self.cp = cp
+        blocks = cp.blocks if blocks is None else blocks
+        self.joint = _JointSystem(cp, blocks)
         n_eig = spatial.n_components if spatial is not None else 0
         self.log_eig_ratio = np.log(spatial.eigvals / spatial.eigvals[0]) if n_eig else np.empty(0)
         self.search_alpha = n_eig >= _MIN_ALPHA_EIGVALS
+        n_random = sum(b.size for b in blocks)
         rows: list[np.ndarray] = []  # the rows of C
+        self.blocks: list[BlockLayout] = []
         self.slices: list[slice] = []
         self.bounds: list[tuple[float, float]] = []
-        self._offset = np.zeros(cp.n_random)
-        for blk in cp.blocks:
-            cols, first = slice(blk.start, blk.stop), len(rows)
-            rows.append(np.zeros(cp.n_random))
+        self._offset = np.zeros(n_random)
+        start = 0
+        for blk in blocks:
+            self.blocks.append(BlockLayout(blk.covariate, blk.kind, start, start + blk.size))
+            cols, first = slice(start, start + blk.size), len(rows)
+            start += blk.size
+            rows.append(np.zeros(n_random))
             rows[-1][cols] = 0.5
             self.bounds.append(_LOG_TAU2_BOUNDS)
             if blk.kind == "svc" and self.search_alpha:
-                rows.append(np.zeros(cp.n_random))
+                rows.append(np.zeros(n_random))
                 rows[-1][cols] = 0.5 * self.log_eig_ratio[: blk.size]
                 self.bounds.append(ALPHA_BOUNDS)
             elif blk.kind == "svc":
                 self._offset[cols] = _FIXED_ALPHA * (0.5 * self.log_eig_ratio[: blk.size])
             self.slices.append(slice(first, len(rows)))
-        self._C = np.array(rows).reshape(len(rows), cp.n_random)
-        size = cp.n_fixed + cp.n_random
-        self._g = np.empty((size, size), order="F")
+        self._C = np.array(rows).reshape(len(rows), n_random)
+        self._last_t: bytes | None = None  # the bytes of the last t factored, and its result
+        self._last: tuple[float, np.ndarray, float, np.ndarray] | None = None
 
     def value_and_grad(self, t: np.ndarray) -> tuple[float, np.ndarray]:
         """Log-likelihood at ``t`` and its exact gradient, from one factor.
@@ -567,7 +586,7 @@ class RemlProblem:
             As ``restricted_loglik``.
         """
         loglik, sol, sigma2_hat, factor = self.solve(t)
-        k = self.cp.n_fixed
+        k = self.joint.n_fixed
         u = sol[k:]
         score = u * u / sigma2_hat - 1.0 + _lower_inverse(factor[k:, k:], norms_only=True)
         return loglik, self._C @ score
@@ -577,8 +596,15 @@ class RemlProblem:
         return np.exp(t @ self._C + self._offset)
 
     def solve(self, t: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-        """``_factor_joint`` at the scaling ``v`` of ``t``."""
-        return _factor_joint(self.cp, self.scaling(t), self._g)
+        """``_JointSystem.factor`` at the scaling ``v`` of ``t``; the kept
+        result if ``t`` is the last point factored."""
+        key = t.tobytes()
+        if key == self._last_t:
+            return self._last
+        self._last_t = None  # the factor about to be overwritten is no longer kept
+        self._last = self.joint.factor(self.scaling(t))
+        self._last_t = key
+        return self._last
 
     def starts(self) -> list[np.ndarray]:
         """Ratio tau/sigma of 0.1 with alpha 1, and ratio 1 with alpha 0."""
@@ -591,32 +617,58 @@ class RemlProblem:
         return out
 
 
+class _ShareSpent(Exception):
+    """An L-BFGS-B run asked for one evaluation more than its share."""
+
+
 def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> scipy.optimize.OptimizeResult:
     """One bounded L-BFGS-B run from ``t0``; ``nfev`` counts value-and-gradient calls.
 
-    A breakdown is reported to L-BFGS-B as an infinite objective, which its
+    scipy checks ``maxfun`` only between iterations, so a line search can
+    run past it; the run is stopped at its ``maxfun``-th call instead and
+    returns the best point it evaluated, unsuccessful, with status 1.  A
+    breakdown is reported to L-BFGS-B as an infinite objective, which its
     line search may take as a stop that it calls successful; a run that met
-    one is therefore marked unsuccessful, with status -1.
+    one is therefore marked unsuccessful, with status -1.  The gradient of
+    each call is kept for L-BFGS-B's gradient request at the same point,
+    which costs less per evaluation than scipy's memoizing wrapper of a
+    function that returns both.
     """
-    broke = False
+    broke, calls, best, last = False, 0, (math.inf, t0), (b"", None)
 
-    def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal broke
+    def objective(t: np.ndarray) -> float:
+        nonlocal broke, calls, best, last
+        if calls == maxfun:
+            raise _ShareSpent
+        calls += 1
         try:
             value, grad = problem.value_and_grad(t)
         except NumericalBreakdown:
             broke = True
-            return math.inf, np.zeros_like(t)
-        return -value, -grad
+            last = (t.tobytes(), np.zeros_like(t))
+            return math.inf
+        last = (t.tobytes(), -grad)
+        if -value < best[0]:
+            best = (-value, t.copy())
+        return -value
 
-    run = scipy.optimize.minimize(
-        objective,
-        t0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=problem.bounds,
-        options={"maxfun": maxfun, "ftol": ftol},
-    )
+    def gradient(t: np.ndarray) -> np.ndarray:
+        if t.tobytes() != last[0]:
+            objective(t)
+        return last[1]
+
+    try:
+        run = scipy.optimize.minimize(
+            objective,
+            t0,
+            jac=gradient,
+            method="L-BFGS-B",
+            bounds=problem.bounds,
+            options={"maxfun": maxfun, "ftol": ftol},
+        )
+    except _ShareSpent:
+        run = scipy.optimize.OptimizeResult(x=best[1], fun=best[0], success=False, status=1)
+    run.nfev = calls
     if broke:
         run.success, run.status = False, -1
     return run
@@ -672,14 +724,16 @@ class _ActiveSet:
     ``values[blk]`` holds an active block's part of the searched vector: its
     log variance ratio, then its alpha if ``problem.search_alpha``.  Every
     other block of ``cp`` has variance exactly 0.  ``problem`` is the
-    ``RemlProblem`` over the active blocks, rebuilt from one
-    ``Crossproducts.subset`` whenever the set changes; its t is the
-    concatenation of ``values`` in block order, and ``problem.slices`` cuts
-    it back.
+    ``RemlProblem`` over the active blocks, rebuilt whenever the set
+    changes; its t is the concatenation of ``values`` in block order, and
+    ``problem.slices`` cuts it back.
     ``loglik`` is the log-likelihood at ``values``; an entry or a run only
     replaces ``values`` with a higher point.  ``solution`` (on the active
     layout) and ``sigma2_hat`` are those of the last ``assess``'s solve.
-    ``n_evals`` counts value-and-gradient calls and factorizations.
+    ``n_evals`` counts the value-and-gradient calls and solves the search
+    asks for, a reuse of the kept factor included; ``spendable`` is what
+    is left of ``_MAX_EVALS_TOTAL`` once the closing score check is set
+    aside.
     ``converged`` is the last L-BFGS-B run's stopping test, and ``tight``
     says that run used ``_FTOL`` and nothing has entered since.
     """
@@ -695,7 +749,11 @@ class _ActiveSet:
 
     def _rebuild(self) -> None:
         self.active = tuple(b for b in self.cp.blocks if b in self.values)
-        self.problem = RemlProblem(self.cp.subset(self.active), self.spatial)
+        self.problem = RemlProblem(self.cp, self.spatial, self.active)
+
+    @property
+    def spendable(self) -> int:
+        return _MAX_EVALS_TOTAL - 1 - self.n_evals
 
     def _log_top_weight(self, blk: BlockLayout, alpha: np.ndarray | float) -> np.ndarray | float:
         """log max_l w_l of ``blk`` at ``alpha``: its largest column variance ratio per unit ratio."""
@@ -750,7 +808,7 @@ class _ActiveSet:
         best, best_loglik = None, self.loglik
         for trials in (_ENTRY_LOG_RATIOS, _ENTRY_SMALL_LOG_RATIOS):
             for log_ratio in trials - self._log_top_weight(blk, alpha):
-                if self.n_evals >= _MAX_EVALS_TOTAL:
+                if self.spendable < 1:
                     break
                 self.values[blk][0] = log_ratio
                 self.n_evals += 1
@@ -778,11 +836,11 @@ class _ActiveSet:
         variance ratio is at most ``_COLLAPSED`` leaves the active set, unless
         it has left it before.
         """
-        if self.n_evals >= _MAX_EVALS_TOTAL:
+        t0s = starts or (self.point(),)
+        share = self.spendable // len(t0s)
+        if share < 1:
             self.converged = False
             return
-        t0s = starts or (self.point(),)
-        share = (_MAX_EVALS_TOTAL - self.n_evals) // len(t0s)
         runs = [_search(self.problem, t0, share, ftol) for t0 in t0s]
         self.n_evals += sum(r.nfev for r in runs)
         run = min(runs, key=lambda r: r.fun)
@@ -795,7 +853,7 @@ class _ActiveSet:
         improved = -run.fun - self.loglik > _FTOL * abs(self.loglik)
         v = self.problem.scaling(run.x)
         gone = []
-        for blk, sub, part in zip(self.active, self.problem.cp.blocks, self.problem.slices):
+        for blk, sub, part in zip(self.active, self.problem.blocks, self.problem.slices):
             self.values[blk] = run.x[part]
             if blk not in self.dropped and v[sub.start : sub.stop].max() ** 2 <= _COLLAPSED:
                 gone.append(blk)
@@ -870,7 +928,9 @@ def fit_reml(
     An entry always raises the likelihood and a run never lowers it, so the
     search only climbs, apart from the rounding-level change of dropping a
     collapsed block.  It ends when no inactive score exceeds ``_SCORE_TOL``
-    * |loglik| or all rounds together have used ``_MAX_EVALS_TOTAL``.
+    * |loglik| or all rounds together, the closing score check included,
+    have used ``_MAX_EVALS_TOTAL``; an L-BFGS-B run stops at its share of
+    what is left and keeps the best point it evaluated.
     ``converged`` means a KKT point in the variance ratios: the last
     L-BFGS-B run on the active set used ``_FTOL`` and passed its own
     stopping test (the largest projected-gradient component fell below
@@ -880,19 +940,21 @@ def fit_reml(
     inactive score d loglik / d rho_b exceeds the tolerance.  A run that met
     a ``NumericalBreakdown`` is never converged, because L-BFGS-B can stop
     at such a point and call it success, nor is a search that ran out of
-    budget.  ``n_loglik_evals``
-    counts value-and-gradient calls (L-BFGS-B evaluations) and
-    factorizations (the entry ratios and one per score check).  The fit's
-    log-likelihood, effects and profiled variance come from the last score
-    check's factorization, on the active blocks.  ``FittedModel.inactive_terms``
-    names the inactive blocks; an inactive SVC term reports the alpha of
-    its score, which the likelihood does not depend on.  Deterministic given
-    identical inputs.
+    budget.  ``n_loglik_evals`` counts what the search asks for:
+    value-and-gradient calls (L-BFGS-B evaluations) and solves (the entry
+    ratios and one per score check).  A request at the point factored last
+    reuses ``RemlProblem``'s kept factor, as the score check after a run
+    that ended on its last evaluation does, and the first evaluation of a
+    run resumed from a score check.  The fit's log-likelihood, effects and
+    profiled variance come from the last score check's solve, on the active
+    blocks.  ``FittedModel.inactive_terms`` names the inactive blocks; an
+    inactive SVC term reports the alpha of its score, which the likelihood
+    does not depend on.  Deterministic given identical inputs.
     """
     search = _ActiveSet(cp, spatial)
     best, score = search.assess()
     polished = False
-    while search.n_evals < _MAX_EVALS_TOTAL:
+    while search.spendable >= 1:
         if score > _SCORE_TOL * abs(search.loglik):
             if not search.enter(best):
                 break

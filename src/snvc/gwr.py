@@ -12,7 +12,12 @@ computes the distances (for the adaptive kernel, sorted row by row) and the
 moments x_j x_j' and x_j y_j once.  A candidate forms all N local systems
 X' diag(w_i) X b = X' diag(w_i) y as one product of its weights with those
 moments; the adaptive scan fits chunks of candidates, and one vectorized
-Cholesky factorization solves all of a chunk's site systems.
+Cholesky factorization solves all of a chunk's site systems.  tr(S), the RSS
+and the check that every local system is positive definite are then each
+one reduction over the chunk's stacked sites, and only the AICc and the
+GwrFit are formed per candidate.  A local system counts as singular when a
+pivot of its factorization is within rounding of zero (``_PIVOT_TOL``), as
+at a site whose kernel weighs fewer distinct sites than coefficients.
 """
 
 from __future__ import annotations
@@ -38,6 +43,17 @@ _MAX_EXHAUSTIVE = 256
 # candidate.  At most this many site systems per chunk bound that by 1 MB at
 # K = 3 (2.3 MB at K = 5), the size of one candidate's N x N weights at N = 360.
 _STACK_SITES = 2048
+
+# A pivot of the L D L' factorization at or below this many eps times its
+# diagonal entry a_jj counts as zero.  The factorization perturbs a pivot by
+# about (K + 1) eps a_jj, and the weighted sums that form a by about
+# sqrt(N) eps a_jj in practice, so a local system that is singular in exact
+# arithmetic ends well inside 1000 eps a_jj.  Since a pivot is at least
+# a_jj over the condition number of the diagonally scaled system, only
+# systems with that condition number above 1 / (1000 eps), about 4.5e12, are
+# rejected; the accepted systems of 30 N = 150 scenario draws and of four
+# N = 1600 toy grids all had pivots above 1.8e-4 a_jj.
+_PIVOT_TOL = 1e3 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,13 @@ def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None) -> np.
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solutions (K, R, S) of the systems a[:, :, s] x = b[:, :, s] stacked on
-    the last axis, and their pivots D (K, S), by a square-root-free Cholesky
-    factorization a = L D L' in vector operations over the stack.  Only the
-    lower triangle of ``a`` is read.  A system is positive definite when its
-    pivots are positive and finite; two equal columns give a zero pivot."""
+    the last axis, and whether each system is positive definite (S,), by a
+    square-root-free Cholesky factorization a = L D L' in vector operations
+    over the stack.  Only the lower triangle of ``a`` is read.  A system is
+    positive definite when every pivot is above ``_PIVOT_TOL`` times its
+    diagonal entry of ``a``.  That test also fails a NaN, and an infinite
+    pivot, which needs an infinite diagonal entry or an earlier pivot that
+    failed: the updates only subtract l_jq^2 d_q from a finite entry."""
     k = a.shape[0]
     low = np.empty_like(a)  # L below its unit diagonal
     low_d = np.empty_like(a)  # L D on and below the diagonal, so D on it
@@ -107,6 +126,7 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             low_d[j:, j] = col
             low[j + 1 :, j] = col[1:] / col[0]
         piv = np.diagonal(low_d).T
+        ok = (piv > _PIVOT_TOL * np.diagonal(a).T).all(axis=0)
         x = b.copy()
         for j in range(k):
             for q in range(j):
@@ -115,7 +135,7 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for j in reversed(range(k)):
             for q in range(j + 1, k):
                 x[j] -= low[q, j] * x[q]
-    return x, piv
+    return x, ok
 
 
 def gwr_fit_at(
@@ -144,35 +164,35 @@ def gwr_fit_at(
 def _fit_candidates(p: _Problem, bws) -> list:
     """Each bandwidth or neighbor count's GwrFit, or the SingularLocalFit or
     DegreesExhausted it raises.  All candidates' site systems are solved as
-    one stack; a candidate's result is the same bit for bit in any list."""
+    one stack, and tr(S), the RSS and the positive-definite check are each
+    one reduction over the candidates' rows of sites; a candidate's result
+    is the same bit for bit in any list."""
     n, k = p.X.shape
-    g = np.empty((p.moments.shape[0], len(bws) * n))
+    m = len(bws)
+    g = np.empty((p.moments.shape[0], m * n))
     for j, bw in enumerate(bws):
         np.matmul(p.moments, _weights(p.d, p.kernel, bw, p.d_sorted).T, out=g[:, j * n : (j + 1) * n])
     g = g.reshape(k, k + 1, -1)  # [:, :K, i] is A_i = X' diag(w_i) X, [:, K, i] is X' diag(w_i) y
-    x = np.tile(p.X.T, len(bws))
-    sol, piv = _solve_spd(g[:, :k], np.stack([g[:, k], x], axis=1))  # beta_i and A_i^{-1} x_i
+    x = np.tile(p.X.T, m)
+    sol, ok = _solve_spd(g[:, :k], np.stack([g[:, k], x], axis=1))  # beta_i and A_i^{-1} x_i
     with np.errstate(invalid="ignore", over="ignore"):
-        fitted_all = (x * sol[:, 0]).sum(axis=0)
+        fitted = (x * sol[:, 0]).sum(axis=0).reshape(m, n)
         # S_ii = w_ii x_i' A_i^{-1} x_i with w_ii = 1 for both kernels.
-        leverage = (x * sol[:, 1]).sum(axis=0)
-    positive = ((piv > 0) & (piv < math.inf)).all(axis=0)
+        trace_s = (x * sol[:, 1]).sum(axis=0).reshape(m, n).sum(axis=1)
+        rss = ((p.y - fitted) ** 2).sum(axis=1)
+    positive = ok.reshape(m, n).all(axis=1)
 
     out = []
-    for j, bw in enumerate(bws):
-        sites = slice(j * n, (j + 1) * n)
-        trace_s = float(leverage[sites].sum())
-        if not (positive[sites].all() and math.isfinite(trace_s)):
+    for j, (bw, pos, tr, ss) in enumerate(zip(bws, positive.tolist(), trace_s.tolist(), rss.tolist())):
+        if not (pos and math.isfinite(tr)):
             out.append(SingularLocalFit("a site's weighted moment matrix is singular"))
-        elif trace_s >= n - 2:
-            out.append(DegreesExhausted(f"tr(S) = {trace_s:.2f} >= N - 2 = {n - 2}"))
+        elif tr >= n - 2:
+            out.append(DegreesExhausted(f"tr(S) = {tr:.2f} >= N - 2 = {n - 2}"))
         else:
-            fitted = fitted_all[sites].copy()
-            rss = float(((p.y - fitted) ** 2).sum())
-            sigma2 = max(rss / n, 1e-300)
-            aicc = n * math.log(sigma2) + n * math.log(2.0 * math.pi) + n * (n + trace_s) / (n - 2.0 - trace_s)
-            coefs = sol[:, 0, sites].T.copy()
-            out.append(GwrFit(local_coefs=coefs, bandwidth=bw, aicc=aicc, trace_S=trace_s, fitted=fitted, rss=rss))
+            sigma2 = max(ss / n, 1e-300)
+            aicc = n * math.log(sigma2) + n * math.log(2.0 * math.pi) + n * (n + tr) / (n - 2.0 - tr)
+            coefs = sol[:, 0, j * n : (j + 1) * n].T.copy()
+            out.append(GwrFit(local_coefs=coefs, bandwidth=bw, aicc=aicc, trace_S=tr, fitted=fitted[j].copy(), rss=ss))
     return out
 
 

@@ -163,17 +163,23 @@ class TestCrossproducts:
         assert abs(cp.yty - y @ y) < 1e-12
 
     def test_ete_is_one_fortran_ordered_symmetric_matrix(self):
-        # E'E and each subset's E'E are held once, Fortran-ordered, with the
-        # bits of E.T @ E.
+        # E'E, and the joint matrix [[X'X, X'E], [E'X, E'E]] a search gathers
+        # for some of the blocks, are held once, Fortran-ordered, with the
+        # bits of the products of X and E.
         X, y, spec, basis = five_covariate_data()
         nbs = [spline_basis(X[:, k], spec.n_basis_nvc) if spec.has_nvc[k] else None for k in range(5)]
         design = build_design(X, spec, basis, nbs)
         cp = precompute_crossproducts(design, y)
-        ete = design.E.T @ design.E
+        ete, xte = design.E.T @ design.E, X.T @ design.E
         sub_blocks = cp.blocks[1::3]
-        sub = cp.subset(sub_blocks)
         cols = np.concatenate([np.arange(b.start, b.stop) for b in sub_blocks])
-        for got, want in ((cp.EtE, ete), (sub.EtE, ete[np.ix_(cols, cols)])):
+        joint = np.block([[X.T @ X, xte[:, cols]], [xte[:, cols].T, ete[np.ix_(cols, cols)]]])
+        sub = RemlProblem(cp, basis, sub_blocks)
+        stops = np.cumsum([b.size for b in sub_blocks])
+        assert [(b.covariate, b.kind, b.start, b.stop) for b in sub.blocks] == [
+            (b.covariate, b.kind, stop - b.size, stop) for b, stop in zip(sub_blocks, stops)
+        ]
+        for got, want in ((cp.EtE, ete), (sub.joint.a, joint)):
             assert got.flags.f_contiguous
             np.testing.assert_array_equal(got, got.T)
             np.testing.assert_array_equal(got, want)
@@ -383,8 +389,8 @@ def five_covariate_data(seed=20):
     return X, y, spec, basis
 
 
-def reml_problem_k1():
-    """K = 1 with tau2_s, alpha and tau2_n searched."""
+def reml_problem_k1(spec=ModelSpec(("x",), (True,), (True,), 6)):
+    """K = 1 with tau2_s, alpha and tau2_n searched, or the terms ``spec`` has."""
     rng = np.random.default_rng(21)
     n = 80
     sites = SiteSet(rng.uniform(0, 10, (n, 2)))
@@ -392,7 +398,6 @@ def reml_problem_k1():
     x = 1.0 + rng.normal(size=n)
     nb = spline_basis(x, n_basis=6)
     y = x * (1.0 + basis.eigvecs[:, 0]) + rng.normal(size=n)
-    spec = ModelSpec(("x",), (True,), (True,), 6)
     cp = precompute_crossproducts(build_design(x[:, None], spec, basis, [nb]), y)
     return RemlProblem(cp, basis), cp, spec, basis
 
@@ -459,7 +464,7 @@ def theta_at(problem, spec, t):
     block's slice holds its log variance ratio, then its alpha if searched,
     which is otherwise 1."""
     ratios = {}
-    for blk, part in zip(problem.cp.blocks, problem.slices):
+    for blk, part in zip(problem.blocks, problem.slices):
         log_ratio, *alpha = t[part]
         ratios[blk] = (math.exp(log_ratio), alpha[0] if alpha else 1.0)
     return ratio_theta(spec, ratios)
@@ -487,7 +492,7 @@ def boundary_scores_at(cp, spec, basis, ratios, alphas):
     block, with the blocks in ``ratios`` active at their (variance ratio, alpha)."""
     active = tuple(b for b in cp.blocks if b in ratios)
     inactive = tuple(b for b in cp.blocks if b not in ratios)
-    problem = RemlProblem(cp.subset(active), basis)
+    problem = RemlProblem(cp, basis, active)
     parts = [[math.log(ratios[b][0]), ratios[b][1]][: p.stop - p.start] for b, p in zip(active, problem.slices)]
     t = np.concatenate([np.empty(0)] + parts)
     log_eig_ratio = np.log(basis.eigvals / basis.eigvals[0])
@@ -508,7 +513,7 @@ def fitted_ratios(fit):
 
 
 def reference_factor_joint(cp, v):
-    """``_factor_joint``'s log-likelihood and solution, assembled another way:
+    """``_JointSystem.factor``'s log-likelihood and solution, assembled another way:
     V E'E V through a C-ordered temporary and the diagonal through index arrays."""
     n, k, p = cp.n_obs, cp.n_fixed, cp.n_random
     g = np.empty((k + p, k + p), order="F")
@@ -834,9 +839,8 @@ class TestFitReml:
         # fit must not.  The problem has one interior maximum: a fit at zero
         # variances needs no evaluation, and a second local maximum below
         # the ceiling would be a correct converged answer.
-        _, cp, _, basis = reml_problem_k1()
-        cp = cp.subset(tuple(b for b in cp.blocks if b.kind == "nvc"))
         spec = ModelSpec(("x",), (False,), (True,), 6)
+        _, cp, _, basis = reml_problem_k1(spec)
         honest = fit_reml(cp, spec, basis)
         assert honest.converged
         zero = VarianceParams(1.0, [0.0], [1.0], [0.0])
@@ -973,21 +977,32 @@ class TestFitReml:
 
     def test_fit_ends_on_the_solve_its_search_certified(self, monkeypatch):
         # The K = 5 fit converges with b:nvc and c:nvc inactive.  Every
-        # counted evaluation is one factorization, and the last one, of the
-        # active blocks' system at the end point, gives the fit's numbers.
+        # counted evaluation is one factorization or one reuse of the kept
+        # factor, and the last factorization, of the active blocks' system
+        # at the end point, gives the fit's numbers.
         _, cp, spec, basis = reml_problem_k5()
-        orders, results = [], []
+        orders, results, reuses = [], [], []
+        factor, solve = core._JointSystem.factor, RemlProblem.solve
 
-        def recorder(cp_, v, g, factor_joint=core._factor_joint):
-            orders.append(g.shape[0])  # before the call, which may break down
-            results.append(factor_joint(cp_, v, g))
+        def recording_factor(self, v):
+            orders.append(self.a.shape[0])  # before the call, which may break down
+            results.append(factor(self, v))
             return results[-1]
 
-        monkeypatch.setattr(core, "_factor_joint", recorder)
+        def counting_solve(self, t):
+            before = len(orders)
+            point = solve(self, t)
+            if len(orders) == before:
+                reuses.append(t)
+            return point
+
+        monkeypatch.setattr(core._JointSystem, "factor", recording_factor)
+        monkeypatch.setattr(RemlProblem, "solve", counting_solve)
         fit = fit_reml(cp, spec, basis)
         assert fit.converged
         assert {"b:nvc", "c:nvc"} <= set(fit.inactive_terms)
-        assert len(orders) == fit.n_loglik_evals
+        assert reuses
+        assert len(orders) + len(reuses) == fit.n_loglik_evals
         names = spec.covariate_names
         inactive = [b for b in cp.blocks if f"{names[b.covariate]}:{b.kind}" in fit.inactive_terms]
         assert orders[-1] == cp.n_fixed + cp.n_random - sum(b.size for b in inactive)
@@ -997,6 +1012,73 @@ class TestFitReml:
         np.testing.assert_array_equal(fit.b_hat, sol[: cp.n_fixed])
         for blk in inactive:
             assert np.all(fit.u_hat[blk.start : blk.stop] == 0.0)
+
+
+class TestKeptFactor:
+    """``RemlProblem`` keeps the last point it factored, and nothing else."""
+
+    @pytest.fixture
+    def dpotrf_calls(self, monkeypatch):
+        calls = []
+        dpotrf = scipy.linalg.lapack.dpotrf
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(core.lapack, "dpotrf", counting)
+        return calls
+
+    def test_a_second_solve_at_one_point_factors_once(self, dpotrf_calls):
+        problem = reml_problem_k1()[0]
+        t = interior_point(problem, [0.3, 0.6, 0.4])
+        first = problem.solve(t)
+        second = problem.solve(t.copy())
+        assert len(dpotrf_calls) == 1
+        assert second[0] == first[0] and second[2] == first[2]
+        np.testing.assert_array_equal(second[1], first[1])
+
+    def test_value_and_grad_after_solve_is_a_fresh_evaluation(self, dpotrf_calls):
+        problem, cp, _, basis = reml_problem_k1()
+        t = interior_point(problem, [0.7, 0.2, 0.5])
+        problem.solve(t)
+        value, grad = problem.value_and_grad(t)
+        assert len(dpotrf_calls) == 1
+        fresh_value, fresh_grad = RemlProblem(cp, basis).value_and_grad(t)
+        assert value == fresh_value
+        np.testing.assert_array_equal(grad, fresh_grad)
+
+    def test_a_breakdown_is_not_kept_and_spoils_no_later_point(self, dpotrf_calls):
+        # A NaN in t breaks the assembled system down after it has
+        # overwritten the buffer that held the factor of t0.
+        problem, cp, _, basis = reml_problem_k1()
+        t0 = interior_point(problem, [0.5, 0.5, 0.5])
+        bad = t0.copy()
+        bad[0] = math.nan
+        expected = RemlProblem(cp, basis).solve(t0)
+        problem.solve(t0)
+        before = len(dpotrf_calls)
+        for _ in range(2):
+            with pytest.raises(NumericalBreakdown):
+                problem.solve(bad)
+        assert len(dpotrf_calls) == before + 2
+        point = problem.solve(t0)
+        assert len(dpotrf_calls) == before + 3
+        assert point[0] == expected[0] and point[2] == expected[2]
+        np.testing.assert_array_equal(point[1], expected[1])
+
+    def test_no_state_leaks_between_fits(self):
+        _, cp, spec, basis = reml_problem_k1()
+        _, cp_other, spec_other, basis_other = reml_problem_k5()
+        first = fit_reml(cp, spec, basis)
+        fit_reml(cp_other, spec_other, basis_other)
+        again = fit_reml(cp, spec, basis)
+        for name in ("restricted_loglik", "n_loglik_evals", "converged", "inactive_terms"):
+            assert getattr(again, name) == getattr(first, name)
+        for name in ("b_hat", "u_hat"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
+        for f in dataclasses.fields(VarianceParams):
+            np.testing.assert_array_equal(getattr(again.theta, f.name), getattr(first.theta, f.name))
 
 
 @pytest.fixture(scope="module", params=[(3, 185.805), (11, 294.26)], ids=["seed3", "seed11"])
@@ -1023,7 +1105,7 @@ def test_evaluation_budget_stops_the_search_unconverged(monkeypatch):
     monkeypatch.setattr("snvc.core._MAX_EVALS_TOTAL", 30)
     fit = fit_snvc(X, inst.y, spec, basis)[0]
     assert fit.converged is False
-    assert 30 <= fit.n_loglik_evals <= 35
+    assert fit.n_loglik_evals <= 30
 
 
 class TestSearchRobustness:
@@ -1078,10 +1160,28 @@ class TestSearchRobustness:
         cp, spec, basis, _ = case
         monkeypatch.setattr(core, "_MAX_EVALS_TOTAL", 3)
         fit = fit_reml(cp, spec, basis)
-        # A score check and two entry trials spend the budget, so the run
-        # after the entry does not start; the closing score check is the 4th.
-        assert fit.n_loglik_evals == 4
+        # A score check and one entry trial leave only the closing score
+        # check, the 3rd, so the run after the entry does not start.
+        assert fit.n_loglik_evals == 3
         assert fit.converged is False
+
+    def test_run_stops_at_its_share_on_the_best_point_it_evaluated(self, case, monkeypatch):
+        cp, _, basis, _ = case
+        problem = RemlProblem(cp, basis)
+        seen, value_and_grad = [], RemlProblem.value_and_grad
+
+        def recording(self, t):
+            value, grad = value_and_grad(self, t)
+            seen.append((value, t.copy()))
+            return value, grad
+
+        monkeypatch.setattr(RemlProblem, "value_and_grad", recording)
+        run = core._search(problem, problem.starts()[0], 4, _FTOL)
+        assert len(seen) == run.nfev == 4
+        assert run.status == 1 and not run.success
+        best_value, best_t = max(seen, key=lambda s: s[0])
+        assert -run.fun == best_value
+        np.testing.assert_array_equal(run.x, best_t)
 
     def test_runs_that_only_break_down_keep_the_stored_point(self, case, monkeypatch):
         cp, spec, basis, honest = case
