@@ -20,6 +20,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 from collections.abc import Iterable
@@ -122,7 +123,7 @@ def load_table(path: str, schema: TableSchema) -> DataTable:
                     v = float(token)
                 except ValueError as exc:
                     raise ParseError(reader.line_num, col, token) from exc
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     break
                 values.append(v)
             else:
@@ -326,7 +327,7 @@ def fit_command(args) -> int:
     for k, name in enumerate(names):
         header += [f"{name}_mean", f"{name}_svc", f"{name}_nvc", f"{name}_total"]
         cols += [np.full(n, fld.mean[k]), fld.svc[:, k], fld.nvc[:, k], fld.total[:, k]]
-    rows = ([str(i), *row] for i, row in enumerate(np.column_stack(cols)))  # site_id as integer text
+    rows = ([str(i), *row.tolist()] for i, row in enumerate(np.column_stack(cols)))  # site_id as integer text
     write_table(args.coef_out, header, rows, comment=json.dumps(config_echo))
     return 0
 
@@ -384,8 +385,8 @@ def basis_command(args) -> int:
     config_echo = {"command": "basis", "data": args.data, "coords": [cx, cy], "range_r": basis.range_r}
     # One row at a time: an N x L list of floats would not fit at N = 10,000.
     rows = itertools.chain(
-        [["eigenvalue", "", "", "", *basis.eigvals]],
-        (["site", str(i), *table.coords[i], *basis.eigvecs[i]] for i in range(n)),
+        [["eigenvalue", "", "", "", *basis.eigvals.tolist()]],
+        (["site", str(i), *table.coords[i].tolist(), *basis.eigvecs[i].tolist()] for i in range(n)),
     )
     write_table(args.out, header, rows, comment=json.dumps(config_echo))
     return 0

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 from scipy.linalg import blas, lapack
+from scipy.optimize import _lbfgsb
 
 from .errors import (
     ConstantCovariate,
@@ -72,6 +73,14 @@ _FTOL = 1e-10
 # Screening only chooses the active set, which the polish then searches from
 # fixed starts, so its L-BFGS-B runs stop at this looser tolerance.
 _SCREEN_FTOL = 1e-4
+
+# L-BFGS-B's memory, projected-gradient tolerance and line search steps, as
+# scipy's minimize sets them; and the task codes setulb returns: a finished
+# iteration, a request for f and g at x, and convergence.
+_LBFGS_MEMORY = 10
+_PGTOL = 1e-5
+_MAX_LS = 20
+_TASK_NEW_X, _TASK_FG, _TASK_CONVERGENCE = 1, 3, 4
 
 # Triangles up to this order are inverted by one dtrtri; larger ones by
 # halves.  With one OpenBLAS thread on a 2-vCPU Xeon, halving took the column
@@ -617,61 +626,61 @@ class RemlProblem:
         return out
 
 
-class _ShareSpent(Exception):
-    """An L-BFGS-B run asked for one evaluation more than its share."""
-
-
 def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> scipy.optimize.OptimizeResult:
     """One bounded L-BFGS-B run from ``t0``; ``nfev`` counts value-and-gradient calls.
 
-    scipy checks ``maxfun`` only between iterations, so a line search can
-    run past it; the run is stopped at its ``maxfun``-th call instead and
-    returns the best point it evaluated, unsuccessful, with status 1.  A
-    breakdown is reported to L-BFGS-B as an infinite objective, which its
+    A loop over scipy's L-BFGS-B routine ``setulb`` and its reverse
+    communication, with the settings of ``minimize(method="L-BFGS-B")``:
+    ``_LBFGS_MEMORY``, ``_PGTOL``, ``_MAX_LS``, factr = ``ftol`` / eps and
+    ``t0`` clipped into the bounds.  Where the routine asks for f and g,
+    ``problem.value_and_grad`` is called, except at the point evaluated
+    last, which is answered from that call as ``minimize``'s memoizing
+    wrapper answers it.  A request past the ``maxfun``-th call ends the run
+    on the best point it evaluated, unsuccessful, with status 1; otherwise
+    the status is 0 where the routine reports convergence and 2 where it
+    stops for another reason, a failed line search.
+
+    A breakdown is reported to the routine as f = inf with g = 0, which its
     line search may take as a stop that it calls successful; a run that met
-    one is therefore marked unsuccessful, with status -1.  The gradient of
-    each call is kept for L-BFGS-B's gradient request at the same point,
-    which costs less per evaluation than scipy's memoizing wrapper of a
-    function that returns both.
+    one is therefore marked unsuccessful, with status -1.
     """
-    broke, calls, best, last = False, 0, (math.inf, t0), (b"", None)
-
-    def objective(t: np.ndarray) -> float:
-        nonlocal broke, calls, best, last
-        if calls == maxfun:
-            raise _ShareSpent
-        calls += 1
-        try:
-            value, grad = problem.value_and_grad(t)
-        except NumericalBreakdown:
-            broke = True
-            last = (t.tobytes(), np.zeros_like(t))
-            return math.inf
-        last = (t.tobytes(), -grad)
-        if -value < best[0]:
-            best = (-value, t.copy())
-        return -value
-
-    def gradient(t: np.ndarray) -> np.ndarray:
-        if t.tobytes() != last[0]:
-            objective(t)
-        return last[1]
-
-    try:
-        run = scipy.optimize.minimize(
-            objective,
-            t0,
-            jac=gradient,
-            method="L-BFGS-B",
-            bounds=problem.bounds,
-            options={"maxfun": maxfun, "ftol": ftol},
+    lo, hi = np.array(problem.bounds).T.copy()
+    n, m = len(lo), _LBFGS_MEMORY
+    x = np.clip(t0, lo, hi)
+    f, g, at = 0.0, np.zeros(n), None  # the last point evaluated, and f and g there
+    nbd = np.full(n, 2, np.int32)  # every variable has both bounds
+    wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    broke, calls, best = False, 0, (math.inf, t0)
+    while True:
+        # The routine may overwrite g; it is handed the last gradient anew.
+        _lbfgsb.setulb(
+            m, x, lo, hi, nbd, f, g.copy(), factr, _PGTOL, wa, iwa, task, lsave, isave, dsave, _MAX_LS, ln_task
         )
-    except _ShareSpent:
-        run = scipy.optimize.OptimizeResult(x=best[1], fun=best[0], success=False, status=1)
-    run.nfev = calls
-    if broke:
-        run.success, run.status = False, -1
-    return run
+        if task[0] == _TASK_NEW_X:
+            continue
+        if task[0] != _TASK_FG:
+            break
+        if at is not None and (x == at).all():  # np.array_equal, without its checks
+            continue
+        if calls == maxfun:
+            return scipy.optimize.OptimizeResult(
+                x=best[1], fun=best[0], success=False, status=-1 if broke else 1, nfev=calls
+            )
+        calls += 1
+        at = x.copy()
+        try:
+            value, grad = problem.value_and_grad(at)
+        except NumericalBreakdown:
+            broke, f, g = True, math.inf, np.zeros(n)
+            continue
+        f, g = -value, -grad
+        if f < best[0]:
+            best = (f, at)
+    status = -1 if broke else 0 if task[0] == _TASK_CONVERGENCE else 2
+    return scipy.optimize.OptimizeResult(x=x, fun=f, success=status == 0, status=status, nfev=calls)
 
 
 def _boundary_scores(
@@ -934,7 +943,7 @@ def fit_reml(
     ``converged`` means a KKT point in the variance ratios: the last
     L-BFGS-B run on the active set used ``_FTOL`` and passed its own
     stopping test (the largest projected-gradient component fell below
-    scipy's default, or the relative change of the objective below
+    ``_PGTOL``, or the relative change of the objective below
     ``_FTOL``) or stalled (its line search found no point higher, by more
     than ``_FTOL`` of |loglik|, than the one it started from), and no
     inactive score d loglik / d rho_b exceeds the tolerance.  A run that met

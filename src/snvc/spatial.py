@@ -192,17 +192,20 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
 def _mst_max_edge(d: np.ndarray) -> float:
     """Longest edge of a minimum spanning tree (Prim) on distances ``d``."""
     n = d.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = d[0].copy()
-    best[0] = np.inf
+    # inf on the sites in the tree, 0 elsewhere: d[j] + closed keeps ``best``
+    # at inf on the tree in two plain passes with no temporary (a masked
+    # np.minimum is slower than an np.where temporary at N = 1600).
+    closed = np.zeros(n)
+    closed[0] = np.inf
+    best = d[0] + closed  # each site's distance to the tree
+    row = np.empty(n)
     max_edge = 0.0
     for _ in range(n - 1):
-        j = int(np.argmin(np.where(in_tree, np.inf, best)))
+        j = int(np.argmin(best))
         max_edge = max(max_edge, float(best[j]))
-        in_tree[j] = True
-        best = np.minimum(best, d[j])
-        best[j] = np.inf
+        closed[j] = best[j] = np.inf
+        np.add(d[j], closed, out=row)
+        np.minimum(best, row, out=best)
     # A tree of zero-length edges joins sites that all coincide.
     if max_edge == 0.0:
         raise AllSitesCoincident("all pairwise distances are zero")

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -1196,6 +1197,133 @@ class TestSearchRobustness:
         assert fit.inactive_terms == ()
         assert math.isfinite(fit.restricted_loglik) and fit.restricted_loglik < honest.restricted_loglik
         assert fit.restricted_loglik == pytest.approx(loglik_at(cp, spec, basis, fitted_ratios(fit)), rel=1e-12)
+
+
+def reference_search(problem, t0, maxfun, ftol):
+    """``_search`` written over ``scipy.optimize.minimize``: the oracle of its direct driver."""
+
+    class ShareSpent(Exception):
+        pass
+
+    broke, calls, best, last = False, 0, (math.inf, t0), (b"", None)
+
+    def objective(t):
+        nonlocal broke, calls, best, last
+        if calls == maxfun:
+            raise ShareSpent
+        calls += 1
+        try:
+            value, grad = problem.value_and_grad(t)
+        except NumericalBreakdown:
+            broke = True
+            last = (t.tobytes(), np.zeros_like(t))
+            return math.inf
+        last = (t.tobytes(), -grad)
+        if -value < best[0]:
+            best = (-value, t.copy())
+        return -value
+
+    def gradient(t):
+        if t.tobytes() != last[0]:
+            objective(t)
+        return last[1]
+
+    try:
+        run = scipy.optimize.minimize(
+            objective, t0, jac=gradient, method="L-BFGS-B", bounds=problem.bounds,
+            options={"maxfun": maxfun, "ftol": ftol},
+        )  # fmt: skip
+    except ShareSpent:
+        run = scipy.optimize.OptimizeResult(x=best[1], fun=best[0], success=False, status=1)
+    run.nfev = calls
+    if broke:
+        run.success, run.status = False, -1
+    return run
+
+
+class TestSearchDriver:
+    """``_search`` drives scipy's L-BFGS-B routine itself and must end every
+    run where ``scipy.optimize.minimize`` would, after as many evaluations."""
+
+    @staticmethod
+    def assert_same_run(problem, t0, maxfun, ftol):
+        expected = reference_search(problem, t0, maxfun, ftol)
+        run = core._search(problem, t0, maxfun, ftol)
+        assert run.x.tobytes() == expected.x.tobytes()
+        assert (run.fun, run.nfev, run.status, run.success) == (
+            expected.fun, expected.nfev, expected.status, expected.success
+        )  # fmt: skip
+        return run
+
+    @pytest.mark.parametrize("ftol", [_FTOL, _SCREEN_FTOL], ids=["polish", "screen"])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_runs_end_as_minimize_ends_them(self, reml_case, start, ftol):
+        problem = reml_case[0]
+        run = self.assert_same_run(problem, problem.starts()[start], core._MAX_EVALS_TOTAL, ftol)
+        assert run.status in (0, 2)
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_a_run_cut_at_its_share_ends_as_minimize_ends_it(self, start):
+        problem = reml_problem_k1()[0]
+        run = self.assert_same_run(problem, problem.starts()[start], 4, _FTOL)
+        assert run.status == 1 and run.nfev == 4
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_a_run_that_breaks_down_ends_as_minimize_ends_it(self, start, monkeypatch):
+        # Every point above a ceiling halfway up from the start breaks down.
+        problem = reml_problem_k1()[0]
+        t0 = problem.starts()[start]
+        honest = core._search(problem, t0, core._MAX_EVALS_TOTAL, _FTOL)
+        ceiling = 0.5 * (problem.value_and_grad(t0)[0] - honest.fun)
+        value_and_grad = RemlProblem.value_and_grad
+
+        def capped(self, t):
+            value, grad = value_and_grad(self, t)
+            if value > ceiling:
+                raise NumericalBreakdown("forced breakdown above the ceiling")
+            return value, grad
+
+        monkeypatch.setattr(RemlProblem, "value_and_grad", capped)
+        run = self.assert_same_run(problem, t0, core._MAX_EVALS_TOTAL, _FTOL)
+        assert run.status == -1 and -run.fun <= ceiling
+
+    def test_a_repeated_request_at_one_point_is_not_a_second_evaluation(self, monkeypatch):
+        # L-BFGS-B asks twice running for f and g at one point in some runs of
+        # the SVC_M fit of this N = 150 scenario draw; the second request is
+        # answered from the first evaluation, as minimize answers it.
+        config = ScenarioConfig(n_sites=150, w_s=0.5, seed=4)
+        inst = gen_instance(config, 0)
+        spec = ModelSpec(("intercept", "x2", "x3"), (True,) * 3, (False,) * 3)
+        basis = moran_basis(inst.sites, config.max_eigvecs)
+        setulb, value_and_grad, search = core._lbfgsb.setulb, RemlProblem.value_and_grad, core._search
+        requests, calls, repeats = [], [], []
+
+        def recording_setulb(*args):
+            setulb(*args)
+            x, task = args[1], args[11]
+            if task[0] == core._TASK_FG:
+                requests.append(x.copy())
+
+        def counting(self, t):
+            calls.append(t.copy())
+            return value_and_grad(self, t)
+
+        def one_run(problem, t0, maxfun, ftol):
+            requests.clear()
+            calls.clear()
+            run = search(problem, t0, maxfun, ftol)
+            repeated = sum(np.array_equal(a, b) for a, b in zip(requests, requests[1:]))
+            assert len(calls) == run.nfev == len(requests) - repeated - (run.status == 1)
+            assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+            repeats.append(repeated)
+            return run
+
+        monkeypatch.setattr(core, "_lbfgsb", types.SimpleNamespace(setulb=recording_setulb))
+        monkeypatch.setattr(RemlProblem, "value_and_grad", counting)
+        monkeypatch.setattr(core, "_search", one_run)
+        fit = fit_snvc(inst.X, inst.y, spec, basis)[0]
+        assert fit.converged
+        assert sum(repeats) >= 1
 
 
 class TestToyFits:
