@@ -30,7 +30,7 @@ from .errors import (
     SingularFixedBlock,
     TooFewDistinctValues,
 )
-from .spatial import SpatialBasis, scale_eigenvalues
+from .spatial import SpatialBasis
 from .splines import NvcBasis, spline_basis
 
 # Profiled residual variances below this are treated as degenerate.
@@ -193,6 +193,8 @@ class VarianceParams:
         object.__setattr__(self, "tau2_s", np.asarray(self.tau2_s, dtype=float))
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         object.__setattr__(self, "tau2_n", np.asarray(self.tau2_n, dtype=float))
+        if not all(np.isfinite(a).all() for a in (self.sigma2, self.tau2_s, self.alpha, self.tau2_n)):
+            raise ValueError("variance parameters must be finite")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
         if np.any(self.tau2_s < 0) or np.any(self.tau2_n < 0):
@@ -213,7 +215,7 @@ class VarianceParams:
 class LoglikResult:
     loglik: float
     b_hat: np.ndarray
-    u_hat: np.ndarray
+    gamma: np.ndarray  # V u, the coefficients of the random-effect columns
     sigma2_hat: float
 
 
@@ -222,7 +224,9 @@ class FittedModel:
     spec: ModelSpec
     theta: VarianceParams
     b_hat: np.ndarray
-    u_hat: np.ndarray
+    # The coefficients V u of the random-effect columns, on the layout of
+    # ``blocks``; exactly 0 on an inactive block.
+    gamma: np.ndarray
     restricted_loglik: float
     n_loglik_evals: int
     converged: bool
@@ -324,29 +328,6 @@ def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
     )
 
 
-def _v_diagonal(
-    blocks: tuple[BlockLayout, ...],
-    theta: VarianceParams,
-    scalings: list[np.ndarray | None],
-) -> np.ndarray:
-    """Diagonal of the random-effect scaling matrix, per block (tau/sigma) units."""
-    p = blocks[-1].stop if blocks else 0
-    v = np.zeros(p)
-    for blk in blocks:
-        k = blk.covariate
-        if blk.kind == "svc":
-            ratio = math.sqrt(theta.tau2_s[k] / theta.sigma2)
-            scaling = scalings[k]
-            if scaling is None:
-                raise ValueError(f"missing eigen scaling for covariate {k}")
-            weights = np.sqrt(scaling[: blk.size])
-            v[blk.start : blk.stop] = ratio * weights
-        else:
-            ratio = math.sqrt(theta.tau2_n[k] / theta.sigma2)
-            v[blk.start : blk.stop] = ratio
-    return v
-
-
 def _check_fixed_block(XtX: np.ndarray) -> None:
     """Raise ``SingularFixedBlock`` unless X'X is numerically positive definite."""
     fixed_eigs = np.linalg.eigvalsh(XtX)
@@ -438,8 +419,11 @@ def restricted_loglik(
         -log|system|/2 - (N-K)/2 * (1 + log(2 pi sigma2_hat)),
 
     where sigma2_hat = (residual SS + ||u||^2) / (N - K) expands through the
-    same crossproducts.  ``scalings[k]`` must be ``scale_eigenvalues(basis,
-    alpha_k)`` for every covariate with an SVC term.
+    same crossproducts.  V is diagonal: tau_s/sigma sqrt(w_l) on the SVC
+    block of covariate k, with ``scalings[k]`` = w = ``scale_eigenvalues(basis,
+    alpha_k)`` required for every covariate with an SVC term, and
+    tau_n/sigma on its NVC block.  Returns the log-likelihood, b, the
+    random-effect coefficients gamma = V u and sigma2_hat.
 
     Raises
     ------
@@ -451,15 +435,18 @@ def restricted_loglik(
     """
     theta.validate_against(spec)
     _check_fixed_block(cp.XtX)
-    v = _v_diagonal(cp.blocks, theta, scalings)
+    v = np.zeros(cp.n_random)
+    for blk in cp.blocks:
+        k = blk.covariate
+        if blk.kind == "nvc":
+            v[blk.start : blk.stop] = math.sqrt(theta.tau2_n[k] / theta.sigma2)
+        elif scalings[k] is None:
+            raise ValueError(f"missing eigen scaling for covariate {k}")
+        else:
+            v[blk.start : blk.stop] = math.sqrt(theta.tau2_s[k] / theta.sigma2) * np.sqrt(scalings[k][: blk.size])
     loglik, sol, sigma2_hat, _ = _JointSystem(cp, cp.blocks).factor(v)
     k = cp.n_fixed
-    return LoglikResult(
-        loglik=loglik,
-        b_hat=sol[:k],
-        u_hat=sol[k:],
-        sigma2_hat=sigma2_hat,
-    )
+    return LoglikResult(loglik=loglik, b_hat=sol[:k], gamma=v * sol[k:], sigma2_hat=sigma2_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +943,8 @@ def fit_reml(
     that ended on its last evaluation does, and the first evaluation of a
     run resumed from a score check.  The fit's log-likelihood, effects and
     profiled variance come from the last score check's solve, on the active
-    blocks.  ``FittedModel.inactive_terms`` names the inactive blocks; an
+    blocks: ``gamma`` is that solve's u times the scaling diagonal it was
+    solved at.  ``FittedModel.inactive_terms`` names the inactive blocks; an
     inactive SVC term reports the alpha of its score, which the likelihood
     does not depend on.  Deterministic given identical inputs.
     """
@@ -979,14 +967,14 @@ def fit_reml(
     converged = search.converged and search.tight and score <= _SCORE_TOL * abs(search.loglik)
 
     k = cp.n_fixed
-    u_hat = np.zeros(cp.n_random)
-    u_hat[_columns(search.active)] = search.solution[k:]
+    gamma = np.zeros(cp.n_random)
+    gamma[_columns(search.active)] = search.problem.scaling(search.point()) * search.solution[k:]
     names = spec.covariate_names
     return FittedModel(
         spec=spec,
         theta=search.theta(search.sigma2_hat),
         b_hat=search.solution[:k],
-        u_hat=u_hat,
+        gamma=gamma,
         restricted_loglik=search.loglik,
         n_loglik_evals=search.n_evals,
         converged=converged,
@@ -1008,25 +996,19 @@ def predict_coefficients(
 ) -> CoefficientField:
     """Per-site coefficient decomposition from the fitted effects.
 
-    The spatial part of covariate k is (tau_s/sigma) E Lambda^(alpha/2) u_k,
-    the non-spatial part (tau_n/sigma) E_k u_k; the total adds the constant
-    mean.  Any fit is decomposed, converged or not; callers that need a
-    converged fit check ``FittedModel.converged``.
+    The spatial part of covariate k is its eigenvectors times its block of
+    ``fit.gamma``, the non-spatial part its spline basis times its block; the
+    total adds the constant mean.  Any fit is decomposed, converged or not;
+    callers that need a converged fit check ``FittedModel.converged``.
     """
-    spec, theta = fit.spec, fit.theta
-    scalings = [
-        scale_eigenvalues(spatial, float(theta.alpha[k])) if spec.has_svc[k] else None
-        for k in range(spec.n_covariates)
-    ]
-    gamma = _v_diagonal(fit.blocks, theta, scalings) * fit.u_hat
-    svc = np.zeros((fit.n_obs, spec.n_covariates))
-    nvc = np.zeros((fit.n_obs, spec.n_covariates))
+    svc = np.zeros((fit.n_obs, fit.spec.n_covariates))
+    nvc = np.zeros_like(svc)
     for blk in fit.blocks:
         k = blk.covariate
         if blk.kind == "svc":
-            svc[:, k] = spatial.eigvecs[:, : blk.size] @ gamma[blk.start : blk.stop]
+            svc[:, k] = spatial.eigvecs[:, : blk.size] @ fit.gamma[blk.start : blk.stop]
         else:
-            nvc[:, k] = nvc_bases[k].values @ gamma[blk.start : blk.stop]
+            nvc[:, k] = nvc_bases[k].values @ fit.gamma[blk.start : blk.stop]
 
     mean = np.asarray(fit.b_hat, dtype=float)
     total = mean[None, :] + svc + nvc

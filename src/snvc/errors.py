@@ -56,8 +56,8 @@ class NonPositiveRange(SnvcError):
     """Proximity range must be strictly positive."""
 
 
-class EmptyBasis(SnvcError):
-    """Operation requires at least one retained eigenvector."""
+class EmptySpatialBasis(SnvcError):
+    """The spatial basis has no retained eigenvector: an SVC term or eigenvalue weights need one."""
 
 
 class ConstantVector(SnvcError):
@@ -77,10 +77,6 @@ class DimensionMismatch(SnvcError):
 
 
 # --- model assembly and estimation ----------------------------------------
-
-class EmptySpatialBasis(SnvcError):
-    """SVC term requested but the spatial basis has no retained eigenvector."""
-
 
 class SingularFixedBlock(SnvcError):
     """X'X is rank-deficient; fixed effects are not identifiable."""

@@ -98,6 +98,8 @@ def _weights(d: np.ndarray, kernel: str, bw, d_sorted: np.ndarray | None) -> np.
     else:
         # Adaptive: per-row range set by the m-th nearest neighbor (self excluded).
         m = int(bw)
+        if m != bw:
+            raise ValueError("neighbor count must be an integer")
         if not 1 <= m <= d.shape[0] - 1:
             raise ValueError(f"neighbor count must lie in [1, {d.shape[0] - 1}]")
         scale = np.maximum(d_sorted[:, m], np.finfo(float).tiny)[:, None]  # column 0 is self

@@ -261,6 +261,8 @@ def coef_correlations(fields_per_iteration) -> CorrelationSummary:
     entries are excluded from the mean and tracked in ``counts``.
     """
     fields_per_iteration = [np.asarray(f, dtype=float) for f in fields_per_iteration]
+    if not fields_per_iteration:
+        raise ValueError("need the fields of at least one iteration")
     k = fields_per_iteration[0].shape[1]
     total = np.zeros((k, k))
     counts = np.zeros((k, k), dtype=int)

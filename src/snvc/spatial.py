@@ -25,7 +25,7 @@ from scipy.spatial.distance import cdist
 from .errors import (
     AllSitesCoincident,
     ConstantVector,
-    EmptyBasis,
+    EmptySpatialBasis,
     NonPositiveRange,
     SiteLimitExceeded,
 )
@@ -239,7 +239,7 @@ def scale_eigenvalues(basis: SpatialBasis, alpha: float) -> np.ndarray:
     alpha > 0; the absorbed overall scale moves into the matching tau^2.
     """
     if basis.n_components == 0:
-        raise EmptyBasis("cannot scale an empty basis")
+        raise EmptySpatialBasis("cannot scale an empty basis")
     return (basis.eigvals / basis.eigvals[0]) ** alpha
 
 

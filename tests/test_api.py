@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import math
@@ -18,8 +19,9 @@ def test_public_names_resolve_once():
 def test_removed_helpers_are_gone():
     # Eigenvalue weights are the array scale_eigenvalues returns, a spline
     # curve is basis.values @ gamma, moran_basis builds every basis, and
-    # predict_estimator serves the toy as well as the scenario, and
-    # build_proximity returns the N x N array itself.
+    # predict_estimator serves the toy as well as the scenario,
+    # build_proximity returns the N x N array itself, and an empty basis is
+    # always EmptySpatialBasis.
     for name in (
         "EigenScaling",
         "evaluate_nvc",
@@ -28,11 +30,17 @@ def test_removed_helpers_are_gone():
         "TOY_ESTIMATORS",
         "ProximityMatrix",
         "rmse",
+        "EmptyBasis",
     ):
         assert name not in snvc.__all__
         assert not hasattr(snvc, name)
         assert not hasattr(snvc.spatial, name) and not hasattr(snvc.splines, name)
-        assert not hasattr(snvc.simlab, name)
+        assert not hasattr(snvc.simlab, name) and not hasattr(snvc.errors, name)
+    # A fit reports gamma, the coefficients of its random-effect columns,
+    # not unit-variance effects that every consumer has to rescale.
+    for cls in (snvc.FittedModel, snvc.core.LoglikResult):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert "gamma" in names and "u_hat" not in names
 
 
 # The names the benchmark harness wraps or calls, as "module:attribute path".

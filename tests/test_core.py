@@ -218,6 +218,9 @@ def svc_crossproducts():
         (lambda: VarianceParams(0.0, [0.0], [1.0], [0.0]), ValueError, "sigma2 must be positive"),
         (lambda: VarianceParams(1.0, [0.0], [1.0], [-1.0]), ValueError, "tau2 values must be nonnegative"),
         (lambda: VarianceParams(1.0, [0.0], [10.5], [0.0]), ValueError, "alpha must lie in [-5.0, 10.0]"),
+        (lambda: VarianceParams(math.inf, [0.0], [1.0], [0.0]), ValueError, "variance parameters must be finite"),
+        (lambda: VarianceParams(1.0, [0.0], [math.nan], [0.0]), ValueError, "variance parameters must be finite"),
+        (lambda: VarianceParams(1.0, [math.nan], [1.0], [0.0]), ValueError, "variance parameters must be finite"),
         (lambda: VarianceParams(1.0, [1.0], [1.0], [0.0]).validate_against(SPEC_PLAIN),
          ValueError, "tau2_s[0] must be 0 when has_svc is false"),
         (lambda: VarianceParams(1.0, [0.0], [1.0], [1.0]).validate_against(SPEC_PLAIN),
@@ -228,6 +231,7 @@ def svc_crossproducts():
     ids=[
         "design-X-shape", "design-spatial-rows", "design-nvc-count", "design-nvc-missing", "design-nvc-rows",
         "crossproducts-y-length", "crossproducts-too-few-rows", "theta-sigma2", "theta-tau2", "theta-alpha",
+        "theta-sigma2-inf", "theta-alpha-nan", "theta-tau2-nan",
         "theta-svc-off", "theta-nvc-off", "loglik-scaling-missing",
     ],
 )  # fmt: skip
@@ -302,7 +306,7 @@ class TestRestrictedLoglik:
         closed = -0.5 * np.linalg.slogdet(X.T @ X)[1] - 0.5 * (n - k) * (
             1.0 + np.log(2.0 * np.pi * rss[0] / (n - k))
         )
-        assert np.all(res.u_hat == 0.0)
+        assert np.all(res.gamma == 0.0)
         assert np.abs(res.b_hat - b_ols).max() < 1e-10
         assert abs(res.loglik - closed) < 1e-10
 
@@ -335,18 +339,17 @@ class TestRestrictedLoglik:
         bottom = np.hstack([np.zeros((p, X.shape[1])), np.eye(p)])
         sol, *_ = np.linalg.lstsq(np.vstack([top, bottom]), np.concatenate([y, np.zeros(p)]), rcond=None)
         assert np.abs(res.b_hat - sol[: X.shape[1]]).max() < 1e-8
-        assert np.abs(res.u_hat - sol[X.shape[1] :]).max() < 1e-8
+        assert np.abs(res.gamma - v * sol[X.shape[1] :]).max() < 1e-8
 
     def test_shrunken_effect_norm_nondecreasing_in_tau(self):
-        # ||V u_hat|| (the fitted random-effect coefficients) grows with tau;
-        # ||u_hat|| itself is non-monotone in closed form, see the notes.
+        # ||gamma|| = ||V u|| (the fitted random-effect coefficients) grows
+        # with tau; ||u|| itself is non-monotone in closed form, see the notes.
         spec, basis, X, nb, y, design, cp = reml_problem(seed=9)
         norms = []
         for tau in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3):
             theta = VarianceParams(1.0, [tau**2, 0.0], [1.0, 0.0], [0.0, 0.0])
             res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.0), None])
-            v = v_diag_for(basis, nb, theta)
-            norms.append(np.linalg.norm(v * res.u_hat))
+            norms.append(np.linalg.norm(res.gamma))
         assert np.all(np.diff(norms) >= -1e-12)
 
     def test_large_tau_approaches_unpenalized_least_squares(self):
@@ -361,9 +364,7 @@ class TestRestrictedLoglik:
         theta = VarianceParams(1.0, [1e12, 0.0], [0.0, 0.0], [0.0, 0.0])
         res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 0.0), None])
         E = design.E
-        v = np.zeros(E.shape[1])
-        v[:] = 1e6
-        fitted = X @ res.b_hat + E @ (v * res.u_hat)
+        fitted = X @ res.b_hat + E @ res.gamma
         full = np.hstack([X, E])
         coef, *_ = np.linalg.lstsq(full, y, rcond=None)
         fitted_ls = full @ coef
@@ -513,6 +514,19 @@ def fitted_ratios(fit):
     return out
 
 
+def loglik_scaling(cp, theta, scalings):
+    """``restricted_loglik``'s scaling diagonal: (tau_s/sigma) sqrt(w_l) on an
+    SVC block, with w = ``scalings[k]``, and tau_n/sigma on an NVC block."""
+    v = np.zeros(cp.n_random)
+    for blk in cp.blocks:
+        k = blk.covariate
+        if blk.kind == "svc":
+            v[blk.start : blk.stop] = math.sqrt(theta.tau2_s[k] / theta.sigma2) * np.sqrt(scalings[k][: blk.size])
+        else:
+            v[blk.start : blk.stop] = math.sqrt(theta.tau2_n[k] / theta.sigma2)
+    return v
+
+
 def reference_factor_joint(cp, v):
     """``_JointSystem.factor``'s log-likelihood and solution, assembled another way:
     V E'E V through a C-ordered temporary and the diagonal through index arrays."""
@@ -587,9 +601,11 @@ class TestRemlProblem:
                 for k in range(spec.n_covariates)
             ]
             res = restricted_loglik(cp, spec, theta, scalings)
-            ref_loglik, ref_sol = reference_factor_joint(cp, core._v_diagonal(cp.blocks, theta, scalings))
+            v = loglik_scaling(cp, theta, scalings)
+            ref_loglik, ref_sol = reference_factor_joint(cp, v)
             assert res.loglik == ref_loglik
-            np.testing.assert_array_equal(np.concatenate([res.b_hat, res.u_hat]), ref_sol)
+            np.testing.assert_array_equal(res.b_hat, ref_sol[: cp.n_fixed])
+            np.testing.assert_array_equal(res.gamma, v * ref_sol[cp.n_fixed :])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -653,8 +669,8 @@ class TestRemlProblem:
         assert abs(fit.restricted_loglik - res.loglik) <= 1e-10
         assert fit.theta.sigma2 == pytest.approx(res.sigma2_hat, rel=1e-10)
         np.testing.assert_allclose(
-            np.concatenate([fit.b_hat, fit.u_hat]),
-            np.concatenate([res.b_hat, res.u_hat]),
+            np.concatenate([fit.b_hat, fit.gamma]),
+            np.concatenate([res.b_hat, res.gamma]),
             rtol=1e-8,
             atol=1e-10,
         )
@@ -830,7 +846,7 @@ class TestFitReml:
         fit1 = fit_reml(cp, spec, basis)
         fit2 = fit_reml(cp, spec, basis)
         assert fit1.restricted_loglik == fit2.restricted_loglik
-        np.testing.assert_array_equal(fit1.u_hat, fit2.u_hat)
+        np.testing.assert_array_equal(fit1.gamma, fit2.gamma)
         assert fit1.n_loglik_evals == fit2.n_loglik_evals
 
     def test_breakdown_during_search_is_not_converged(self, monkeypatch):
@@ -980,13 +996,15 @@ class TestFitReml:
         # The K = 5 fit converges with b:nvc and c:nvc inactive.  Every
         # counted evaluation is one factorization or one reuse of the kept
         # factor, and the last factorization, of the active blocks' system
-        # at the end point, gives the fit's numbers.
+        # at the end point, gives the fit's numbers: gamma is u times the
+        # scaling that factorization was assembled at.
         _, cp, spec, basis = reml_problem_k5()
-        orders, results, reuses = [], [], []
+        orders, scalings, results, reuses = [], [], [], []
         factor, solve = core._JointSystem.factor, RemlProblem.solve
 
         def recording_factor(self, v):
             orders.append(self.a.shape[0])  # before the call, which may break down
+            scalings.append(v.copy())
             results.append(factor(self, v))
             return results[-1]
 
@@ -1011,8 +1029,10 @@ class TestFitReml:
         assert loglik == fit.restricted_loglik
         assert fit.theta.sigma2 == sigma2_hat
         np.testing.assert_array_equal(fit.b_hat, sol[: cp.n_fixed])
+        active = np.concatenate([np.arange(b.start, b.stop) for b in cp.blocks if b not in inactive])
+        np.testing.assert_array_equal(fit.gamma[active], scalings[-1] * sol[cp.n_fixed :])
         for blk in inactive:
-            assert np.all(fit.u_hat[blk.start : blk.stop] == 0.0)
+            assert np.all(fit.gamma[blk.start : blk.stop] == 0.0)
 
 
 class TestKeptFactor:
@@ -1076,7 +1096,7 @@ class TestKeptFactor:
         again = fit_reml(cp, spec, basis)
         for name in ("restricted_loglik", "n_loglik_evals", "converged", "inactive_terms"):
             assert getattr(again, name) == getattr(first, name)
-        for name in ("b_hat", "u_hat"):
+        for name in ("b_hat", "gamma"):
             np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
         for f in dataclasses.fields(VarianceParams):
             np.testing.assert_array_equal(getattr(again.theta, f.name), getattr(first.theta, f.name))
@@ -1349,7 +1369,7 @@ class TestPredictAndShares:
         spec, basis, X, nb, y, design, cp = reml_problem(seed=13)
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
         res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.0), None])
-        fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.n_obs, cp.blocks)
+        fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
         field = predict_coefficients(fit, basis, [None, nb])
         assert np.all(field.svc == 0.0) and np.all(field.nvc == 0.0)
         np.testing.assert_array_equal(field.total, np.tile(field.mean, (30, 1)))
@@ -1364,10 +1384,14 @@ class TestPredictAndShares:
         spec = ModelSpec(("x",), (True,), (True,), 4)
         design = build_design(np.ones((40, 1)), spec, basis, [nb])
         u = rng.normal(size=design.n_random)
+        svc, nvc = design.blocks
 
         def field_at(tau_s, tau_n):
             theta = VarianceParams(1.0, [tau_s**2], [1.0], [tau_n**2])
-            fit = FittedModel(spec, theta, np.zeros(1), u, 0.0, 1, True, design.n_obs, design.blocks)
+            gamma = u.copy()
+            gamma[svc.start : svc.stop] *= tau_s * np.sqrt(scale_eigenvalues(basis, 1.0))
+            gamma[nvc.start : nvc.stop] *= tau_n
+            fit = FittedModel(spec, theta, np.zeros(1), gamma, 0.0, 1, True, design.n_obs, design.blocks)
             return predict_coefficients(fit, basis, [nb])
 
         unit = field_at(1.0, 1.0)
@@ -1404,7 +1428,7 @@ class TestPredictAndShares:
             nbs = [spline_basis(X[:, k], spec.n_basis_nvc) if spec.has_nvc[k] else None for k in range(3)]
             cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
             res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, a) for a in theta.alpha])
-            fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.n_obs, cp.blocks)
+            fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
             return res.loglik, predict_coefficients(fit, basis, nbs).total
 
         perm = np.random.default_rng(0).permutation(150)
@@ -1427,13 +1451,25 @@ class TestPredictAndShares:
         def field(basis):
             cp = precompute_crossproducts(build_design(inst.X, spec, basis, nbs), inst.y)
             res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, a) for a in theta.alpha])
-            fit = FittedModel(spec, theta, res.b_hat, res.u_hat, res.loglik, 1, True, cp.n_obs, cp.blocks)
+            fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
             return res.loglik, predict_coefficients(fit, basis, nbs)
 
         (loglik, ref), (loglik_c, got) = field(cut), field(capped)
         assert abs(loglik_c - loglik) <= 1e-10
         for part in ("svc", "nvc", "total"):
             assert np.abs(getattr(got, part) - getattr(ref, part)).max() <= 1e-10
+
+    def test_the_field_does_not_depend_on_theta(self):
+        # The field is the bases times the fit's gamma; the reported variance
+        # parameters are not rebuilt into a scaling.
+        spec, basis, X, nb, y, design, cp = reml_problem(seed=15)
+        fit = fit_reml(cp, spec, basis)
+        other = VarianceParams(2.5, [4.0, 0.0], [-2.0, 0.0], [0.0, 0.01])
+        assert other.tau2_s[0] != fit.theta.tau2_s[0] and other.alpha[0] != fit.theta.alpha[0]
+        field = predict_coefficients(fit, basis, [None, nb])
+        moved = predict_coefficients(dataclasses.replace(fit, theta=other), basis, [None, nb])
+        for f in dataclasses.fields(field):
+            np.testing.assert_array_equal(getattr(moved, f.name), getattr(field, f.name))
 
     def test_decomposition_exact(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=15)

@@ -137,9 +137,10 @@ class TestGwrFitAt:
             ("exponential_fixed", 0.0, "fixed bandwidth must be positive"),
             ("exponential_adaptive", 0, "neighbor count must lie in [1, 24]"),
             ("exponential_adaptive", 25, "neighbor count must lie in [1, 24]"),
+            ("exponential_adaptive", 10.7, "neighbor count must be an integer"),
             ("gaussian", 1.0, "kernel must be one of"),
         ],
-        ids=["fixed-zero", "adaptive-zero", "adaptive-all", "unknown-kernel"],
+        ids=["fixed-zero", "adaptive-zero", "adaptive-all", "adaptive-fraction", "unknown-kernel"],
     )
     def test_input_checks(self, kernel, bw, message):
         sites, X, y = make_problem(seed=6)

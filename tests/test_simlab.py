@@ -165,6 +165,10 @@ class TestCoefCorrelations:
         assert out.counts[0, 1] == 1
         assert np.isfinite(out.mean[0, 1])
 
+    def test_no_iterations_is_a_value_error(self):
+        with pytest.raises(ValueError, match="at least one iteration"):
+            coef_correlations([])
+
     def test_toy_spurious_correlation_directions(self):
         # Scaled-down grid: the shared-basis SVC fit shows strong spurious
         # negative correlation, the spline fit stays near the true value.

@@ -16,7 +16,7 @@ from snvc.errors import (
     AllSitesCoincident,
     ConstantVector,
     DataError,
-    EmptyBasis,
+    EmptySpatialBasis,
     NonPositiveRange,
     SiteLimitExceeded,
 )
@@ -478,7 +478,7 @@ class TestScaleEigenvalues:
 
     def test_empty_basis_raises(self):
         basis = _basis_with_eigvals([])
-        with pytest.raises(EmptyBasis):
+        with pytest.raises(EmptySpatialBasis):
             scale_eigenvalues(basis, 1.0)
 
 
