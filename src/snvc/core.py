@@ -14,13 +14,17 @@ covariate order, then all non-spatial blocks in covariate order.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
+import scipy
 from scipy.linalg import blas, lapack
-from scipy.optimize import _lbfgsb
 
 from .errors import (
     ConstantCovariate,
@@ -81,6 +85,31 @@ _LBFGS_MEMORY = 10
 _PGTOL = 1e-5
 _MAX_LS = 20
 _TASK_NEW_X, _TASK_FG, _TASK_CONVERGENCE = 1, 3, 4
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, loaded from its file in scipy's
+    ``optimize`` directory without running the ``scipy.optimize`` package,
+    whose ``__init__`` imports solvers the search never calls.  The
+    ``sys.modules`` entry the loader makes is undone, so a later ``import
+    scipy.optimize`` loads and binds its own module as usual."""
+    name = "scipy.optimize._lbfgsb"
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled {name}; snvc calls its setulb as in scipy 1.17.1")
+    kept = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if kept is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = kept
+    return module
+
+
+_lbfgsb = _load_lbfgsb()
 
 # Triangles up to this order are inverted by one dtrtri; larger ones by
 # halves.  With one OpenBLAS thread on a 2-vCPU Xeon, halving took the column
@@ -613,7 +642,17 @@ class RemlProblem:
         return out
 
 
-def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> scipy.optimize.OptimizeResult:
+class _Run(NamedTuple):
+    """The end of one ``_search`` run."""
+
+    x: np.ndarray
+    fun: float
+    success: bool
+    status: int
+    nfev: int
+
+
+def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> _Run:
     """One bounded L-BFGS-B run from ``t0``; ``nfev`` counts value-and-gradient calls.
 
     A loop over scipy's L-BFGS-B routine ``setulb`` and its reverse
@@ -653,9 +692,7 @@ def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> s
         if at is not None and (x == at).all():  # np.array_equal, without its checks
             continue
         if calls == maxfun:
-            return scipy.optimize.OptimizeResult(
-                x=best[1], fun=best[0], success=False, status=-1 if broke else 1, nfev=calls
-            )
+            return _Run(x=best[1], fun=best[0], success=False, status=-1 if broke else 1, nfev=calls)
         calls += 1
         at = x.copy()
         try:
@@ -667,7 +704,7 @@ def _search(problem: RemlProblem, t0: np.ndarray, maxfun: int, ftol: float) -> s
         if f < best[0]:
             best = (f, at)
     status = -1 if broke else 0 if task[0] == _TASK_CONVERGENCE else 2
-    return scipy.optimize.OptimizeResult(x=x, fun=f, success=status == 0, status=status, nfev=calls)
+    return _Run(x=x, fun=f, success=status == 0, status=status, nfev=calls)
 
 
 def _boundary_scores(

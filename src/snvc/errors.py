@@ -49,7 +49,7 @@ class SiteLimitExceeded(DataError, ValueError):
 # --- geometry and bases ---------------------------------------------------
 
 class AllSitesCoincident(SnvcError):
-    """Every pairwise distance is zero; no spanning-tree range exists."""
+    """Every pairwise distance is zero; no spanning-tree range or fixed GWR bandwidth exists."""
 
 
 class NonPositiveRange(SnvcError):

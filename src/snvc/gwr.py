@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
+from .errors import AllSitesCoincident, DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
 from .spatial import SiteSet
 
 KERNELS = ("exponential_fixed", "exponential_adaptive")
@@ -219,7 +219,10 @@ def select_bandwidth(
     kernel, integer scan over neighbor counts for the adaptive one.
 
     Candidates whose local fits fail are skipped; if every candidate fails,
-    NoFeasibleBandwidth is raised.
+    NoFeasibleBandwidth is raised.  The fixed kernel raises
+    AllSitesCoincident when every site coincides, which leaves no positive
+    distance to search; the adaptive kernel then fits every site with unit
+    weights.
     """
     p = _problem(sites, X, y, kernel, include_intercept)
     n, k = p.X.shape
@@ -240,6 +243,8 @@ def select_bandwidth(
         return best
 
     maxdist = float(p.d.max())
+    if maxdist == 0.0:
+        raise AllSitesCoincident("all pairwise distances are zero: no fixed bandwidth to search")
     return _golden_section(p, 0.01 * maxdist, maxdist)
 
 

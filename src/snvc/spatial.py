@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import cdist
 
 from .errors import (
     AllSitesCoincident,
@@ -65,8 +64,28 @@ class SiteSet:
         return self.coords.shape[0]
 
     def distances(self) -> np.ndarray:
-        """Full N x N Euclidean distance matrix, exactly symmetric."""
-        return cdist(self.coords, self.coords)
+        """Full N x N Euclidean distance matrix, exactly symmetric.
+
+        ``sqrt(dx^2 + dy^2)``, the arithmetic of scipy's ``cdist``, so the
+        same bits.  Rows are computed in panels of about 16k entries, dx^2 in
+        the result's own rows and dy^2 in one reused panel, so the peak is
+        the result, one panel and numpy's ufunc buffer.
+        """
+        n = self.n_sites
+        x, y = self.coords.T.copy()
+        out = np.empty((n, n))
+        rows = max(1, 16384 // n)
+        dy_panel = np.empty_like(out[:rows])
+        for i in range(0, n, rows):
+            dx = out[i : i + rows]
+            dy = dy_panel[: len(dx)]
+            np.subtract(x[i : i + rows, None], x, out=dx)
+            np.subtract(y[i : i + rows, None], y, out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.sqrt(dx, out=dx)
+        return out
 
 
 @dataclass(frozen=True)

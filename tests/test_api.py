@@ -1,7 +1,13 @@
 import dataclasses
 import importlib
+import importlib.machinery
 import inspect
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +94,49 @@ def test_benchmark_gwr_call_runs():
     inst = snvc.gen_toy(11, grid=(6, 6))
     fit = snvc.select_bandwidth(inst.sites, inst.X, inst.y, "exponential_fixed", False)
     assert math.isfinite(fit.aicc) and fit.local_coefs.shape == (36, 2)
+
+
+def run_fresh(script):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def test_import_loads_neither_scipy_optimize_nor_spatial():
+    # snvc loads L-BFGS-B's compiled module on its own; scipy.optimize,
+    # imported afterwards, still binds and runs its own.
+    run_fresh(
+        """
+        import sys
+        import snvc
+
+        loaded = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.spatial")))
+        assert not loaded, loaded
+        import numpy as np
+        import scipy.optimize
+
+        assert sys.modules["scipy.optimize._lbfgsb"] is scipy.optimize._lbfgsb
+        run = scipy.optimize.minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(2), method="L-BFGS-B")
+        assert run.success and np.allclose(run.x, 1.0), run
+        """
+    )
+
+
+def test_import_after_scipy_optimize_keeps_its_module():
+    run_fresh(
+        """
+        import sys
+        import scipy.optimize
+
+        lbfgsb = scipy.optimize._lbfgsb
+        import snvc
+
+        assert sys.modules["scipy.optimize._lbfgsb"] is scipy.optimize._lbfgsb is lbfgsb
+        """
+    )
+
+
+def test_missing_lbfgsb_module_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(lambda *args: None))
+    with pytest.raises(ImportError, match=r"scipy\.optimize\._lbfgsb.*scipy 1\.17\.1"):
+        snvc.core._load_lbfgsb()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snvc import gwr
-from snvc.errors import DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
+from snvc.errors import AllSitesCoincident, DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
 from snvc.gwr import GwrFit, _adaptive_candidates, _problem, _solve_spd, _weights, gwr_fit_at, select_bandwidth
 from snvc.spatial import SiteSet
 
@@ -242,6 +242,18 @@ class TestSelectBandwidth:
         sites, X, y = make_problem(n=40, seed=8)
         with pytest.raises(NoFeasibleBandwidth, match=message):
             select_bandwidth(sites, X, y, kernel)
+
+    def test_coincident_sites(self):
+        # No distance is positive, so the fixed kernel has no bandwidth to
+        # search; the adaptive kernel weighs every site 1 and fits global OLS.
+        rng = np.random.default_rng(0)
+        sites = SiteSet(np.full((20, 2), 3.0))
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        with pytest.raises(AllSitesCoincident):
+            select_bandwidth(sites, X, y, "exponential_fixed")
+        fit = select_bandwidth(sites, X, y, "exponential_adaptive")
+        ols = np.linalg.lstsq(np.column_stack([np.ones(20), X]), y, rcond=None)[0]
+        np.testing.assert_allclose(fit.local_coefs, np.tile(ols, (20, 1)), rtol=1e-10)
 
     def test_constant_coefficients_prefer_upper_bound(self):
         hits = 0

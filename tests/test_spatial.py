@@ -11,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial.distance import cdist
 
 from snvc.errors import (
     AllSitesCoincident,
@@ -76,6 +77,27 @@ class TestDistances:
             for j in range(n):
                 ref = np.sqrt((c[i, 0] - c[j, 0]) ** 2 + (c[i, 1] - c[j, 1]) ** 2)
                 assert abs(d[i, j] - ref) <= 1e-15 * ref
+
+    @staticmethod
+    def assert_cdist_bits(sites):
+        d = sites.distances()
+        np.testing.assert_array_equal(d, cdist(sites.coords, sites.coords), strict=True)
+        np.testing.assert_array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 1e3, 1e5])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_equals_cdist_bit_for_bit(self, scale, offset):
+        self.assert_cdist_bits(SiteSet(sites_with_duplicates().coords * scale + offset))
+
+    def test_equals_cdist_on_the_grid(self):
+        self.assert_cdist_bits(grid_sites(40))
+
+    # Rows come in panels of 32768 // N: 181^2 cells fit one panel, 182 sites
+    # take a second panel of two rows, and 300 sites end on a short panel.
+    @pytest.mark.parametrize("n", [2, 181, 182, 300])
+    def test_equals_cdist_across_panel_boundaries(self, n):
+        self.assert_cdist_bits(gaussian_sites(n, seed=n))
 
 
 class TestMstRange:
