@@ -14,18 +14,14 @@ covariate order, then all non-spatial blocks in covariate order.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy
-from scipy.linalg import blas, lapack
 
+from ._compiled import blas, lapack
+from ._compiled import lbfgsb as _lbfgsb
 from .errors import (
     ConstantCovariate,
     DimensionMismatch,
@@ -86,30 +82,6 @@ _PGTOL = 1e-5
 _MAX_LS = 20
 _TASK_NEW_X, _TASK_FG, _TASK_CONVERGENCE = 1, 3, 4
 
-
-def _load_lbfgsb():
-    """scipy's compiled L-BFGS-B module, loaded from its file in scipy's
-    ``optimize`` directory without running the ``scipy.optimize`` package,
-    whose ``__init__`` imports solvers the search never calls.  The
-    ``sys.modules`` entry the loader makes is undone, so a later ``import
-    scipy.optimize`` loads and binds its own module as usual."""
-    name = "scipy.optimize._lbfgsb"
-    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
-    if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no compiled {name}; snvc calls its setulb as in scipy 1.17.1")
-    kept = sys.modules.get(name)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        if kept is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = kept
-    return module
-
-
-_lbfgsb = _load_lbfgsb()
 
 # Triangles up to this order are inverted by one dtrtri; larger ones by
 # halves.  With one OpenBLAS thread on a 2-vCPU Xeon, halving took the column

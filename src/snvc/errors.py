@@ -46,6 +46,10 @@ class SiteLimitExceeded(DataError, ValueError):
     """More sites than the dense N x N eigendecomposition is allowed."""
 
 
+class CoordinateRangeTooLarge(DataError, ValueError):
+    """The coordinates span so wide a range that squared distances overflow."""
+
+
 # --- geometry and bases ---------------------------------------------------
 
 class AllSitesCoincident(SnvcError):

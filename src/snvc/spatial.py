@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._compiled import lapack
 from .errors import (
     AllSitesCoincident,
     ConstantVector,
+    CoordinateRangeTooLarge,
     EmptySpatialBasis,
     NonPositiveRange,
+    NumericalBreakdown,
     SiteLimitExceeded,
 )
 
@@ -45,7 +47,14 @@ _FLOOR_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class SiteSet:
-    """Planar sample sites with Euclidean geometry."""
+    """Planar sample sites with Euclidean geometry.
+
+    Raises
+    ------
+    CoordinateRangeTooLarge
+        If the coordinates span so wide a range that a squared distance
+        overflows; it is also a ``ValueError``.
+    """
 
     coords: np.ndarray  # (N, 2)
 
@@ -57,6 +66,17 @@ class SiteSet:
             raise ValueError("need at least 2 sites")
         if not np.all(np.isfinite(coords)):
             raise ValueError("coordinates must be finite")
+        # Every squared distance is at most the squared diagonal of the
+        # bounding box, so the distances are finite if that is.
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        with np.errstate(over="ignore"):
+            ext = hi - lo
+            diagonal2 = ext @ ext
+        if not np.isfinite(diagonal2):
+            raise CoordinateRangeTooLarge(
+                f"coordinates span x {lo[0]:.6g} to {hi[0]:.6g} and y {lo[1]:.6g} to {hi[1]:.6g}: "
+                "their squared distances overflow"
+            )
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -158,6 +178,8 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
         it is also a ``ValueError``.
     AllSitesCoincident
         If every pairwise distance is zero.
+    NumericalBreakdown
+        If the LAPACK eigensolver reports a failure.
     """
     n = sites.n_sites
     if n > DEFAULT_MAX_SITES:
@@ -182,30 +204,61 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
     # M fixes the centred coordinates u, so u'(M C M)u / u'u <= lambda_1.
     u = sites.coords - sites.coords.mean(axis=0)
     if 4 * k <= n and np.any((u * (c @ u)).sum(axis=0) > (1 + _FLOOR_MARGIN) * (u * u).sum(axis=0)):
-        eigvals, eigvecs = scipy.linalg.eigh(
-            c.T,
-            subset_by_index=[n - k, n - 1],
-            driver="evr",
-            overwrite_a=True,
-            check_finite=False,
-        )
+        eigvals, eigvecs = _eigh(c.T, "evr", k)
         # No eigenvalue is below -1, so lambda_1 > 1 is max|lambda|.
         threshold = cutoff * float(eigvals[-1])
     else:
-        eigvals, eigvecs = scipy.linalg.eigh(c.T, driver="evd", overwrite_a=True, check_finite=False)
+        eigvals, eigvecs = _eigh(c.T, "evd", n)
         # The cutoff is relative to the spectral magnitude so that spectra
         # whose largest eigenvalue is a floating-point zero (e.g. an
         # equilateral triangle) come back empty instead of keeping noise.
         threshold = cutoff * float(np.abs(eigvals).max())
     del c  # evr writes the eigenvectors elsewhere: free the N x N buffer before copying them
 
-    # eigh returns ascending eigenvalues: the kept ones are the last m.
+    # The eigenvalues come ascending: the kept ones are the last m.
     m = min(int((eigvals > threshold).sum()), k)
     order = eigvals.size - 1 - np.arange(m)
     return SpatialBasis(eigvecs=eigvecs[:, order], eigvals=eigvals[order], range_r=range_r)
 
 
 # --- in-place stages ------------------------------------------------------
+
+
+def _eigh(a: np.ndarray, driver: str, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` largest eigenpairs of the Fortran-ordered symmetric ``a``
+    by ``dsyevr`` (``driver="evr"``), or all of them by ``dsyevd``
+    (``"evd"``, which ignores ``top``), eigenvalues ascending; ``a`` is
+    overwritten.  The same LAPACK call, with the same arguments and work
+    sizes, as scipy's ``eigh(a, driver=driver, overwrite_a=True,
+    check_finite=False)``, the ``evr`` one with ``subset_by_index=[n - top,
+    n - 1]``, so the same bits.
+
+    Raises
+    ------
+    NumericalBreakdown
+        If LAPACK reports a nonzero ``info``.
+    """
+    n = a.shape[0]
+    if driver == "evr":
+        lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+        w, v, m, _, info = lapack.dsyevr(
+            a,
+            compute_v=1,
+            range="I",
+            il=n - top + 1,
+            iu=n,
+            lower=1,
+            overwrite_a=1,
+            lwork=int(lwork),
+            liwork=int(liwork),
+        )
+        w, v = w[:m], v[:, :m]
+    else:
+        lwork, liwork, _ = lapack.dsyevd_lwork(n, compute_v=1, lower=1)
+        w, v, info = lapack.dsyevd(a, compute_v=1, lower=1, overwrite_a=1, lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise NumericalBreakdown(f"LAPACK {driver} eigensolver failed with info = {info} at N = {n}")
+    return w, v
 
 
 def _mst_max_edge(d: np.ndarray) -> float:

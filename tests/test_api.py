@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import snvc
+import snvc._compiled
 import snvc.cli
 import snvc.core
 
@@ -122,6 +123,49 @@ def test_import_loads_neither_scipy_optimize_nor_spatial():
     )
 
 
+def test_import_loads_no_scipy_package_but_its_compiled_modules():
+    # snvc loads LAPACK and BLAS from scipy's compiled modules on their own;
+    # scipy.linalg's package, with scipy._lib's array API layer and the numpy
+    # submodules that layer imports, stays unloaded.  scipy.linalg, imported
+    # afterwards, still binds and runs its own modules.
+    run_fresh(
+        """
+        import sys
+        import snvc
+
+        packages = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+        loaded = sorted(m for m in sys.modules if m in packages or m.startswith(tuple(p + "." for p in packages)))
+        assert not loaded, loaded
+        import numpy as np
+        import scipy.linalg
+
+        assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+        assert sys.modules["scipy.linalg._fblas"] is scipy.linalg._fblas
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        w, v = scipy.linalg.eigh(a)
+        assert np.allclose(a @ v, v * w), (w, v)
+        factor, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+        assert info == 0 and np.allclose(factor @ factor.T, a), factor
+        """
+    )
+
+
+def test_import_after_scipy_linalg_keeps_its_modules():
+    run_fresh(
+        """
+        import sys
+        import scipy.linalg
+
+        before = {name: module for name, module in sys.modules.items() if name.startswith("scipy")}
+        import snvc
+
+        after = {name: module for name, module in sys.modules.items() if name.startswith("scipy")}
+        assert after.keys() == before.keys(), sorted(after.keys() ^ before.keys())
+        assert all(after[name] is module for name, module in before.items())
+        """
+    )
+
+
 def test_import_after_scipy_optimize_keeps_its_module():
     run_fresh(
         """
@@ -136,7 +180,8 @@ def test_import_after_scipy_optimize_keeps_its_module():
     )
 
 
-def test_missing_lbfgsb_module_is_an_import_error(monkeypatch):
+@pytest.mark.parametrize("package, name", [("optimize", "_lbfgsb"), ("linalg", "_flapack"), ("linalg", "_fblas")])
+def test_missing_lbfgsb_module_is_an_import_error(monkeypatch, package, name):
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(lambda *args: None))
-    with pytest.raises(ImportError, match=r"scipy\.optimize\._lbfgsb.*scipy 1\.17\.1"):
-        snvc.core._load_lbfgsb()
+    with pytest.raises(ImportError, match=rf"scipy\.{package}\.{name}.*scipy 1\.17\.1"):
+        snvc._compiled._load(package, name)

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import snvc.spatial
 from snvc.cli import FitReport, TableSchema, load_table, main, write_table
 from snvc.errors import ConfigInvalid, EmptyAfterFiltering, MissingColumn, ParseError
 from snvc.simlab import gen_toy
@@ -624,6 +626,24 @@ class TestBasisCommand:
         assert main(["basis", "--data", str(path), "--coords", "px,py", "--out", str(tmp_path / "b.csv")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "EmptyAfterFiltering" and "got 1" in err["message"]
+
+    def test_coordinates_whose_squared_distances_overflow_are_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        write_csv(path, ["px", "py"], [[0, 0], [1e200, 1e200], [1, 1], [2, 0], [0, 3]])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["basis", "--data", str(path), "--coords", "px,py", "--out", str(tmp_path / "b.csv")])
+        assert code == 3
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)], seen
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CoordinateRangeTooLarge" and "x 0 to 1e+200" in err["message"]
+
+    def test_eigensolver_failure_exits_four(self, spatial_csv, tmp_path, capsys, monkeypatch):
+        solve = snvc.spatial.lapack.dsyevd
+        monkeypatch.setattr(snvc.spatial.lapack, "dsyevd", lambda a, **kwargs: (*solve(a, **kwargs)[:-1], 1))
+        assert main(["basis", "--data", spatial_csv, "--coords", "px,py", "--out", str(tmp_path / "b.csv")]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericalBreakdown" and "info = 1" in err["message"]
 
 
 @pytest.mark.parametrize("command", ["fit", "basis"])

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,15 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
+import snvc.spatial
 from snvc.errors import (
     AllSitesCoincident,
     ConstantVector,
+    CoordinateRangeTooLarge,
     DataError,
     EmptySpatialBasis,
     NonPositiveRange,
+    NumericalBreakdown,
     SiteLimitExceeded,
 )
 from snvc.spatial import (
@@ -98,6 +102,31 @@ class TestDistances:
     @pytest.mark.parametrize("n", [2, 181, 182, 300])
     def test_equals_cdist_across_panel_boundaries(self, n):
         self.assert_cdist_bits(gaussian_sites(n, seed=n))
+
+
+# Distances between these sites reach 1.4e200, whose square overflows.
+OVERFLOWING_COORDS = [[0.0, 0.0], [1e200, 1e200], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0]]
+
+
+class TestCoordinateRange:
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            (OVERFLOWING_COORDS, "x 0 to 1e+200 and y 0 to 1e+200"),
+            ([[-1e308, 0.0], [1e308, 0.0]], "x -1e+308 to 1e+308 and y 0 to 0"),
+        ],
+        ids=["squared-extent-overflows", "extent-overflows"],
+    )
+    def test_range_whose_squared_distances_overflow_is_rejected(self, coords, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateRangeTooLarge, match=re.escape(message)) as err:
+                SiteSet(coords)
+        assert isinstance(err.value, DataError) and isinstance(err.value, ValueError)
+
+    def test_range_whose_squared_distances_are_finite_is_accepted(self):
+        sites = SiteSet([[0.0, 0.0], [1e150, 1e150], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0]])
+        assert np.all(np.isfinite(sites.distances()))
 
 
 class TestMstRange:
@@ -204,15 +233,15 @@ class TestMoranEigenBasis:
 
 
 def spy_eigensolver(monkeypatch):
-    """Record the driver and shape of every ``scipy.linalg.eigh`` call."""
+    """Record the driver and shape of every eigensolver call of ``moran_basis``."""
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh = snvc.spatial._eigh
 
-    def spy(a, **kwargs):
-        calls.append((kwargs.get("driver"), a.shape))
-        return eigh(a, **kwargs)
+    def spy(a, driver, top):
+        calls.append((driver, a.shape))
+        return eigh(a, driver, top)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(snvc.spatial, "_eigh", spy)
     return calls
 
 
@@ -410,13 +439,57 @@ class TestMoranBasis:
         # of C, bit for bit.  On these sites the mean of the row means
         # rounds differently, and that moves some fits to another maximum.
         inputs = []
-        eigh = scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda a, **kw: inputs.append(a.T.copy()) or eigh(a, **kw))
+        eigh = snvc.spatial._eigh
+        monkeypatch.setattr(snvc.spatial, "_eigh", lambda a, *args: inputs.append(a.T.copy()) or eigh(a, *args))
         moran_basis(sites, max_components=cap)
         c = np.exp(-sites.distances() / mst_range(sites))
         np.fill_diagonal(c, 0.0)
         row_means = c.mean(axis=1)
         assert np.array_equal(inputs[0], (c - row_means[:, None]) - row_means[None, :] + c.mean())
+
+    @pytest.mark.parametrize(
+        "sites, cap, driver",
+        [(grid_sites(40), 200, "evr"), (gaussian_sites(400), None, "evd")],
+        ids=["grid40x40-cap200", "gaussian400"],
+    )
+    def test_eigenpairs_equal_scipy_eigh(self, sites, cap, driver, monkeypatch):
+        # The LAPACK call of scipy's eigh, made directly: the same bits.
+        inputs = []
+        eigh = snvc.spatial._eigh
+        monkeypatch.setattr(
+            snvc.spatial, "_eigh", lambda a, *args: inputs.append((args[0], a.copy(order="F"))) or eigh(a, *args)
+        )
+        got = moran_basis(sites, max_components=cap)
+        ((used, a),) = inputs
+        assert used == driver
+        n = sites.n_sites
+        if cap is None:
+            lam, vecs = scipy.linalg.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
+            m = int((lam > DEFAULT_EIGEN_CUTOFF * np.abs(lam).max()).sum())
+        else:
+            lam, vecs = scipy.linalg.eigh(
+                a, subset_by_index=[n - cap, n - 1], driver="evr", overwrite_a=True, check_finite=False
+            )
+            m = min(int((lam > DEFAULT_EIGEN_CUTOFF * lam[-1]).sum()), cap)
+        order = lam.size - 1 - np.arange(m)
+        np.testing.assert_array_equal(got.eigvals, lam[order], strict=True)
+        np.testing.assert_array_equal(got.eigvecs, vecs[:, order], strict=True)
+
+    @pytest.mark.parametrize(
+        "sites, cap, routine",
+        [(grid_sites(20), 50, "dsyevr"), (gaussian_sites(50), None, "dsyevd")],
+        ids=["evr", "evd"],
+    )
+    def test_eigensolver_failure_is_a_numerical_breakdown(self, sites, cap, routine, monkeypatch):
+        solve = getattr(snvc.spatial.lapack, routine)
+
+        def failing(a, **kwargs):
+            *out, _ = solve(a, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(snvc.spatial.lapack, routine, failing)
+        with pytest.raises(NumericalBreakdown, match="info = 1"):
+            moran_basis(sites, max_components=cap)
 
     @pytest.mark.parametrize(
         "sites",
