@@ -39,7 +39,6 @@ from .spatial import (
     moran_basis,
     moran_coefficient,
     mst_range,
-    scale_eigenvalues,
 )
 from .splines import NvcBasis, spline_basis
 
@@ -77,7 +76,6 @@ __all__ = [
     "predict_coefficients",
     "restricted_loglik",
     "run_scenario",
-    "scale_eigenvalues",
     "select_bandwidth",
     "spline_basis",
 ]

@@ -261,7 +261,8 @@ def fit_command(args) -> int:
     names = [INTERCEPT_NAME] + covariates
     n = table.n_rows
     X = np.column_stack([np.ones(n), table.X])
-    constant_cols = [names[k] for k in range(len(names)) if np.std(X[:, k]) == 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a column too large to square is not constant
+        constant_cols = [names[k] for k in range(len(names)) if np.std(X[:, k]) == 0.0]
 
     svc_terms = _resolve_term_list(args.svc, names, default=names, what="svc")
     nvc_default = [c for c in names if c not in constant_cols]

@@ -24,6 +24,7 @@ from ._compiled import blas, lapack
 from ._compiled import lbfgsb as _lbfgsb
 from .errors import (
     ConstantCovariate,
+    CrossproductOverflow,
     DimensionMismatch,
     EmptySpatialBasis,
     NumericalBreakdown,
@@ -47,6 +48,8 @@ _FIXED_ALPHA = 1.0
 _LOG_TAU2_BOUNDS = (-46.0, 46.0)
 
 _MAX_EVALS_TOTAL = 2000
+
+_FIXED_RANK_TOL = 1e-12  # X'X is singular if its eigenvalues span a ratio of at most this
 
 # The one-sided score of an inactive SVC block is maximised over this grid.
 _ALPHA_GRID = np.linspace(ALPHA_BOUNDS[0], ALPHA_BOUNDS[1], 31)
@@ -152,7 +155,11 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class Crossproducts:
-    """Every inner product the restricted likelihood needs; nothing N-sized."""
+    """Every inner product the restricted likelihood needs; nothing N-sized.
+
+    Raises ValueError unless N > K, ``CrossproductOverflow`` if a product is
+    not finite, and ``SingularFixedBlock`` unless X'X is positive definite.
+    """
 
     XtX: np.ndarray
     XtE: np.ndarray
@@ -163,6 +170,23 @@ class Crossproducts:
     n_obs: int
     blocks: tuple[BlockLayout, ...]
 
+    def __post_init__(self):
+        if self.n_obs <= self.n_fixed:
+            raise ValueError("need more observations than fixed effects")
+        if not all(np.isfinite(a).all() for a in (self.XtX, self.XtE, self.EtE, self.Xty, self.Ety, self.yty)):
+            raise CrossproductOverflow(
+                "the crossproducts of the design overflow: the covariates or the response are too large"
+            )
+        ratio = _eigenvalue_ratio(self.XtX)
+        if ratio <= _FIXED_RANK_TOL:
+            d = np.sqrt(np.diag(self.XtX))  # unit-length columns tell scale from collinearity
+            unit = _eigenvalue_ratio(self.XtX / np.outer(d, d)) if d.all() else 0.0
+            hint = "X has full rank, so rescale the covariates" if unit > _FIXED_RANK_TOL else "X is collinear"
+            raise SingularFixedBlock(
+                f"X'X is rank-deficient: its eigenvalues span a ratio of {ratio:.2e}, and {unit:.2e} with "
+                f"every column scaled to unit length, against {_FIXED_RANK_TOL:g}; {hint}"
+            )
+
     @property
     def n_fixed(self) -> int:
         return self.XtX.shape[0]
@@ -170,6 +194,11 @@ class Crossproducts:
     @property
     def n_random(self) -> int:
         return self.EtE.shape[0]
+
+
+def _eigenvalue_ratio(a: np.ndarray) -> float:
+    eigs = np.linalg.eigvalsh(a)  # ascending
+    return float(eigs[0] / max(eigs[-1], np.finfo(float).tiny))
 
 
 def _columns(blocks: tuple[BlockLayout, ...]) -> np.ndarray:
@@ -203,13 +232,6 @@ class VarianceParams:
         lo, hi = ALPHA_BOUNDS
         if np.any(self.alpha < lo) or np.any(self.alpha > hi):
             raise ValueError(f"alpha must lie in [{lo}, {hi}]")
-
-    def validate_against(self, spec: ModelSpec) -> None:
-        for k in range(spec.n_covariates):
-            if not spec.has_svc[k] and self.tau2_s[k] != 0.0:
-                raise ValueError(f"tau2_s[{k}] must be 0 when has_svc is false")
-            if not spec.has_nvc[k] and self.tau2_n[k] != 0.0:
-                raise ValueError(f"tau2_n[{k}] must be 0 when has_nvc is false")
 
 
 @dataclass(frozen=True)
@@ -311,29 +333,12 @@ def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
     exactly symmetric and its transpose is already that matrix in Fortran order.
     """
     y = np.asarray(y, dtype=float).ravel()
-    n = Z.n_obs
-    if y.shape[0] != n:
+    if y.shape[0] != Z.n_obs:
         raise DimensionMismatch("y length must match the design rows")
-    if n <= Z.n_fixed:
-        raise ValueError("need more observations than fixed effects")
     X, E = Z.X, Z.E
-    return Crossproducts(
-        XtX=X.T @ X,
-        XtE=X.T @ E,
-        EtE=(E.T @ E).T,
-        Xty=X.T @ y,
-        Ety=E.T @ y,
-        yty=float(y @ y),
-        n_obs=n,
-        blocks=Z.blocks,
-    )
-
-
-def _check_fixed_block(XtX: np.ndarray) -> None:
-    """Raise ``SingularFixedBlock`` unless X'X is numerically positive definite."""
-    fixed_eigs = np.linalg.eigvalsh(XtX)
-    if fixed_eigs[0] <= 1e-12 * max(fixed_eigs[-1], np.finfo(float).tiny):
-        raise SingularFixedBlock("X'X is rank-deficient")
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = dict(XtX=X.T @ X, XtE=X.T @ E, EtE=(E.T @ E).T, Xty=X.T @ y, Ety=E.T @ y, yty=float(y @ y))
+    return Crossproducts(**products, n_obs=Z.n_obs, blocks=Z.blocks)
 
 
 class _JointSystem:
@@ -401,12 +406,7 @@ class _JointSystem:
         return loglik, sol, sigma2_hat, factor
 
 
-def restricted_loglik(
-    cp: Crossproducts,
-    spec: ModelSpec,
-    theta: VarianceParams,
-    scalings: list[np.ndarray | None],
-) -> LoglikResult:
+def restricted_loglik(cp: Crossproducts, theta: VarianceParams, eigvals: np.ndarray | None = None) -> LoglikResult:
     """Restricted log-likelihood with the residual variance profiled out.
 
     Builds the symmetric system
@@ -421,30 +421,35 @@ def restricted_loglik(
 
     where sigma2_hat = (residual SS + ||u||^2) / (N - K) expands through the
     same crossproducts.  V is diagonal: tau_s/sigma sqrt(w_l) on the SVC
-    block of covariate k, with ``scalings[k]`` = w = ``scale_eigenvalues(basis,
-    alpha_k)`` required for every covariate with an SVC term, and
-    tau_n/sigma on its NVC block.  Returns the log-likelihood, b, the
-    random-effect coefficients gamma = V u and sigma2_hat.
+    block of covariate k, with w_l = (lambda_l / lambda_1)^alpha_k from the
+    basis eigenvalues ``eigvals``, which only a ``cp`` with an SVC block
+    needs, and tau_n/sigma on its NVC block.  Returns the log-likelihood, b,
+    the random-effect coefficients gamma = V u and sigma2_hat.
 
     Raises
     ------
-    SingularFixedBlock
-        X'X is not positive definite.
+    ValueError
+        ``theta`` gives a nonzero variance to a term that ``cp`` has no
+        block for, or ``cp`` has an SVC block and ``eigvals`` is None.
     NumericalBreakdown
         The joint system cannot be factorized, or the profiled variance
         falls below the degeneracy floor.
     """
-    theta.validate_against(spec)
-    _check_fixed_block(cp.XtX)
+    terms = {(blk.covariate, blk.kind) for blk in cp.blocks}
+    for kind, tau2 in (("svc", theta.tau2_s), ("nvc", theta.tau2_n)):
+        for k in np.flatnonzero(tau2):
+            if (k, kind) not in terms:
+                raise ValueError(f"tau2_{kind[0]}[{k}] must be 0 when has_{kind} is false")
     v = np.zeros(cp.n_random)
     for blk in cp.blocks:
         k = blk.covariate
         if blk.kind == "nvc":
             v[blk.start : blk.stop] = math.sqrt(theta.tau2_n[k] / theta.sigma2)
-        elif scalings[k] is None:
-            raise ValueError(f"missing eigen scaling for covariate {k}")
+        elif eigvals is None:
+            raise ValueError(f"missing eigen scaling for covariate {k}: its SVC block needs the basis eigenvalues")
         else:
-            v[blk.start : blk.stop] = math.sqrt(theta.tau2_s[k] / theta.sigma2) * np.sqrt(scalings[k][: blk.size])
+            w = (eigvals[: blk.size] / eigvals[0]) ** theta.alpha[k]
+            v[blk.start : blk.stop] = math.sqrt(theta.tau2_s[k] / theta.sigma2) * np.sqrt(w)
     loglik, sol, sigma2_hat, _ = _JointSystem(cp, cp.blocks).factor(v)
     k = cp.n_fixed
     return LoglikResult(loglik=loglik, b_hat=sol[:k], gamma=v * sol[k:], sigma2_hat=sigma2_hat)
@@ -505,11 +510,11 @@ class RemlProblem:
     and fixed at ``_FIXED_ALPHA``).  ``slices[i]`` is the part of t that
     belongs to ``self.blocks[i]``, and ``bounds`` the search bounds of t.
 
-    Built once per active set: the rank check on X'X, ``search_alpha``, the
-    log eigenvalue ratios ``log_eig_ratio`` = log(lambda_l / lambda_1), the
-    map from t to the log scaling diagonal and the joint matrix of the
-    blocks (``_JointSystem``, one (K+P) square matrix and its assembly
-    buffer) are the same at every evaluation.  With v the diagonal of V,
+    Built once per active set: ``search_alpha``, the log eigenvalue ratios
+    ``log_eig_ratio`` = log(lambda_l / lambda_1), the map from t to the log
+    scaling diagonal and the joint matrix of the blocks (``_JointSystem``,
+    one (K+P) square matrix and its assembly buffer) are the same at every
+    evaluation.  With v the diagonal of V,
 
         log v = C' t + offset,
 
@@ -521,17 +526,11 @@ class RemlProblem:
     The last point factored is kept: ``solve`` at the same t, bit for bit,
     returns its result without refactoring, and ``value_and_grad`` there
     goes straight to the gradient.  A point that breaks down is not kept.
-
-    Raises
-    ------
-    SingularFixedBlock
-        X'X is not positive definite.
     """
 
     def __init__(
         self, cp: Crossproducts, spatial: SpatialBasis | None, blocks: tuple[BlockLayout, ...] | None = None
     ):
-        _check_fixed_block(cp.XtX)
         blocks = cp.blocks if blocks is None else blocks
         self.joint = _JointSystem(cp, blocks)
         n_eig = spatial.n_components if spatial is not None else 0
@@ -739,8 +738,9 @@ class _ActiveSet:
     asks for, a reuse of the kept factor included; ``spendable`` is what
     is left of ``_MAX_EVALS_TOTAL`` once the closing score check is set
     aside.
-    ``converged`` is the last L-BFGS-B run's stopping test, and ``tight``
-    says that run used ``_FTOL`` and nothing has entered since.
+    ``certified`` is the stop state of the active set: None while it needs
+    an L-BFGS-B run with ``_FTOL``, True once such a run passed its stopping
+    test on it, and False once the search can no longer certify it.
     """
 
     def __init__(self, cp: Crossproducts, spatial: SpatialBasis | None):
@@ -748,7 +748,7 @@ class _ActiveSet:
         self.values: dict[BlockLayout, np.ndarray] = {}
         self.entry_alpha: dict[BlockLayout, float] = {}
         self.dropped: set[BlockLayout] = set()  # a block is dropped at most once
-        self.n_evals, self.converged, self.tight, self.loglik = 0, True, True, -math.inf
+        self.n_evals, self.certified, self.loglik = 0, True, -math.inf
         self._rebuild()
         self.alphas = _ALPHA_GRID if self.problem.search_alpha else np.array([_FIXED_ALPHA])
 
@@ -830,7 +830,7 @@ class _ActiveSet:
             self._rebuild()
             return False
         self.values[blk][0] = best
-        self.loglik, self.tight = best_loglik, False
+        self.loglik, self.certified = best_loglik, None
         return True
 
     def optimize(self, ftol: float, starts: tuple[np.ndarray, ...] = ()) -> None:
@@ -840,11 +840,15 @@ class _ActiveSet:
         ends above ``loglik``.  Then each active block whose largest column
         variance ratio is at most ``_COLLAPSED`` leaves the active set, unless
         it has left it before.
+
+        An ``_FTOL`` run that drops no block sets ``certified`` to True if it
+        passed its stopping test or stalled (status 2) within ``_FTOL`` of
+        |loglik|, and leaves it None, to be resumed, if it failed but gained.
         """
         t0s = starts or (self.point(),)
         share = self.spendable // len(t0s)
         if share < 1:
-            self.converged = False
+            self.certified = False
             return
         runs = [_search(self.problem, t0, share, ftol) for t0 in t0s]
         self.n_evals += sum(r.nfev for r in runs)
@@ -852,7 +856,7 @@ class _ActiveSet:
         if starts and -run.fun <= self.loglik:
             return
         if not math.isfinite(run.fun):
-            self.converged, self.tight = False, True
+            self.certified = False
             return
         # A gain within the stopping tolerance is rounding, not progress.
         improved = -run.fun - self.loglik > _FTOL * abs(self.loglik)
@@ -863,13 +867,8 @@ class _ActiveSet:
             if blk not in self.dropped and v[sub.start : sub.stop].max() ** 2 <= _COLLAPSED:
                 gone.append(blk)
         self.loglik = -run.fun
-        # A run certifies only the set it searched: once blocks leave, the
-        # smaller set needs a run of its own.  A run that failed its stopping
-        # test but gained is resumed from where it ended; one whose line
-        # search found no higher point (status 2) has stalled at the rounding
-        # level of the likelihood, which counts as converged.
-        self.converged = bool(run.success) or (run.status == 2 and not improved)
-        self.tight = ftol == _FTOL and not gone and (self.converged or not improved)
+        passed = bool(run.success) or (run.status == 2 and not improved)
+        self.certified = None if ftol != _FTOL or gone or (improved and not passed) else passed
         if gone:
             for blk in gone:
                 del self.values[blk]
@@ -968,12 +967,12 @@ def fit_reml(
         elif search.active and not polished:
             polished = True
             search.optimize(_FTOL, tuple(search.problem.starts()))
-        elif search.active and not search.tight:
+        elif search.active and search.certified is None:
             search.optimize(_FTOL)
         else:
             break
         best, score = search.assess()
-    converged = search.converged and search.tight and score <= _SCORE_TOL * abs(search.loglik)
+    converged = search.certified is True and score <= _SCORE_TOL * abs(search.loglik)
 
     k = cp.n_fixed
     gamma = np.zeros(cp.n_random)

@@ -50,6 +50,10 @@ class CoordinateRangeTooLarge(DataError, ValueError):
     """The coordinates span so wide a range that squared distances overflow."""
 
 
+class CrossproductOverflow(DataError, ValueError):
+    """The covariates or the response are so large that the design's crossproducts overflow."""
+
+
 # --- geometry and bases ---------------------------------------------------
 
 class AllSitesCoincident(SnvcError):
@@ -61,7 +65,7 @@ class NonPositiveRange(SnvcError):
 
 
 class EmptySpatialBasis(SnvcError):
-    """The spatial basis has no retained eigenvector: an SVC term or eigenvalue weights need one."""
+    """The spatial basis has no retained eigenvector: an SVC term needs one."""
 
 
 class ConstantVector(SnvcError):

@@ -24,13 +24,14 @@ def test_public_names_resolve_once():
 
 
 def test_removed_helpers_are_gone():
-    # Eigenvalue weights are the array scale_eigenvalues returns, a spline
-    # curve is basis.values @ gamma, moran_basis builds every basis, and
-    # predict_estimator serves the toy as well as the scenario,
-    # build_proximity returns the N x N array itself, and an empty basis is
-    # always EmptySpatialBasis.
+    # restricted_loglik forms the eigenvalue weights from theta.alpha and the
+    # basis eigenvalues, a spline curve is basis.values @ gamma, moran_basis
+    # builds every basis, predict_estimator serves the toy as well as the
+    # scenario, build_proximity returns the N x N array itself, and an empty
+    # basis is always EmptySpatialBasis.
     for name in (
         "EigenScaling",
+        "scale_eigenvalues",
         "evaluate_nvc",
         "moran_eigen_basis",
         "predict_toy_estimator",

@@ -398,6 +398,44 @@ class TestFitCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and f"{flag} names unknown covariate 'nosuch'" in err["message"]
 
+    @staticmethod
+    def fit_toy(tmp_path, x1_scale=1.0, x2_is_x1=False, y_scale=1.0):
+        """``snvc fit --nvc none`` on ``gen_toy(3)`` over a 12 x 12 grid, with x1
+        and y scaled and, with ``x2_is_x1``, x1 in place of x2."""
+        inst = gen_toy(3, grid=(12, 12))
+        x1 = x1_scale * inst.X[:, 0]
+        x2 = x1 if x2_is_x1 else inst.X[:, 1]
+        rows = np.column_stack([inst.sites.coords, y_scale * inst.y, x1, x2])
+        path = tmp_path / "toy.csv"
+        write_csv(path, ["px", "py", "y", "x1", "x2"], rows.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main([
+                "fit", "--data", str(path), "--y", "y", "--x", "x1,x2", "--coords", "px,py", "--nvc", "none",
+                "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
+            ])  # fmt: skip
+
+    @pytest.mark.parametrize("scales", [{"x1_scale": 1e160}, {"y_scale": 1e160}], ids=["covariate", "response"])
+    def test_crossproducts_that_overflow_are_a_data_error(self, tmp_path, capsys, scales):
+        assert self.fit_toy(tmp_path, **scales) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CrossproductOverflow",
+            "message": "the crossproducts of the design overflow: the covariates or the response are too large",
+        }
+
+    @pytest.mark.parametrize(
+        "kwargs, hint",
+        [({"x1_scale": 1e5}, "so rescale the covariates"), ({"x2_is_x1": True}, "X is collinear")],
+        ids=["scaled-covariate", "identical-columns"],
+    )
+    def test_singular_fixed_block_says_whether_scale_tripped_it(self, tmp_path, capsys, kwargs, hint):
+        assert self.fit_toy(tmp_path, **kwargs) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SingularFixedBlock" and err["message"].endswith(hint)
+        # x1 of a tenth that size fits.
+        if "x1_scale" in kwargs:
+            assert self.fit_toy(tmp_path, x1_scale=1e4) == 0
+
     def test_collinear_covariates_exit_four(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         x1 = rng.normal(size=40)

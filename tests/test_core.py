@@ -3,6 +3,7 @@ import inspect
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -37,9 +38,16 @@ from snvc.core import (
     DesignMatrix,
     BlockLayout,
 )
-from snvc.errors import DimensionMismatch, EmptySpatialBasis, NumericalBreakdown, SingularFixedBlock
+from snvc.errors import (
+    CrossproductOverflow,
+    DataError,
+    DimensionMismatch,
+    EmptySpatialBasis,
+    NumericalBreakdown,
+    SingularFixedBlock,
+)
 from snvc.simlab import ScenarioConfig, gen_instance, gen_toy
-from snvc.spatial import SiteSet, SpatialBasis, moran_basis, scale_eigenvalues
+from snvc.spatial import SiteSet, SpatialBasis, moran_basis
 from snvc.splines import NvcBasis, spline_basis
 
 
@@ -163,6 +171,39 @@ class TestCrossproducts:
         assert np.abs(cp.Ety - E.T @ y).max() < 1e-12
         assert abs(cp.yty - y @ y) < 1e-12
 
+    @staticmethod
+    def toy_design(x1_scale=1.0, x2_is_x1=False, with_svc=False):
+        """``gen_toy(3)`` on a 12 x 12 grid: the intercept, x1 scaled, and x2 or x1 again."""
+        inst = gen_toy(3, grid=(12, 12))
+        x1 = x1_scale * inst.X[:, 0]
+        X = np.column_stack([np.ones(144), x1, x1 if x2_is_x1 else inst.X[:, 1]])
+        spec = ModelSpec(("intercept", "x1", "x2"), (with_svc,) * 3, (False,) * 3)
+        return X, inst.y, spec, moran_basis(inst.sites, 50) if with_svc else None
+
+    @pytest.mark.parametrize("which", ["covariate", "response"])
+    def test_crossproducts_that_overflow_are_a_data_error(self, which):
+        X, y, spec, basis = self.toy_design(x1_scale=1e160 if which == "covariate" else 1.0, with_svc=True)
+        with warnings.catch_warnings(), pytest.raises(CrossproductOverflow) as caught:
+            warnings.simplefilter("error")
+            fit_snvc(X, y * (1e160 if which == "response" else 1.0), spec, basis)
+        assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
+        assert str(caught.value).endswith("the covariates or the response are too large")
+
+    @pytest.mark.parametrize(
+        "kwargs, scaled_passes", [({"x1_scale": 1e5}, True), ({"x2_is_x1": True}, False)], ids=["scaled", "identical"]
+    )
+    def test_singular_fixed_block_reports_both_ratios(self, kwargs, scaled_passes):
+        # X'X of x1 x 1e5 spans a ratio below 1e-12 although X has full
+        # rank; with unit-length columns it passes, so the message says to
+        # rescale.  Two identical columns fail both ways.
+        X, y, spec, _ = self.toy_design(**kwargs)
+        with pytest.raises(SingularFixedBlock) as caught:
+            precompute_crossproducts(build_design(X, spec, None, [None] * 3), y)
+        raw, unit = map(float, re.search(r"ratio of (\S+), and (\S+) with every column", str(caught.value)).groups())
+        assert raw <= 1e-12 and (unit > 1e-12) is scaled_passes
+        hint = "so rescale the covariates" if scaled_passes else "X is collinear"
+        assert str(caught.value).endswith(hint)
+
     def test_ete_is_one_fortran_ordered_symmetric_matrix(self):
         # E'E, and the joint matrix [[X'X, X'E], [E'X, E'E]] a search gathers
         # for some of the blocks, are held once, Fortran-ordered, with the
@@ -198,6 +239,11 @@ def svc_crossproducts():
     return precompute_crossproducts(design, np.arange(10.0))
 
 
+def plain_crossproducts():
+    design = build_design(np.ones((10, 1)), SPEC_PLAIN, None, [None])
+    return precompute_crossproducts(design, np.arange(10.0))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -221,11 +267,11 @@ def svc_crossproducts():
         (lambda: VarianceParams(math.inf, [0.0], [1.0], [0.0]), ValueError, "variance parameters must be finite"),
         (lambda: VarianceParams(1.0, [0.0], [math.nan], [0.0]), ValueError, "variance parameters must be finite"),
         (lambda: VarianceParams(1.0, [math.nan], [1.0], [0.0]), ValueError, "variance parameters must be finite"),
-        (lambda: VarianceParams(1.0, [1.0], [1.0], [0.0]).validate_against(SPEC_PLAIN),
+        (lambda: restricted_loglik(plain_crossproducts(), VarianceParams(1.0, [1.0], [1.0], [0.0])),
          ValueError, "tau2_s[0] must be 0 when has_svc is false"),
-        (lambda: VarianceParams(1.0, [0.0], [1.0], [1.0]).validate_against(SPEC_PLAIN),
+        (lambda: restricted_loglik(plain_crossproducts(), VarianceParams(1.0, [0.0], [1.0], [1.0])),
          ValueError, "tau2_n[0] must be 0 when has_nvc is false"),
-        (lambda: restricted_loglik(svc_crossproducts(), SPEC_SVC, VarianceParams(1.0, [1.0], [1.0], [0.0]), [None]),
+        (lambda: restricted_loglik(svc_crossproducts(), VarianceParams(1.0, [1.0], [1.0], [0.0])),
          ValueError, "missing eigen scaling for covariate 0"),
     ],
     ids=[
@@ -289,9 +335,7 @@ class TestRestrictedLoglik:
             for alpha in (0.0, 1.0, 2.5):
                 for tau_n in (0.05, 0.7, 3.0):
                     theta = VarianceParams(1.0, [tau_s, 0.0], [alpha, 0.0], [0.0, tau_n])
-                    res = restricted_loglik(
-                        cp, spec, theta, [scale_eigenvalues(basis, alpha), None]
-                    )
+                    res = restricted_loglik(cp, theta, basis.eigvals)
                     oracle, b_o, s2_o = dense_reml_oracle(X, E, v_diag_for(basis, nb, theta), y)
                     assert abs(res.loglik - oracle) < 1e-6
                     assert np.abs(res.b_hat - b_o).max() < 1e-8
@@ -301,7 +345,7 @@ class TestRestrictedLoglik:
         spec, basis, X, nb, y, design, cp = reml_problem()
         n, k = X.shape
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
-        res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.0), None])
+        res = restricted_loglik(cp, theta, basis.eigvals)
         b_ols, rss, *_ = np.linalg.lstsq(X, y, rcond=None)
         closed = -0.5 * np.linalg.slogdet(X.T @ X)[1] - 0.5 * (n - k) * (
             1.0 + np.log(2.0 * np.pi * rss[0] / (n - k))
@@ -316,23 +360,21 @@ class TestRestrictedLoglik:
         cp = precompute_crossproducts(design, y_exact)
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
         with pytest.raises(NumericalBreakdown):
-            restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.0), None])
+            restricted_loglik(cp, theta, basis.eigvals)
 
     def test_singular_fixed_block(self):
         spec, basis, X, nb, y, design, cp = reml_problem()
         X_bad = np.column_stack([X[:, 0], X[:, 0]])
         design_bad = build_design(X_bad, spec, basis, [None, nb])
-        cp_bad = precompute_crossproducts(design_bad, y)
-        theta = VarianceParams(1.0, [0.1, 0.0], [1.0, 0.0], [0.0, 0.1])
         with pytest.raises(SingularFixedBlock):
-            restricted_loglik(cp_bad, spec, theta, [scale_eigenvalues(basis, 1.0), None])
+            precompute_crossproducts(design_bad, y)
 
     def test_blup_equals_augmented_least_squares(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=8)
         E = design.E
         theta = VarianceParams(1.0, [0.8, 0.0], [1.3, 0.0], [0.0, 0.4])
         v = v_diag_for(basis, nb, theta)
-        res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.3), None])
+        res = restricted_loglik(cp, theta, basis.eigvals)
         # independent oracle: minimize ||y - Xb - E V u||^2 + ||u||^2 on stacked rows
         p = E.shape[1]
         top = np.hstack([X, E * v])
@@ -348,7 +390,7 @@ class TestRestrictedLoglik:
         norms = []
         for tau in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3):
             theta = VarianceParams(1.0, [tau**2, 0.0], [1.0, 0.0], [0.0, 0.0])
-            res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.0), None])
+            res = restricted_loglik(cp, theta, basis.eigvals)
             norms.append(np.linalg.norm(res.gamma))
         assert np.all(np.diff(norms) >= -1e-12)
 
@@ -362,7 +404,7 @@ class TestRestrictedLoglik:
         y = rng.normal(size=n)
         cp = precompute_crossproducts(design, y)
         theta = VarianceParams(1.0, [1e12, 0.0], [0.0, 0.0], [0.0, 0.0])
-        res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 0.0), None])
+        res = restricted_loglik(cp, theta, basis.eigvals)
         E = design.E
         fitted = X @ res.b_hat + E @ res.gamma
         full = np.hstack([X, E])
@@ -373,7 +415,7 @@ class TestRestrictedLoglik:
 
     def test_signature_is_size_free(self):
         params = list(inspect.signature(restricted_loglik).parameters)
-        assert params == ["cp", "spec", "theta", "scalings"]
+        assert params == ["cp", "theta", "eigvals"]
         assert inspect.signature(restricted_loglik).parameters["cp"].annotation == "Crossproducts"
 
 
@@ -485,8 +527,7 @@ def ratio_theta(spec, ratios):
 
 def loglik_at(cp, spec, basis, ratios):
     theta = ratio_theta(spec, ratios)
-    scalings = [scale_eigenvalues(basis, float(a)) if s else None for a, s in zip(theta.alpha, spec.has_svc)]
-    return restricted_loglik(cp, spec, theta, scalings).loglik
+    return restricted_loglik(cp, theta, basis.eigvals).loglik
 
 
 def boundary_scores_at(cp, spec, basis, ratios, alphas):
@@ -514,14 +555,16 @@ def fitted_ratios(fit):
     return out
 
 
-def loglik_scaling(cp, theta, scalings):
+def loglik_scaling(cp, theta, eigvals):
     """``restricted_loglik``'s scaling diagonal: (tau_s/sigma) sqrt(w_l) on an
-    SVC block, with w = ``scalings[k]``, and tau_n/sigma on an NVC block."""
+    SVC block, with w_l = (lambda_l / lambda_1)^alpha_k, and tau_n/sigma on an
+    NVC block."""
     v = np.zeros(cp.n_random)
     for blk in cp.blocks:
         k = blk.covariate
         if blk.kind == "svc":
-            v[blk.start : blk.stop] = math.sqrt(theta.tau2_s[k] / theta.sigma2) * np.sqrt(scalings[k][: blk.size])
+            w = (eigvals[: blk.size] / eigvals[0]) ** theta.alpha[k]
+            v[blk.start : blk.stop] = math.sqrt(theta.tau2_s[k] / theta.sigma2) * np.sqrt(w)
         else:
             v[blk.start : blk.stop] = math.sqrt(theta.tau2_n[k] / theta.sigma2)
     return v
@@ -596,12 +639,8 @@ class TestRemlProblem:
             np.testing.assert_array_equal(sol, ref_sol)
 
             theta = theta_at(problem, spec, t)
-            scalings = [
-                scale_eigenvalues(basis, float(theta.alpha[k])) if spec.has_svc[k] else None
-                for k in range(spec.n_covariates)
-            ]
-            res = restricted_loglik(cp, spec, theta, scalings)
-            v = loglik_scaling(cp, theta, scalings)
+            res = restricted_loglik(cp, theta, basis.eigvals)
+            v = loglik_scaling(cp, theta, basis.eigvals)
             ref_loglik, ref_sol = reference_factor_joint(cp, v)
             assert res.loglik == ref_loglik
             np.testing.assert_array_equal(res.b_hat, ref_sol[: cp.n_fixed])
@@ -630,12 +669,8 @@ class TestRemlProblem:
         for _ in range(5):
             t = interior_point(problem, rng.uniform(size=len(problem.bounds)))
             theta = theta_at(problem, spec, t)
-            scalings = [
-                scale_eigenvalues(basis, float(theta.alpha[k])) if spec.has_svc[k] else None
-                for k in range(spec.n_covariates)
-            ]
             value, _ = problem.value_and_grad(t)
-            assert abs(value - restricted_loglik(cp, spec, theta, scalings).loglik) <= 1e-10
+            assert abs(value - restricted_loglik(cp, theta, basis.eigvals).loglik) <= 1e-10
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -661,11 +696,7 @@ class TestRemlProblem:
         # function must give the same likelihood, effects and variance.
         _, cp, spec, basis = reml_case
         fit = fit_reml(cp, spec, basis)
-        scalings = [
-            scale_eigenvalues(basis, float(fit.theta.alpha[k])) if spec.has_svc[k] else None
-            for k in range(spec.n_covariates)
-        ]
-        res = restricted_loglik(cp, spec, fit.theta, scalings)
+        res = restricted_loglik(cp, fit.theta, basis.eigvals)
         assert abs(fit.restricted_loglik - res.loglik) <= 1e-10
         assert fit.theta.sigma2 == pytest.approx(res.sigma2_hat, rel=1e-10)
         np.testing.assert_allclose(
@@ -861,7 +892,7 @@ class TestFitReml:
         honest = fit_reml(cp, spec, basis)
         assert honest.converged
         zero = VarianceParams(1.0, [0.0], [1.0], [0.0])
-        start_best = restricted_loglik(cp, spec, zero, [None]).loglik
+        start_best = restricted_loglik(cp, zero).loglik
         ceiling = 0.5 * (start_best + honest.restricted_loglik)
         assert start_best < ceiling < honest.restricted_loglik
         original = RemlProblem.solve
@@ -897,8 +928,39 @@ class TestFitReml:
 
         monkeypatch.setattr(core, "_search", stalled)
         search.optimize(_FTOL)
-        assert search.converged is not resumed
-        assert search.tight is not resumed
+        assert search.certified is (None if resumed else True)
+
+    @staticmethod
+    def two_flag_state(status, gained, dropped, ftol):
+        """The stop state that the earlier pair of flags, ``converged`` (the
+        run passed) and ``tight`` (it was a final ``_FTOL`` run), encoded:
+        None while not tight, else whether the run passed."""
+        converged = status == 0 or (status == 2 and not gained)
+        tight = ftol == _FTOL and not dropped and (converged or not gained)
+        return converged if tight else None
+
+    @pytest.mark.parametrize("ftol", [_FTOL, _SCREEN_FTOL], ids=["ftol", "screen-ftol"])
+    @pytest.mark.parametrize("dropped", [False, True], ids=["kept", "dropped"])
+    @pytest.mark.parametrize("gained", [False, True], ids=["level", "gained"])
+    @pytest.mark.parametrize("status", [0, 1, 2, -1])
+    def test_stop_state_follows_one_rule(self, monkeypatch, status, gained, dropped, ftol):
+        _, cp, spec, basis = reml_problem_k1()
+        search = _ActiveSet(cp, basis)
+        best, _ = search.assess()
+        search.enter(best)
+        search.optimize(_FTOL)
+        start, t = search.loglik, search.point()
+        if dropped:
+            t[0] = _LOG_TAU2_BOUNDS[0]
+
+        def ended(problem, t0, maxfun, ftol):
+            fun = -(start + (10.0 if gained else 0.5) * _FTOL * abs(start))
+            return scipy.optimize.OptimizeResult(x=t.copy(), fun=fun, success=status == 0, status=status, nfev=15)
+
+        monkeypatch.setattr(core, "_search", ended)
+        search.optimize(ftol)
+        assert (best not in search.active) is dropped
+        assert search.certified is self.two_flag_state(status, gained, dropped, ftol)
 
     # Restricted log-likelihoods the earlier two-start Nelder-Mead search
     # reached (unconverged, about 2000 evaluations each) on N = 150 scenario
@@ -1368,7 +1430,7 @@ class TestPredictAndShares:
     def test_zero_variances_give_constant_coefficient(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=13)
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
-        res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, 1.0), None])
+        res = restricted_loglik(cp, theta, basis.eigvals)
         fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
         field = predict_coefficients(fit, basis, [None, nb])
         assert np.all(field.svc == 0.0) and np.all(field.nvc == 0.0)
@@ -1389,7 +1451,7 @@ class TestPredictAndShares:
         def field_at(tau_s, tau_n):
             theta = VarianceParams(1.0, [tau_s**2], [1.0], [tau_n**2])
             gamma = u.copy()
-            gamma[svc.start : svc.stop] *= tau_s * np.sqrt(scale_eigenvalues(basis, 1.0))
+            gamma[svc.start : svc.stop] *= tau_s * np.sqrt(basis.eigvals / basis.eigvals[0])
             gamma[nvc.start : nvc.stop] *= tau_n
             fit = FittedModel(spec, theta, np.zeros(1), gamma, 0.0, 1, True, design.n_obs, design.blocks)
             return predict_coefficients(fit, basis, [nb])
@@ -1427,7 +1489,7 @@ class TestPredictAndShares:
             basis = moran_basis(sites, config.max_eigvecs)
             nbs = [spline_basis(X[:, k], spec.n_basis_nvc) if spec.has_nvc[k] else None for k in range(3)]
             cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
-            res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, a) for a in theta.alpha])
+            res = restricted_loglik(cp, theta, basis.eigvals)
             fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
             return res.loglik, predict_coefficients(fit, basis, nbs).total
 
@@ -1450,7 +1512,7 @@ class TestPredictAndShares:
 
         def field(basis):
             cp = precompute_crossproducts(build_design(inst.X, spec, basis, nbs), inst.y)
-            res = restricted_loglik(cp, spec, theta, [scale_eigenvalues(basis, a) for a in theta.alpha])
+            res = restricted_loglik(cp, theta, basis.eigvals)
             fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
             return res.loglik, predict_coefficients(fit, basis, nbs)
 

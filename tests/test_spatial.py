@@ -20,7 +20,6 @@ from snvc.errors import (
     ConstantVector,
     CoordinateRangeTooLarge,
     DataError,
-    EmptySpatialBasis,
     NonPositiveRange,
     NumericalBreakdown,
     SiteLimitExceeded,
@@ -33,7 +32,6 @@ from snvc.spatial import (
     moran_basis,
     moran_coefficient,
     mst_range,
-    scale_eigenvalues,
 )
 
 
@@ -283,6 +281,23 @@ class TestCappedBasis:
         gram = capped.eigvecs.T @ capped.eigvecs
         assert np.abs(gram - np.eye(capped.n_components)).max() < 1e-10
         assert np.abs(capped.eigvecs.sum(axis=0)).max() < 1e-10
+
+    @pytest.mark.parametrize("span", [1e153, 5e153])
+    def test_coordinates_near_the_range_limit_take_the_subset_solve(self, span, monkeypatch):
+        # The coordinates' Rayleigh-quotient sums would overflow at these
+        # spans; the centred coordinates are scaled by a power of two first.
+        sites = random_sites(200, seed=2, scale=span)
+        full = moran_basis(sites)
+        calls = spy_eigensolver(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            capped = moran_basis(sites, max_components=30)
+        assert [driver for driver, _ in calls] == ["evr"]
+        lam, e = full.eigvals[:30], full.eigvecs[:, :30]
+        assert capped.n_components == 30
+        assert np.abs(capped.eigvals - lam).max() <= 1e-12 * lam[0]
+        kernel = (capped.eigvecs * capped.eigvals) @ capped.eigvecs.T
+        assert np.abs(kernel - (e * lam) @ e.T).max() <= 1e-10
 
     def test_grid_cap_of_200_falls_in_a_gap(self, grid_case):
         # A cut inside a tied eigenvalue would keep an arbitrary rotation of
@@ -558,36 +573,6 @@ def test_peak_memory_of_the_basis_build():
     assert full <= 3.5, full
 
 
-class TestScaleEigenvalues:
-    def test_alpha_zero_gives_unit_weights(self):
-        basis = _basis_with_eigvals([4.0, 1.0])
-        np.testing.assert_allclose(scale_eigenvalues(basis, 0.0), [1.0, 1.0])
-
-    def test_alpha_one_gives_ratios(self):
-        basis = _basis_with_eigvals([4.0, 1.0])
-        np.testing.assert_allclose(scale_eigenvalues(basis, 1.0), [1.0, 0.25])
-
-    def test_alpha_two(self):
-        basis = _basis_with_eigvals([4.0, 1.0])
-        np.testing.assert_allclose(scale_eigenvalues(basis, 2.0), [1.0, 0.0625])
-
-    def test_empty_basis_raises(self):
-        basis = _basis_with_eigvals([])
-        with pytest.raises(EmptySpatialBasis):
-            scale_eigenvalues(basis, 1.0)
-
-
-def _basis_with_eigvals(eigvals):
-    eigvals = np.asarray(eigvals, dtype=float)
-    from snvc.spatial import SpatialBasis
-
-    return SpatialBasis(
-        eigvecs=np.empty((5, len(eigvals))),
-        eigvals=eigvals,
-        range_r=1.0,
-    )
-
-
 class TestMoranCoefficient:
     def test_two_sites_antithetic(self):
         c = build_proximity(SiteSet([[0, 0], [1, 0]]), 1.0)
@@ -711,7 +696,7 @@ class TestSpectralInvariants:
         rng = np.random.default_rng(2024)
         means = []
         for alpha in (0.0, 0.5, 1.0, 2.0):
-            weights = scale_eigenvalues(basis, alpha)
+            weights = (basis.eigvals / basis.eigvals[0]) ** alpha
             draws = []
             for _ in range(200):
                 gamma = rng.standard_normal(basis.n_components) * np.sqrt(weights)
