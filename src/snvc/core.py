@@ -24,6 +24,7 @@ from ._compiled import blas, lapack
 from ._compiled import lbfgsb as _lbfgsb
 from .errors import (
     ConstantCovariate,
+    CovariateRangeTooLarge,
     CrossproductOverflow,
     DimensionMismatch,
     EmptySpatialBasis,
@@ -1058,7 +1059,7 @@ def fit_snvc(
             continue
         try:
             nvc_bases[k] = spline_basis(X[:, k], spec.n_basis_nvc, spec.spline_family)
-        except (ConstantCovariate, TooFewDistinctValues) as exc:
+        except (ConstantCovariate, CovariateRangeTooLarge, TooFewDistinctValues) as exc:
             raise type(exc)(f"the NVC term of {name!r}: {exc}") from exc
     # The design, E above all, is freed before the REML search.
     cp = precompute_crossproducts(build_design(X, spec, spatial, nvc_bases), y)

@@ -50,6 +50,10 @@ class CoordinateRangeTooLarge(DataError, ValueError):
     """The coordinates span so wide a range that squared distances overflow."""
 
 
+class CovariateRangeTooLarge(DataError, ValueError):
+    """A covariate spans so wide a range that its spline columns or their spread overflow."""
+
+
 class CrossproductOverflow(DataError, ValueError):
     """The covariates or the response are so large that the design's crossproducts overflow."""
 

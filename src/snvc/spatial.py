@@ -37,12 +37,6 @@ DEFAULT_MAX_SITES = 10_000
 # Relative threshold deciding which eigenvalues count as positive.
 DEFAULT_EIGEN_CUTOFF = 1e-8
 
-# How far a lower bound on lambda_1 must exceed 1, the size of the -1
-# eigenvalue floor, before lambda_1 is taken as max|lambda|.  Computed
-# eigenvalues and Rayleigh quotients of M C M lie within about N eps N of the
-# exact ones (||M C M|| <= N): under 2.3e-8 at the site limit, 40 times less.
-_FLOOR_MARGIN = 1e-6
-
 
 @dataclass(frozen=True)
 class SiteSet:
@@ -151,18 +145,17 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
     The distance matrix is computed once, gives the range r (``mst_range``),
     and is turned into C (``build_proximity(sites, r)``) and then M C M in
     place; the eigensolver overwrites it.  An eigenpair is kept when
-    ``lambda > DEFAULT_EIGEN_CUTOFF * max|lambda|`` over the whole spectrum,
-    which guards against floating-point zeros masquerading as positive
-    eigenvalues.  Both module constants are read at call time.
+    ``lambda > DEFAULT_EIGEN_CUTOFF * max(lambda_1, 1)``, which guards
+    against floating-point zeros masquerading as positive eigenvalues:
+    ``exp(-d/r)`` is a positive-semidefinite kernel in the plane (Matern,
+    nu = 1/2), so no eigenvalue of M C M is below -1, and ``max(lambda_1,
+    1)`` bounds ``max|lambda|``.  Both module constants are read at call time.
 
-    ``max_components`` keeps at most that many pairs, the largest.  When it
-    is at most N/4 only those pairs are computed.  ``exp(-d/r)`` is a
-    positive-semidefinite kernel in the plane (Matern, nu = 1/2), so no
-    eigenvalue of M C M is below -1: ``max|lambda| = lambda_1`` once the
-    Rayleigh quotient of a centred coordinate exceeds 1, and otherwise the
-    whole spectrum is computed.  The kept set is the uncapped one cut to its
-    leading pairs; a cut inside a tied eigenvalue keeps an arbitrary
-    rotation of the tied pairs.  ``None`` keeps every positive pair.
+    ``max_components``, an integer, keeps at most that many pairs, the
+    largest.  When it is at most N/4 only those pairs are computed.  The
+    kept set is the uncapped one cut to its leading pairs; a cut inside a
+    tied eigenvalue keeps an arbitrary rotation of the tied pairs.  ``None``
+    keeps every positive pair.
 
     Returns
     -------
@@ -187,9 +180,8 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
             "approximate eigen methods are out of scope"
         )
     k = n if max_components is None else max_components
-    if k < 1:
-        raise ValueError(f"max_components must be at least 1, got {max_components}")
-    cutoff = DEFAULT_EIGEN_CUTOFF
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"max_components must be an integer of at least 1 or None, got {max_components!r}")
 
     c = sites.distances()
     range_r = _mst_max_edge(c)
@@ -200,23 +192,14 @@ def moran_basis(sites: SiteSet, max_components: int | None = None) -> SpatialBas
     # The subset solve (MRRR) beats divide and conquer over the whole
     # spectrum only while k is at most about N/4 (1 BLAS thread, k = 200:
     # 0.047 s against 0.019 s at N = 400, 0.57 s against 0.78 s at N = 1600).
-    # M fixes the centred coordinates u, so u'(M C M)u / u'u <= lambda_1.
-    # Scaling each column by a power of two to below 1 is exact, and keeps the sums from overflowing.
-    u = sites.coords - sites.coords.mean(axis=0)
-    u = np.ldexp(u, -np.frexp(np.abs(u).max(axis=0))[1])
-    if 4 * k <= n and np.any((u * (c @ u)).sum(axis=0) > (1 + _FLOOR_MARGIN) * (u * u).sum(axis=0)):
+    if 4 * k <= n:
         eigvals, eigvecs = _eigh(c.T, "evr", k)
-        # No eigenvalue is below -1, so lambda_1 > 1 is max|lambda|.
-        threshold = cutoff * float(eigvals[-1])
     else:
         eigvals, eigvecs = _eigh(c.T, "evd", n)
-        # The cutoff is relative to the spectral magnitude so that spectra
-        # whose largest eigenvalue is a floating-point zero (e.g. an
-        # equilateral triangle) come back empty instead of keeping noise.
-        threshold = cutoff * float(np.abs(eigvals).max())
     del c  # evr writes the eigenvectors elsewhere: free the N x N buffer before copying them
 
-    # The eigenvalues come ascending: the kept ones are the last m.
+    # The eigenvalues come ascending: lambda_1 is the last, the kept ones the last m.
+    threshold = DEFAULT_EIGEN_CUTOFF * max(float(eigvals[-1]), 1.0)
     m = min(int((eigvals > threshold).sum()), k)
     order = eigvals.size - 1 - np.arange(m)
     return SpatialBasis(eigvecs=eigvecs[:, order], eigvals=eigvals[order], range_r=range_r)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantCovariate, TooFewDistinctValues
+from .errors import ConstantCovariate, CovariateRangeTooLarge, TooFewDistinctValues
 
 FAMILIES = ("natural_cubic", "thin_plate_1d")
 
@@ -75,6 +75,9 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
     TooFewDistinctValues
         ``x`` has fewer than ``n_basis + 2`` distinct values, or ties
         collapse too many knots.
+    CovariateRangeTooLarge
+        ``x`` spans so wide a range that a column, or its standard
+        deviation, overflows; it is also a ``ValueError``.
     """
     x = np.asarray(x, dtype=float).ravel()
     lo, hi = N_BASIS_RANGE
@@ -99,14 +102,19 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
             f"tied quantiles leave only {max(len(knots) - 2, 0)} interior knots"
         )
 
-    if family == "natural_cubic":
-        cols = _natural_cubic_columns(x, knots)
-    else:
-        cols = _thin_plate_columns(x, knots)
-
-    cols = cols - cols.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family == "natural_cubic":
+            cols = _natural_cubic_columns(x, knots)
+        else:
+            cols = _thin_plate_columns(x, knots)
+        cols = cols - cols.mean(axis=0)
+        sds = cols.std(axis=0, ddof=1)
+    # An overflowing column has a NaN sd, one whose squares overflow an infinite sd.
+    if not np.all(np.isfinite(sds)):
+        raise CovariateRangeTooLarge(
+            f"covariate spans {distinct[0]:.6g} to {distinct[-1]:.6g}: its spline columns overflow"
+        )
     x_scale = max(float(np.std(x, ddof=1)), np.finfo(float).tiny)
-    sds = cols.std(axis=0, ddof=1)
     keep = sds > _NEAR_CONSTANT_REL * x_scale
     cols = cols[:, keep] / sds[keep]
 

@@ -399,8 +399,8 @@ class TestFitCommand:
         assert err["error"] == "ConfigInvalid" and f"{flag} names unknown covariate 'nosuch'" in err["message"]
 
     @staticmethod
-    def fit_toy(tmp_path, x1_scale=1.0, x2_is_x1=False, y_scale=1.0):
-        """``snvc fit --nvc none`` on ``gen_toy(3)`` over a 12 x 12 grid, with x1
+    def fit_toy(tmp_path, x1_scale=1.0, x2_is_x1=False, y_scale=1.0, nvc="none"):
+        """``snvc fit --nvc <nvc>`` on ``gen_toy(3)`` over a 12 x 12 grid, with x1
         and y scaled and, with ``x2_is_x1``, x1 in place of x2."""
         inst = gen_toy(3, grid=(12, 12))
         x1 = x1_scale * inst.X[:, 0]
@@ -411,7 +411,7 @@ class TestFitCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return main([
-                "fit", "--data", str(path), "--y", "y", "--x", "x1,x2", "--coords", "px,py", "--nvc", "none",
+                "fit", "--data", str(path), "--y", "y", "--x", "x1,x2", "--coords", "px,py", "--nvc", nvc,
                 "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
             ])  # fmt: skip
 
@@ -422,6 +422,13 @@ class TestFitCommand:
             "error": "CrossproductOverflow",
             "message": "the crossproducts of the design overflow: the covariates or the response are too large",
         }
+
+    @pytest.mark.parametrize("x1_scale", [1e110, 1e160])
+    def test_spline_columns_that_overflow_are_a_data_error(self, tmp_path, capsys, x1_scale):
+        assert self.fit_toy(tmp_path, x1_scale=x1_scale, nvc="all") == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CovariateRangeTooLarge"
+        assert err["message"].startswith("the NVC term of 'x1': covariate spans ")
 
     @pytest.mark.parametrize(
         "kwargs, hint",

@@ -39,6 +39,7 @@ from snvc.core import (
     BlockLayout,
 )
 from snvc.errors import (
+    CovariateRangeTooLarge,
     CrossproductOverflow,
     DataError,
     DimensionMismatch,
@@ -188,6 +189,17 @@ class TestCrossproducts:
             fit_snvc(X, y * (1e160 if which == "response" else 1.0), spec, basis)
         assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
         assert str(caught.value).endswith("the covariates or the response are too large")
+
+    @pytest.mark.parametrize("scale", [1e110, 1e160])
+    def test_spline_columns_that_overflow_are_a_data_error(self, scale):
+        # Unchecked, the NaN columns fail the near-constant test and each NVC block keeps 1 of 10.
+        inst = gen_toy(3, grid=(12, 12))
+        spec = ModelSpec(("x1", "x2"), (False, False), (True, True))
+        with warnings.catch_warnings(), pytest.raises(CovariateRangeTooLarge) as caught:
+            warnings.simplefilter("error")
+            fit_snvc(inst.X * scale, inst.y, spec, None)
+        assert str(caught.value).startswith("the NVC term of 'x1': covariate spans ")
+        assert str(caught.value).endswith(": its spline columns overflow")
 
     @pytest.mark.parametrize(
         "kwargs, scaled_passes", [({"x1_scale": 1e5}, True), ({"x2_is_x1": True}, False)], ids=["scaled", "identical"]

@@ -284,8 +284,8 @@ class TestCappedBasis:
 
     @pytest.mark.parametrize("span", [1e153, 5e153])
     def test_coordinates_near_the_range_limit_take_the_subset_solve(self, span, monkeypatch):
-        # The coordinates' Rayleigh-quotient sums would overflow at these
-        # spans; the centred coordinates are scaled by a power of two first.
+        # At these spans the squared distances are near the overflow limit;
+        # the subset solve sees only exp(-d/r), and its size alone picks it.
         sites = random_sites(200, seed=2, scale=span)
         full = moran_basis(sites)
         calls = spy_eigensolver(monkeypatch)
@@ -345,7 +345,46 @@ class TestCappedBasis:
         np.testing.assert_array_equal(capped.eigvals, base.eigvals)
         np.testing.assert_array_equal(capped.eigvecs, base.eigvecs)
 
-    @pytest.mark.parametrize("cap", [0, -3])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n_cloud=st.integers(4, 40),
+        n_cluster=st.sampled_from([0, 3, 12]),
+        outlier=st.booleans(),
+        n_duplicates=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_keep_rule_and_cap_on_mixed_site_sets(self, n_cloud, n_cluster, outlier, n_duplicates, seed):
+        # The uncapped basis keeps the pairs above cutoff * max(lambda_1, 1),
+        # and every cap k <= N/4 is one subset solve of its leading pairs.
+        # A far outlier makes the rest one tight cluster: lambda_1 < 1.
+        rng = np.random.default_rng(seed)
+        parts = [rng.uniform(0, 10, (n_cloud, 2)), rng.uniform(4.99, 5.01, (n_cluster, 2))]
+        if outlier:
+            parts.append([[1e4, 1e4]])
+        coords = np.vstack(parts)
+        sites = SiteSet(np.vstack([coords, coords[rng.integers(0, len(coords), n_duplicates)]]))
+        n = sites.n_sites
+
+        full = moran_basis(sites)
+        spectrum = np.linalg.eigvalsh(dense_mcm(build_proximity(sites, full.range_r)))[::-1]
+        kept = spectrum[spectrum > DEFAULT_EIGEN_CUTOFF * max(spectrum[0], 1.0)]
+        assert full.n_components == kept.size
+        assert np.abs(full.eigvals - kept).max(initial=0.0) <= 1e-12 * max(spectrum[0], 1.0)
+
+        for k in range(1, n // 4 + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                distances, calls = count_distances(mp), spy_eigensolver(mp)
+                capped = moran_basis(sites, max_components=k)
+            assert len(distances) == 1 and [driver for driver, _ in calls] == ["evr"]
+            m = min(k, full.n_components)
+            assert capped.n_components == m
+            if m:
+                lam, e = full.eigvals[:m], full.eigvecs[:, :m]
+                assert np.abs(capped.eigvals - lam).max() <= 1e-12 * lam[0]
+                kernel = (capped.eigvecs * capped.eigvals) @ capped.eigvecs.T
+                assert np.abs(kernel - (e * lam) @ e.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("cap", [0, -3, 10.5, True, "50"])
     def test_cap_below_one_raises(self, cap):
         with pytest.raises(ValueError, match="max_components"):
             moran_basis(random_sites(10, seed=1), max_components=cap)
@@ -411,7 +450,7 @@ class TestMoranBasis:
             (gaussian_sites(150), 200, "evd"),
             (gaussian_sites(400), None, "evd"),
             (sites_with_duplicates(), None, "evd"),
-            (cluster_and_outlier(), 20, "evd"),  # 4k <= N, but lambda_1 < 1
+            (cluster_and_outlier(), 20, "evr"),  # 4k <= N, lambda_1 < 1: the threshold is the cutoff
         ],
         ids=[
             "grid40x40-cap200",
@@ -652,10 +691,11 @@ class TestSpectralInvariants:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), n_duplicates=st.integers(0, 20))
     def test_eigenvalue_floor_and_coordinate_bound(self, n, seed, n_duplicates):
-        # What the capped basis rests on: C + I = exp(-d/r) is positive
-        # semidefinite, so no eigenvalue of M C M is below -1, and M fixes
-        # the centred coordinates, so their Rayleigh quotients are at most
-        # lambda_1.  Duplicated sites make exp(-d/r) singular.
+        # What the keep rule rests on: C + I = exp(-d/r) is positive
+        # semidefinite, so no eigenvalue of M C M is below -1 and
+        # max(lambda_1, 1) bounds max|lambda|.  M fixes the centred
+        # coordinates, so their Rayleigh quotients are at most lambda_1.
+        # Duplicated sites make exp(-d/r) singular.
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0, 10, (n, 2))
         sites = SiteSet(np.vstack([coords, coords[rng.integers(0, n, n_duplicates)]]))

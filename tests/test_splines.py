@@ -1,9 +1,10 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from snvc.errors import ConstantCovariate, TooFewDistinctValues
+from snvc.errors import ConstantCovariate, CovariateRangeTooLarge, DataError, TooFewDistinctValues
 from snvc.splines import spline_basis
 
 
@@ -32,6 +33,19 @@ def test_too_few_distinct_values():
 def test_input_checks(x, kwargs, error, message):
     with pytest.raises(error, match=re.escape(message)):
         spline_basis(x, **kwargs)
+
+
+@pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
+@pytest.mark.parametrize("scale", [1e80, 1e110, 1e160])
+def test_columns_that_overflow_are_a_data_error(family, scale):
+    # At 1e80 the natural cubic columns are finite but their squares, and so
+    # their sd, overflow; at 1e110 (x - knot)^3 itself does.  Either way a
+    # column would be dropped or zeroed without an error.
+    x = scale * np.random.default_rng(0).uniform(0, 10, 144)
+    with warnings.catch_warnings(), pytest.raises(CovariateRangeTooLarge, match="its spline columns overflow") as caught:
+        warnings.simplefilter("error")
+        spline_basis(x, n_basis=10, family=family)
+    assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
 
 
 @pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
