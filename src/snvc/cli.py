@@ -251,6 +251,9 @@ def fit_command(args) -> int:
     min_rows = max(_MIN_FIT_ROWS, len(covariates) + 2)
     if table.n_rows < min_rows:
         raise EmptyAfterFiltering(f"need at least {min_rows} complete rows to fit, got {table.n_rows}")
+    for name, col in zip(covariates, table.X.T):
+        if col.min() == col.max():  # exact, with no arithmetic to overflow
+            raise DataError(f"covariate {name!r} is constant: it duplicates the intercept; drop it from --x")
 
     y = table.y
     if args.log_response:
@@ -261,12 +264,9 @@ def fit_command(args) -> int:
     names = [INTERCEPT_NAME] + covariates
     n = table.n_rows
     X = np.column_stack([np.ones(n), table.X])
-    with np.errstate(over="ignore", invalid="ignore"):  # a column too large to square is not constant
-        constant_cols = [names[k] for k in range(len(names)) if np.std(X[:, k]) == 0.0]
 
     svc_terms = _resolve_term_list(args.svc, names, default=names, what="svc")
-    nvc_default = [c for c in names if c not in constant_cols]
-    nvc_terms = _resolve_term_list(args.nvc, names, default=nvc_default, what="nvc")
+    nvc_terms = _resolve_term_list(args.nvc, names, default=covariates, what="nvc")
     if INTERCEPT_NAME in nvc_terms:
         raise ConfigInvalid("the intercept cannot carry a non-spatial term")
 

@@ -24,7 +24,6 @@ from ._compiled import blas, lapack
 from ._compiled import lbfgsb as _lbfgsb
 from .errors import (
     ConstantCovariate,
-    CovariateRangeTooLarge,
     CrossproductOverflow,
     DimensionMismatch,
     EmptySpatialBasis,
@@ -135,11 +134,12 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Fixed-effect block X and the row-scaled random-effect columns E."""
+    """Fixed-effect block X, the row-scaled random-effect columns E and the SVC basis eigenvalues."""
 
     X: np.ndarray  # (N, K)
     E: np.ndarray  # (N, P), the columns of each block at its layout range
     blocks: tuple[BlockLayout, ...]
+    eigvals: np.ndarray = field(default_factory=lambda: np.empty(0))  # empty without an SVC block
 
     @property
     def n_obs(self) -> int:
@@ -156,10 +156,13 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class Crossproducts:
-    """Every inner product the restricted likelihood needs; nothing N-sized.
+    """Every input the restricted likelihood needs; nothing N-sized.
 
-    Raises ValueError unless N > K, ``CrossproductOverflow`` if a product is
-    not finite, and ``SingularFixedBlock`` unless X'X is positive definite.
+    The design's inner products, and ``eigvals``, the descending Moran basis
+    eigenvalues lambda_l that weight column l of an SVC block by (lambda_l /
+    lambda_1)^alpha.  Raises ValueError unless N > K and every SVC block has
+    an eigenvalue per column, ``CrossproductOverflow`` if a product is not
+    finite, and ``SingularFixedBlock`` unless X'X is positive definite.
     """
 
     XtX: np.ndarray
@@ -170,10 +173,14 @@ class Crossproducts:
     yty: float
     n_obs: int
     blocks: tuple[BlockLayout, ...]
+    eigvals: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if self.n_obs <= self.n_fixed:
             raise ValueError("need more observations than fixed effects")
+        short = [b for b in self.blocks if b.kind == "svc" and b.size > len(self.eigvals)]
+        if short:
+            raise ValueError(f"an SVC block has {short[0].size} columns but only {len(self.eigvals)} basis eigenvalues")
         if not all(np.isfinite(a).all() for a in (self.XtX, self.XtE, self.EtE, self.Xty, self.Ety, self.yty)):
             raise CrossproductOverflow(
                 "the crossproducts of the design overflow: the covariates or the response are too large"
@@ -286,10 +293,15 @@ def build_design(
     ------
     EmptySpatialBasis
         An SVC term is requested but the spatial basis has no component.
+    ValueError
+        X is not finite; the message names the covariate.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.n_covariates:
         raise DimensionMismatch("X must be N x K with K matching the model spec")
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"X must be finite; covariate {spec.covariate_names[np.argmin(finite)]!r} is not")
     n = X.shape[0]
 
     any_svc = any(spec.has_svc)
@@ -323,7 +335,7 @@ def build_design(
             offset += block.shape[1]
 
     E = np.hstack(values) if values else np.empty((n, 0))
-    return DesignMatrix(X=X, E=E, blocks=tuple(blocks))
+    return DesignMatrix(X=X, E=E, blocks=tuple(blocks), eigvals=spatial.eigvals if any_svc else np.empty(0))
 
 
 def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
@@ -336,10 +348,12 @@ def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != Z.n_obs:
         raise DimensionMismatch("y length must match the design rows")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     X, E = Z.X, Z.E
     with np.errstate(over="ignore", invalid="ignore"):
         products = dict(XtX=X.T @ X, XtE=X.T @ E, EtE=(E.T @ E).T, Xty=X.T @ y, Ety=E.T @ y, yty=float(y @ y))
-    return Crossproducts(**products, n_obs=Z.n_obs, blocks=Z.blocks)
+    return Crossproducts(**products, n_obs=Z.n_obs, blocks=Z.blocks, eigvals=Z.eigvals)
 
 
 class _JointSystem:
@@ -407,7 +421,7 @@ class _JointSystem:
         return loglik, sol, sigma2_hat, factor
 
 
-def restricted_loglik(cp: Crossproducts, theta: VarianceParams, eigvals: np.ndarray | None = None) -> LoglikResult:
+def restricted_loglik(cp: Crossproducts, theta: VarianceParams) -> LoglikResult:
     """Restricted log-likelihood with the residual variance profiled out.
 
     Builds the symmetric system
@@ -422,16 +436,15 @@ def restricted_loglik(cp: Crossproducts, theta: VarianceParams, eigvals: np.ndar
 
     where sigma2_hat = (residual SS + ||u||^2) / (N - K) expands through the
     same crossproducts.  V is diagonal: tau_s/sigma sqrt(w_l) on the SVC
-    block of covariate k, with w_l = (lambda_l / lambda_1)^alpha_k from the
-    basis eigenvalues ``eigvals``, which only a ``cp`` with an SVC block
-    needs, and tau_n/sigma on its NVC block.  Returns the log-likelihood, b,
-    the random-effect coefficients gamma = V u and sigma2_hat.
+    block of covariate k, with w_l = (lambda_l / lambda_1)^alpha_k from
+    ``cp.eigvals``, and tau_n/sigma on its NVC block.  Returns the
+    log-likelihood, b, the random-effect coefficients gamma = V u and
+    sigma2_hat.
 
     Raises
     ------
     ValueError
-        ``theta`` gives a nonzero variance to a term that ``cp`` has no
-        block for, or ``cp`` has an SVC block and ``eigvals`` is None.
+        ``theta`` gives a nonzero variance to a term ``cp`` has no block for.
     NumericalBreakdown
         The joint system cannot be factorized, or the profiled variance
         falls below the degeneracy floor.
@@ -446,10 +459,8 @@ def restricted_loglik(cp: Crossproducts, theta: VarianceParams, eigvals: np.ndar
         k = blk.covariate
         if blk.kind == "nvc":
             v[blk.start : blk.stop] = math.sqrt(theta.tau2_n[k] / theta.sigma2)
-        elif eigvals is None:
-            raise ValueError(f"missing eigen scaling for covariate {k}: its SVC block needs the basis eigenvalues")
         else:
-            w = (eigvals[: blk.size] / eigvals[0]) ** theta.alpha[k]
+            w = (cp.eigvals[: blk.size] / cp.eigvals[0]) ** theta.alpha[k]
             v[blk.start : blk.stop] = math.sqrt(theta.tau2_s[k] / theta.sigma2) * np.sqrt(w)
     loglik, sol, sigma2_hat, _ = _JointSystem(cp, cp.blocks).factor(v)
     k = cp.n_fixed
@@ -506,9 +517,9 @@ class RemlProblem:
     Over the ``blocks`` of ``cp`` (all of them by default), laid out
     contiguously in that order as ``self.blocks``.  t lists each block's
     parameters in that order: its log variance ratio (tau/sigma)^2, then,
-    for an SVC block, its alpha if the basis has at least
-    ``_MIN_ALPHA_EIGVALS`` eigenvalues (from fewer, alpha is unidentifiable
-    and fixed at ``_FIXED_ALPHA``).  ``slices[i]`` is the part of t that
+    for an SVC block, its alpha if ``cp.eigvals`` has at least
+    ``_MIN_ALPHA_EIGVALS`` entries (from fewer, alpha is unidentifiable and
+    fixed at ``_FIXED_ALPHA``).  ``slices[i]`` is the part of t that
     belongs to ``self.blocks[i]``, and ``bounds`` the search bounds of t.
 
     Built once per active set: ``search_alpha``, the log eigenvalue ratios
@@ -529,14 +540,11 @@ class RemlProblem:
     goes straight to the gradient.  A point that breaks down is not kept.
     """
 
-    def __init__(
-        self, cp: Crossproducts, spatial: SpatialBasis | None, blocks: tuple[BlockLayout, ...] | None = None
-    ):
+    def __init__(self, cp: Crossproducts, blocks: tuple[BlockLayout, ...] | None = None):
         blocks = cp.blocks if blocks is None else blocks
         self.joint = _JointSystem(cp, blocks)
-        n_eig = spatial.n_components if spatial is not None else 0
-        self.log_eig_ratio = np.log(spatial.eigvals / spatial.eigvals[0]) if n_eig else np.empty(0)
-        self.search_alpha = n_eig >= _MIN_ALPHA_EIGVALS
+        self.log_eig_ratio = np.log(cp.eigvals / cp.eigvals[0]) if len(cp.eigvals) else np.empty(0)
+        self.search_alpha = len(cp.eigvals) >= _MIN_ALPHA_EIGVALS
         n_random = sum(b.size for b in blocks)
         rows: list[np.ndarray] = []  # the rows of C
         self.blocks: list[BlockLayout] = []
@@ -744,8 +752,8 @@ class _ActiveSet:
     test on it, and False once the search can no longer certify it.
     """
 
-    def __init__(self, cp: Crossproducts, spatial: SpatialBasis | None):
-        self.cp, self.spatial = cp, spatial
+    def __init__(self, cp: Crossproducts):
+        self.cp = cp
         self.values: dict[BlockLayout, np.ndarray] = {}
         self.entry_alpha: dict[BlockLayout, float] = {}
         self.dropped: set[BlockLayout] = set()  # a block is dropped at most once
@@ -755,7 +763,7 @@ class _ActiveSet:
 
     def _rebuild(self) -> None:
         self.active = tuple(b for b in self.cp.blocks if b in self.values)
-        self.problem = RemlProblem(self.cp, self.spatial, self.active)
+        self.problem = RemlProblem(self.cp, self.active)
 
     @property
     def spendable(self) -> int:
@@ -896,11 +904,7 @@ class _ActiveSet:
         return VarianceParams(sigma2=sigma2, tau2_s=tau2["svc"] * sigma2, alpha=alpha, tau2_n=tau2["nvc"] * sigma2)
 
 
-def fit_reml(
-    cp: Crossproducts,
-    spec: ModelSpec,
-    spatial: SpatialBasis | None,
-) -> FittedModel:
+def fit_reml(cp: Crossproducts, spec: ModelSpec) -> FittedModel:
     """Maximize the restricted log-likelihood over the variance parameters.
 
     An active-set search over the random-effect blocks.  Bounded L-BFGS-B
@@ -957,7 +961,7 @@ def fit_reml(
     inactive SVC term reports the alpha of its score, which the likelihood
     does not depend on.  Deterministic given identical inputs.
     """
-    search = _ActiveSet(cp, spatial)
+    search = _ActiveSet(cp)
     best, score = search.assess()
     polished = False
     while search.spendable >= 1:
@@ -1048,7 +1052,8 @@ def fit_snvc(
 
     Each covariate flagged in ``spec.has_nvc`` gets the spline basis of the
     spec's size and family; a column that cannot carry one raises
-    ``spline_basis``'s error with the covariate's name in the message.  The
+    ``spline_basis``'s error with the covariate's name in the message, as
+    ``build_design`` names a covariate that is not finite.  The
     coefficient field is produced even for an unconverged fit; check
     ``FittedModel.converged``.
     """
@@ -1059,10 +1064,10 @@ def fit_snvc(
             continue
         try:
             nvc_bases[k] = spline_basis(X[:, k], spec.n_basis_nvc, spec.spline_family)
-        except (ConstantCovariate, CovariateRangeTooLarge, TooFewDistinctValues) as exc:
+        except (ConstantCovariate, TooFewDistinctValues, ValueError) as exc:  # the range errors are ValueErrors
             raise type(exc)(f"the NVC term of {name!r}: {exc}") from exc
     # The design, E above all, is freed before the REML search.
     cp = precompute_crossproducts(build_design(X, spec, spatial, nvc_bases), y)
-    fit = fit_reml(cp, spec, spatial)
+    fit = fit_reml(cp, spec)
     field = predict_coefficients(fit, spatial, nvc_bases)
     return fit, field

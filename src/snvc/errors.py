@@ -54,6 +54,10 @@ class CovariateRangeTooLarge(DataError, ValueError):
     """A covariate spans so wide a range that its spline columns or their spread overflow."""
 
 
+class CovariateRangeTooSmall(DataError, ValueError):
+    """A covariate spans so narrow a range that the spread of its spline columns underflows."""
+
+
 class CrossproductOverflow(DataError, ValueError):
     """The covariates or the response are so large that the design's crossproducts overflow."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllSitesCoincident, DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
+from .errors import AllSitesCoincident, DegreesExhausted, DimensionMismatch, NoFeasibleBandwidth, SingularLocalFit
 from .spatial import SiteSet
 
 KERNELS = ("exponential_fixed", "exponential_adaptive")
@@ -79,9 +79,13 @@ class _Problem:  # what every candidate of one search shares
 def _problem(sites: SiteSet, X, y, kernel: str, include_intercept: bool) -> _Problem:
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}")
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != sites.n_sites or y.shape[0] != sites.n_sites:
+        raise DimensionMismatch(f"X and y must have one row per site ({sites.n_sites})")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite")
     ones = [np.ones(sites.n_sites)] if include_intercept else []
-    X = np.column_stack(ones + [np.asarray(X, dtype=float)])  # a 1-D X is one column
-    y = np.asarray(y, dtype=float).ravel()
+    X = np.column_stack(ones + [X])  # a 1-D X is one column
     moments = (X.T[:, None] * np.column_stack([X, y]).T).reshape(-1, sites.n_sites)
     d = sites.distances()
     d_sorted = np.sort(d, axis=1) if kernel == "exponential_adaptive" else None
@@ -152,6 +156,10 @@ def gwr_fit_at(
 
     Raises
     ------
+    DimensionMismatch
+        X or y does not have one row per site.
+    ValueError
+        X or y is not finite.
     SingularLocalFit
         Some site's weighted moment matrix is not positive definite.
     DegreesExhausted
@@ -222,7 +230,7 @@ def select_bandwidth(
     NoFeasibleBandwidth is raised.  The fixed kernel raises
     AllSitesCoincident when every site coincides, which leaves no positive
     distance to search; the adaptive kernel then fits every site with unit
-    weights.
+    weights.  X and y are checked as ``gwr_fit_at`` checks them.
     """
     p = _problem(sites, X, y, kernel, include_intercept)
     n, k = p.X.shape

@@ -309,7 +309,7 @@ def predict_estimator(
     spec = ModelSpec(
         covariate_names=tuple(f"x{j + 1}" for j in range(k)),
         has_svc=(with_svc,) * k,
-        has_nvc=tuple(with_nvc and float(np.std(X[:, j])) != 0.0 for j in range(k)),
+        has_nvc=tuple(with_nvc and bool(X[:, j].min() != X[:, j].max()) for j in range(k)),
         n_basis_nvc=n_basis,
         spline_family=spline_family,
     )

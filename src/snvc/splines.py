@@ -15,16 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantCovariate, CovariateRangeTooLarge, TooFewDistinctValues
+from .errors import ConstantCovariate, CovariateRangeTooLarge, CovariateRangeTooSmall, TooFewDistinctValues
 
 FAMILIES = ("natural_cubic", "thin_plate_1d")
 
 # Inclusive bounds on the requested number of basis functions.
 N_BASIS_RANGE = (3, 50)
 
-# Columns whose spread is below this fraction of the covariate scale carry
-# no usable signal and are dropped.
-_NEAR_CONSTANT_REL = 1e-10
+# A column's sd below this comes from a variance that underflowed past the
+# normal range of doubles, so its scaling to unit sd would be inexact.
+_SD_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,14 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
 
     Knots sit at equally spaced quantiles of ``x`` with the boundary knots at
     its min and max; tied quantiles are deduplicated and the basis shrinks
-    accordingly.  Near-constant columns are dropped.
+    accordingly.  No column is dropped: every column of the family is kept,
+    centered and scaled to unit sd, whatever the units of ``x``.  The values
+    are Fortran-ordered.
 
     Raises
     ------
+    ValueError
+        ``x`` is not finite.
     ConstantCovariate
         ``x`` takes a single value (e.g. an intercept column).
     TooFewDistinctValues
@@ -78,8 +82,13 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
     CovariateRangeTooLarge
         ``x`` spans so wide a range that a column, or its standard
         deviation, overflows; it is also a ``ValueError``.
+    CovariateRangeTooSmall
+        ``x`` spans so narrow a range that the variance of a column
+        underflows; it is also a ``ValueError``.
     """
     x = np.asarray(x, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        raise ValueError("covariate values must be finite")
     lo, hi = N_BASIS_RANGE
     if not lo <= n_basis <= hi:
         raise ValueError(f"n_basis must lie in [{lo}, {hi}]")
@@ -114,9 +123,11 @@ def spline_basis(x: np.ndarray, n_basis: int = 10, family: str = "natural_cubic"
         raise CovariateRangeTooLarge(
             f"covariate spans {distinct[0]:.6g} to {distinct[-1]:.6g}: its spline columns overflow"
         )
-    x_scale = max(float(np.std(x, ddof=1)), np.finfo(float).tiny)
-    keep = sds > _NEAR_CONSTANT_REL * x_scale
-    cols = cols[:, keep] / sds[keep]
-
-    return NvcBasis(values=cols, knots=knots)
+    if not np.all(sds >= _SD_FLOOR):
+        raise CovariateRangeTooSmall(
+            f"covariate spans {distinct[0]:.6g} to {distinct[-1]:.6g}: the spread of its spline columns underflows"
+        )
+    # Fortran order: products with the basis, such as the scenario generator's
+    # values @ z, round by its memory order.
+    return NvcBasis(values=np.divide(cols, sds, order="F"), knots=knots)
 

@@ -93,7 +93,7 @@ def test_criterion_2_reml_oracle_equivalence():
         for alpha in (0.0, 1.0, 2.5):
             for tau_n in (0.05, 0.7, 3.0):
                 theta = VarianceParams(1.0, [tau_s, 0.0], [alpha, 0.0], [0.0, tau_n])
-                res = restricted_loglik(cp, theta, basis.eigvals)
+                res = restricted_loglik(cp, theta)
                 # dense oracle from the N x N marginal covariance
                 v = np.zeros(E.shape[1])
                 v[:3] = np.sqrt(tau_s) * (basis.eigvals / basis.eigvals[0]) ** (alpha / 2.0)
@@ -130,7 +130,7 @@ def test_criterion_3_ols_collapse():
     design = build_design(X, spec, basis, [None, None])
     cp = precompute_crossproducts(design, y)
     theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
-    res = restricted_loglik(cp, theta, basis.eigvals)
+    res = restricted_loglik(cp, theta)
 
     b_ols, rss, *_ = np.linalg.lstsq(X, y, rcond=None)
     closed = -0.5 * np.linalg.slogdet(X.T @ X)[1] - 0.5 * (n - k) * (
@@ -242,11 +242,11 @@ def _timed_evaluations(n, seed, n_evals=200):
         for i in range(n_evals)
     ]
     for theta in thetas[:20]:  # warmup
-        restricted_loglik(cp, theta, basis.eigvals)
+        restricted_loglik(cp, theta)
     times = []
     for theta in thetas:
         t0 = time.perf_counter()
-        restricted_loglik(cp, theta, basis.eigvals)
+        restricted_loglik(cp, theta)
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
@@ -256,7 +256,7 @@ def test_criterion_7_size_free_likelihood():
     t_large = _timed_evaluations(10_000, seed=2)
     ratio = t_large / t_small
     params = list(inspect.signature(restricted_loglik).parameters)
-    static_ok = params == ["cp", "theta", "eigvals"]
+    static_ok = params == ["cp", "theta"]
     ok = ratio < 2.0 and static_ok
     _report(
         7,

@@ -430,6 +430,30 @@ class TestFitCommand:
         assert err["error"] == "CovariateRangeTooLarge"
         assert err["message"].startswith("the NVC term of 'x1': covariate spans ")
 
+    def test_spline_columns_that_underflow_are_a_data_error(self, tmp_path, capsys):
+        assert self.fit_toy(tmp_path, x1_scale=1e-110, nvc="all") == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CovariateRangeTooSmall"
+        assert err["message"].startswith("the NVC term of 'x1': covariate spans ")
+        assert err["message"].endswith(": the spread of its spline columns underflows")
+
+    @pytest.mark.parametrize("value", [0.1, 1.0])
+    def test_constant_covariate_is_a_data_error(self, tmp_path, capsys, value):
+        # np.std of a column of 0.1s is about 1.4e-17, not 0; min == max is exact.
+        inst = gen_toy(3, grid=(12, 12))
+        rows = np.column_stack([inst.sites.coords, inst.y, inst.X[:, 0], np.full(144, value)])
+        path = tmp_path / "constant.csv"
+        write_csv(path, ["px", "py", "y", "x1", "level"], rows.tolist())
+        code = main([
+            "fit", "--data", str(path), "--y", "y", "--x", "x1,level", "--coords", "px,py",
+            "--out", str(tmp_path / "r.json"), "--coef-out", str(tmp_path / "c.csv"),
+        ])  # fmt: skip
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == "covariate 'level' is constant: it duplicates the intercept; drop it from --x"
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize(
         "kwargs, hint",
         [({"x1_scale": 1e5}, "so rescale the covariates"), ({"x2_is_x1": True}, "X is collinear")],

@@ -40,6 +40,7 @@ from snvc.core import (
 )
 from snvc.errors import (
     CovariateRangeTooLarge,
+    CovariateRangeTooSmall,
     CrossproductOverflow,
     DataError,
     DimensionMismatch,
@@ -152,6 +153,7 @@ class TestCrossproducts:
             X=q[:, :2],
             E=q[:, 2:5],
             blocks=(BlockLayout(0, "svc", 0, 3),),
+            eigvals=np.ones(3),
         )
         cp = precompute_crossproducts(design, rng.normal(size=30))
         np.testing.assert_allclose(cp.XtX, np.eye(2), atol=1e-12)
@@ -192,7 +194,7 @@ class TestCrossproducts:
 
     @pytest.mark.parametrize("scale", [1e110, 1e160])
     def test_spline_columns_that_overflow_are_a_data_error(self, scale):
-        # Unchecked, the NaN columns fail the near-constant test and each NVC block keeps 1 of 10.
+        # Unchecked, NaN spline columns would reach the design.
         inst = gen_toy(3, grid=(12, 12))
         spec = ModelSpec(("x1", "x2"), (False, False), (True, True))
         with warnings.catch_warnings(), pytest.raises(CovariateRangeTooLarge) as caught:
@@ -200,6 +202,33 @@ class TestCrossproducts:
             fit_snvc(inst.X * scale, inst.y, spec, None)
         assert str(caught.value).startswith("the NVC term of 'x1': covariate spans ")
         assert str(caught.value).endswith(": its spline columns overflow")
+
+    def test_spline_columns_that_underflow_are_a_data_error(self):
+        inst = gen_toy(3, grid=(12, 12))
+        spec = ModelSpec(("x1", "x2"), (False, False), (True, True), spline_family="thin_plate_1d")
+        with warnings.catch_warnings(), pytest.raises(CovariateRangeTooSmall) as caught:
+            warnings.simplefilter("error")
+            fit_snvc(inst.X * 1e-110, inst.y, spec, None)
+        assert str(caught.value).startswith("the NVC term of 'x1': covariate spans ")
+
+    @pytest.mark.parametrize(
+        "where, nvc, message",
+        [
+            ("x1", True, "the NVC term of 'x1': covariate values must be finite"),
+            ("x1", False, "X must be finite; covariate 'x1' is not"),
+            ("y", True, "y must be finite"),
+        ],
+        ids=["nvc-covariate", "covariate", "response"],
+    )
+    def test_non_finite_input_is_named(self, where, nvc, message):
+        # Unchecked, a NaN in y read as CrossproductOverflow and a NaN in an
+        # NVC covariate as TooFewDistinctValues.
+        inst = gen_toy(3, grid=(12, 12))
+        X, y = inst.X.copy(), inst.y.copy()
+        (X[:, 0] if where == "x1" else y)[7] = np.nan
+        spec = ModelSpec(("x1", "x2"), (False, False), (nvc, nvc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_snvc(X, y, spec, None)
 
     @pytest.mark.parametrize(
         "kwargs, scaled_passes", [({"x1_scale": 1e5}, True), ({"x2_is_x1": True}, False)], ids=["scaled", "identical"]
@@ -228,7 +257,7 @@ class TestCrossproducts:
         sub_blocks = cp.blocks[1::3]
         cols = np.concatenate([np.arange(b.start, b.stop) for b in sub_blocks])
         joint = np.block([[X.T @ X, xte[:, cols]], [xte[:, cols].T, ete[np.ix_(cols, cols)]]])
-        sub = RemlProblem(cp, basis, sub_blocks)
+        sub = RemlProblem(cp, sub_blocks)
         stops = np.cumsum([b.size for b in sub_blocks])
         assert [(b.covariate, b.kind, b.start, b.stop) for b in sub.blocks] == [
             (b.covariate, b.kind, stop - b.size, stop) for b, stop in zip(sub_blocks, stops)
@@ -237,6 +266,27 @@ class TestCrossproducts:
             assert got.flags.f_contiguous
             np.testing.assert_array_equal(got, got.T)
             np.testing.assert_array_equal(got, want)
+
+
+    def test_svc_blocks_carry_their_eigenvalues(self):
+        # The REML layer weights an SVC block's columns by cp.eigvals alone,
+        # so crossproducts whose SVC blocks have more columns than eigenvalues
+        # are refused when they are made, not deep inside a product.
+        inst = gen_toy(3, grid=(12, 12))
+        basis = moran_basis(inst.sites, 30)
+        X = np.column_stack([np.ones(144), inst.X])
+        spec = ModelSpec(("intercept", "x1", "x2"), (True,) * 3, (False,) * 3)
+        design = build_design(X, spec, basis, [None] * 3)
+        assert design.eigvals is basis.eigvals
+        assert precompute_crossproducts(design, inst.y).eigvals is basis.eigvals
+        for short in (np.empty(0), basis.eigvals[:10]):
+            message = f"an SVC block has 30 columns but only {short.size} basis eigenvalues"
+            with pytest.raises(ValueError, match=message):
+                precompute_crossproducts(dataclasses.replace(design, eigvals=short), inst.y)
+        nvc_only = ModelSpec(("intercept", "x1", "x2"), (False,) * 3, (False, True, False))
+        assert build_design(X, nvc_only, basis, [None, spline_basis(X[:, 1]), None]).eigvals.shape == (0,)
+        for fn in (fit_reml, RemlProblem, _ActiveSet, restricted_loglik):
+            assert not {"spatial", "basis", "eigvals"} & set(inspect.signature(fn).parameters), fn
 
 
 # One-covariate specs: no random effect, an SVC term, an NVC term.
@@ -269,8 +319,13 @@ def plain_crossproducts():
          DimensionMismatch, "covariate 0 has NVC enabled but no basis"),
         (lambda: build_design(np.ones((10, 1)), SPEC_NVC, None, [NvcBasis(np.zeros((12, 3)), np.arange(5.0))]),
          DimensionMismatch, "NVC basis rows must match X rows"),
+        (lambda: build_design(np.r_[np.ones((9, 1)), [[np.inf]]], SPEC_PLAIN, None, [None]),
+         ValueError, "X must be finite; covariate 'x' is not"),
         (lambda: precompute_crossproducts(build_design(np.ones((10, 1)), SPEC_PLAIN, None, [None]), np.zeros(9)),
          DimensionMismatch, "y length must match the design rows"),
+        (lambda: precompute_crossproducts(
+            build_design(np.ones((10, 1)), SPEC_PLAIN, None, [None]), np.full(10, np.nan)),
+         ValueError, "y must be finite"),
         (lambda: precompute_crossproducts(DesignMatrix(np.eye(2), np.empty((2, 0)), ()), np.zeros(2)),
          ValueError, "need more observations than fixed effects"),
         (lambda: VarianceParams(0.0, [0.0], [1.0], [0.0]), ValueError, "sigma2 must be positive"),
@@ -283,14 +338,15 @@ def plain_crossproducts():
          ValueError, "tau2_s[0] must be 0 when has_svc is false"),
         (lambda: restricted_loglik(plain_crossproducts(), VarianceParams(1.0, [0.0], [1.0], [1.0])),
          ValueError, "tau2_n[0] must be 0 when has_nvc is false"),
-        (lambda: restricted_loglik(svc_crossproducts(), VarianceParams(1.0, [1.0], [1.0], [0.0])),
-         ValueError, "missing eigen scaling for covariate 0"),
+        (lambda: dataclasses.replace(svc_crossproducts(), eigvals=np.ones(2)),
+         ValueError, "an SVC block has 3 columns but only 2 basis eigenvalues"),
     ],
     ids=[
         "design-X-shape", "design-spatial-rows", "design-nvc-count", "design-nvc-missing", "design-nvc-rows",
-        "crossproducts-y-length", "crossproducts-too-few-rows", "theta-sigma2", "theta-tau2", "theta-alpha",
+        "design-X-finite", "crossproducts-y-length", "crossproducts-y-finite", "crossproducts-too-few-rows",
+        "theta-sigma2", "theta-tau2", "theta-alpha",
         "theta-sigma2-inf", "theta-alpha-nan", "theta-tau2-nan",
-        "theta-svc-off", "theta-nvc-off", "loglik-scaling-missing",
+        "theta-svc-off", "theta-nvc-off", "crossproducts-too-few-eigvals",
     ],
 )  # fmt: skip
 def test_input_checks(call, error, message):
@@ -347,7 +403,7 @@ class TestRestrictedLoglik:
             for alpha in (0.0, 1.0, 2.5):
                 for tau_n in (0.05, 0.7, 3.0):
                     theta = VarianceParams(1.0, [tau_s, 0.0], [alpha, 0.0], [0.0, tau_n])
-                    res = restricted_loglik(cp, theta, basis.eigvals)
+                    res = restricted_loglik(cp, theta)
                     oracle, b_o, s2_o = dense_reml_oracle(X, E, v_diag_for(basis, nb, theta), y)
                     assert abs(res.loglik - oracle) < 1e-6
                     assert np.abs(res.b_hat - b_o).max() < 1e-8
@@ -357,7 +413,7 @@ class TestRestrictedLoglik:
         spec, basis, X, nb, y, design, cp = reml_problem()
         n, k = X.shape
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
-        res = restricted_loglik(cp, theta, basis.eigvals)
+        res = restricted_loglik(cp, theta)
         b_ols, rss, *_ = np.linalg.lstsq(X, y, rcond=None)
         closed = -0.5 * np.linalg.slogdet(X.T @ X)[1] - 0.5 * (n - k) * (
             1.0 + np.log(2.0 * np.pi * rss[0] / (n - k))
@@ -372,7 +428,7 @@ class TestRestrictedLoglik:
         cp = precompute_crossproducts(design, y_exact)
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
         with pytest.raises(NumericalBreakdown):
-            restricted_loglik(cp, theta, basis.eigvals)
+            restricted_loglik(cp, theta)
 
     def test_singular_fixed_block(self):
         spec, basis, X, nb, y, design, cp = reml_problem()
@@ -386,7 +442,7 @@ class TestRestrictedLoglik:
         E = design.E
         theta = VarianceParams(1.0, [0.8, 0.0], [1.3, 0.0], [0.0, 0.4])
         v = v_diag_for(basis, nb, theta)
-        res = restricted_loglik(cp, theta, basis.eigvals)
+        res = restricted_loglik(cp, theta)
         # independent oracle: minimize ||y - Xb - E V u||^2 + ||u||^2 on stacked rows
         p = E.shape[1]
         top = np.hstack([X, E * v])
@@ -402,7 +458,7 @@ class TestRestrictedLoglik:
         norms = []
         for tau in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3):
             theta = VarianceParams(1.0, [tau**2, 0.0], [1.0, 0.0], [0.0, 0.0])
-            res = restricted_loglik(cp, theta, basis.eigvals)
+            res = restricted_loglik(cp, theta)
             norms.append(np.linalg.norm(res.gamma))
         assert np.all(np.diff(norms) >= -1e-12)
 
@@ -416,7 +472,7 @@ class TestRestrictedLoglik:
         y = rng.normal(size=n)
         cp = precompute_crossproducts(design, y)
         theta = VarianceParams(1.0, [1e12, 0.0], [0.0, 0.0], [0.0, 0.0])
-        res = restricted_loglik(cp, theta, basis.eigvals)
+        res = restricted_loglik(cp, theta)
         E = design.E
         fitted = X @ res.b_hat + E @ res.gamma
         full = np.hstack([X, E])
@@ -427,7 +483,7 @@ class TestRestrictedLoglik:
 
     def test_signature_is_size_free(self):
         params = list(inspect.signature(restricted_loglik).parameters)
-        assert params == ["cp", "theta", "eigvals"]
+        assert params == ["cp", "theta"]
         assert inspect.signature(restricted_loglik).parameters["cp"].annotation == "Crossproducts"
 
 
@@ -455,14 +511,14 @@ def reml_problem_k1(spec=ModelSpec(("x",), (True,), (True,), 6)):
     nb = spline_basis(x, n_basis=6)
     y = x * (1.0 + basis.eigvecs[:, 0]) + rng.normal(size=n)
     cp = precompute_crossproducts(build_design(x[:, None], spec, basis, [nb]), y)
-    return RemlProblem(cp, basis), cp, spec, basis
+    return RemlProblem(cp), cp, spec, basis
 
 
 def reml_problem_k5():
     X, y, spec, basis = five_covariate_data()
     nbs = [spline_basis(X[:, k], 6) if spec.has_nvc[k] else None for k in range(5)]
     cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
-    return RemlProblem(cp, basis), cp, spec, basis
+    return RemlProblem(cp), cp, spec, basis
 
 
 def reml_problem_large():
@@ -479,7 +535,7 @@ def reml_problem_large():
     nbs = [None] + [spline_basis(X[:, k], 6) for k in (1, 2)]
     cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
     assert cp.n_random > 2 * _TRI_LEAF
-    return RemlProblem(cp, basis), cp, spec, basis
+    return RemlProblem(cp), cp, spec, basis
 
 
 def reml_problem_two_eigvecs():
@@ -494,7 +550,7 @@ def reml_problem_two_eigvecs():
     spec = ModelSpec(("intercept", "x"), (True, True), (False, True), 6)
     nbs = [None, spline_basis(X[:, 1], 6)]
     cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
-    return RemlProblem(cp, basis), cp, spec, basis
+    return RemlProblem(cp), cp, spec, basis
 
 
 @pytest.fixture(
@@ -537,9 +593,9 @@ def ratio_theta(spec, ratios):
     return VarianceParams(1.0, tau2_s, alpha, tau2_n)
 
 
-def loglik_at(cp, spec, basis, ratios):
+def loglik_at(cp, spec, ratios):
     theta = ratio_theta(spec, ratios)
-    return restricted_loglik(cp, theta, basis.eigvals).loglik
+    return restricted_loglik(cp, theta).loglik
 
 
 def boundary_scores_at(cp, spec, basis, ratios, alphas):
@@ -547,7 +603,7 @@ def boundary_scores_at(cp, spec, basis, ratios, alphas):
     block, with the blocks in ``ratios`` active at their (variance ratio, alpha)."""
     active = tuple(b for b in cp.blocks if b in ratios)
     inactive = tuple(b for b in cp.blocks if b not in ratios)
-    problem = RemlProblem(cp, basis, active)
+    problem = RemlProblem(cp, active)
     parts = [[math.log(ratios[b][0]), ratios[b][1]][: p.stop - p.start] for b, p in zip(active, problem.slices)]
     t = np.concatenate([np.empty(0)] + parts)
     log_eig_ratio = np.log(basis.eigvals / basis.eigvals[0])
@@ -651,7 +707,7 @@ class TestRemlProblem:
             np.testing.assert_array_equal(sol, ref_sol)
 
             theta = theta_at(problem, spec, t)
-            res = restricted_loglik(cp, theta, basis.eigvals)
+            res = restricted_loglik(cp, theta)
             v = loglik_scaling(cp, theta, basis.eigvals)
             ref_loglik, ref_sol = reference_factor_joint(cp, v)
             assert res.loglik == ref_loglik
@@ -682,7 +738,7 @@ class TestRemlProblem:
             t = interior_point(problem, rng.uniform(size=len(problem.bounds)))
             theta = theta_at(problem, spec, t)
             value, _ = problem.value_and_grad(t)
-            assert abs(value - restricted_loglik(cp, theta, basis.eigvals).loglik) <= 1e-10
+            assert abs(value - restricted_loglik(cp, theta).loglik) <= 1e-10
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -698,7 +754,7 @@ class TestRemlProblem:
         t = interior_point(problem, data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
         cp_c = dataclasses.replace(cp, Xty=c * cp.Xty, Ety=c * cp.Ety, yty=c * c * cp.yty)
         value, grad = problem.value_and_grad(t)
-        value_c, grad_c = RemlProblem(cp_c, basis).value_and_grad(t)
+        value_c, grad_c = RemlProblem(cp_c).value_and_grad(t)
         expected = value - (cp.n_obs - cp.n_fixed) * math.log(abs(c))
         assert abs(value_c - expected) <= 1e-10 * abs(expected)
         assert np.linalg.norm(grad_c - grad) <= 1e-10 * np.linalg.norm(grad)
@@ -707,8 +763,8 @@ class TestRemlProblem:
         # fit_reml's final evaluation goes through RemlProblem; the public
         # function must give the same likelihood, effects and variance.
         _, cp, spec, basis = reml_case
-        fit = fit_reml(cp, spec, basis)
-        res = restricted_loglik(cp, fit.theta, basis.eigvals)
+        fit = fit_reml(cp, spec)
+        res = restricted_loglik(cp, fit.theta)
         assert abs(fit.restricted_loglik - res.loglik) <= 1e-10
         assert fit.theta.sigma2 == pytest.approx(res.sigma2_hat, rel=1e-10)
         np.testing.assert_allclose(
@@ -726,20 +782,20 @@ class TestRemlProblem:
         _, cp, spec, basis = reml_case
         for blk in cp.blocks:
             others = {b: (0.5, 1.0) for b in cp.blocks if b != blk}
-            base = loglik_at(cp, spec, basis, others)
+            base = loglik_at(cp, spec, others)
             norms = np.diag(cp.EtE)[blk.start : blk.stop]
             for alpha in (1.0, -2.0) if blk.kind == "svc" else (0.0,):
                 w = (basis.eigvals[: blk.size] / basis.eigvals[0]) ** alpha if blk.kind == "svc" else 1.0
                 h = 1e-6 / np.max(w * norms)
                 score = boundary_scores_at(cp, spec, basis, others, np.array([alpha]))[blk][0]
-                numeric = (loglik_at(cp, spec, basis, {**others, blk: (h, alpha)}) - base) / h
+                numeric = (loglik_at(cp, spec, {**others, blk: (h, alpha)}) - base) / h
                 assert abs(score - numeric) <= 1e-4 * abs(numeric), (blk, alpha)
 
     def test_truly_zero_blocks_stay_inactive_with_nonpositive_score(self):
         # In the K = 5 generator only covariate a varies in space; b and c
         # have no non-spatial variation and d no variation at all.
         _, cp, spec, basis = reml_problem_k5()
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.converged
         assert {"b:nvc", "c:nvc"} <= set(fit.inactive_terms)
         names = spec.covariate_names
@@ -757,7 +813,7 @@ class TestRemlProblem:
         _, cp, spec, basis = reml_problem_k1()
         scores = boundary_scores_at(cp, spec, basis, {}, _ALPHA_GRID)
         assert all(s.max() > 0.0 for s in scores.values())
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.converged
         assert fit.inactive_terms == ()
         assert fit.theta.tau2_s[0] > 0.0 and fit.theta.tau2_n[0] > 0.0
@@ -767,7 +823,7 @@ class TestRemlProblem:
         # and the fit reports alpha = 1 exactly for each active SVC block.
         problem, cp, spec, basis = reml_problem_two_eigvecs()
         assert [p.stop - p.start for p in problem.slices] == [1, 1, 1]
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.converged
         active_svc = [b.covariate for b in cp.blocks if b.kind == "svc" and fit.theta.tau2_s[b.covariate] > 0]
         assert active_svc
@@ -777,7 +833,7 @@ class TestRemlProblem:
         spec, basis, X, nb, y, design, cp = reml_problem()
         design_bad = build_design(np.column_stack([X[:, 0], X[:, 0]]), spec, basis, [None, nb])
         with pytest.raises(SingularFixedBlock):
-            RemlProblem(precompute_crossproducts(design_bad, y), basis)
+            RemlProblem(precompute_crossproducts(design_bad, y))
 
 
 def scenario_fit(w_s, iteration, estimator):
@@ -838,7 +894,7 @@ class TestFitReml:
             spec = ModelSpec(("intercept",), (True,), (False,))
             design = build_design(X, spec, basis, [None])
             cp = precompute_crossproducts(design, y)
-            fit = fit_reml(cp, spec, basis)
+            fit = fit_reml(cp, spec)
             assert fit.converged, rep
             field = predict_coefficients(fit, basis, [None])
             if field.sd_svc[0] ** 2 < 0.05 * y.var(ddof=1):
@@ -864,7 +920,7 @@ class TestFitReml:
             spec = ModelSpec(("x",), (True,), (True,), 6)
             design = build_design(X, spec, basis, [nb])
             cp = precompute_crossproducts(design, y)
-            fit = fit_reml(cp, spec, basis)
+            fit = fit_reml(cp, spec)
             taus_s.append(fit.theta.tau2_s[0])
             alphas.append(fit.theta.alpha[0])
             taus_n.append(fit.theta.tau2_n[0])
@@ -879,15 +935,15 @@ class TestFitReml:
         spec = ModelSpec(("intercept", "x"), (False, False), (False, False))
         design = build_design(X, spec, None, [None, None])
         cp = precompute_crossproducts(design, y)
-        fit = fit_reml(cp, spec, None)
+        fit = fit_reml(cp, spec)
         b_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
         assert np.abs(fit.b_hat - b_ols).max() < 1e-10
         assert fit.converged
 
     def test_deterministic(self):
         spec, basis, X, nb, y, design, cp = reml_problem(n=60, seed=12)
-        fit1 = fit_reml(cp, spec, basis)
-        fit2 = fit_reml(cp, spec, basis)
+        fit1 = fit_reml(cp, spec)
+        fit2 = fit_reml(cp, spec)
         assert fit1.restricted_loglik == fit2.restricted_loglik
         np.testing.assert_array_equal(fit1.gamma, fit2.gamma)
         assert fit1.n_loglik_evals == fit2.n_loglik_evals
@@ -901,7 +957,7 @@ class TestFitReml:
         # the ceiling would be a correct converged answer.
         spec = ModelSpec(("x",), (False,), (True,), 6)
         _, cp, _, basis = reml_problem_k1(spec)
-        honest = fit_reml(cp, spec, basis)
+        honest = fit_reml(cp, spec)
         assert honest.converged
         zero = VarianceParams(1.0, [0.0], [1.0], [0.0])
         start_best = restricted_loglik(cp, zero).loglik
@@ -916,7 +972,7 @@ class TestFitReml:
             return point
 
         monkeypatch.setattr(RemlProblem, "solve", capped)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.restricted_loglik <= ceiling
         assert fit.converged is False
 
@@ -927,7 +983,7 @@ class TestFitReml:
         # the run has stalled at a converged point.  At a gain of 1e-12 an
         # N = 1600 fit used to resume the same run until the budget ran out.
         _, cp, spec, basis = reml_problem_k1()
-        search = _ActiveSet(cp, basis)
+        search = _ActiveSet(cp)
         best, _ = search.assess()
         search.enter(best)
         search.optimize(_FTOL)
@@ -957,7 +1013,7 @@ class TestFitReml:
     @pytest.mark.parametrize("status", [0, 1, 2, -1])
     def test_stop_state_follows_one_rule(self, monkeypatch, status, gained, dropped, ftol):
         _, cp, spec, basis = reml_problem_k1()
-        search = _ActiveSet(cp, basis)
+        search = _ActiveSet(cp)
         best, _ = search.assess()
         search.enter(best)
         search.optimize(_FTOL)
@@ -1043,7 +1099,7 @@ class TestFitReml:
     def test_five_covariate_fit_reaches_the_full_set_search(self, seed):
         X, y, spec, basis = five_covariate_data(seed)
         nbs = [spline_basis(X[:, k], 6) if spec.has_nvc[k] else None for k in range(5)]
-        fit = fit_reml(precompute_crossproducts(build_design(X, spec, basis, nbs), y), spec, basis)
+        fit = fit_reml(precompute_crossproducts(build_design(X, spec, basis, nbs), y), spec)
         assert fit.converged
         assert fit.restricted_loglik >= self.FULL_SET_LOGLIK[seed] - 1e-6
 
@@ -1052,7 +1108,7 @@ class TestFitReml:
         # each entry ratio lies inside the search bounds and ends above the
         # likelihood before it.
         _, cp, spec, basis = reml_problem_k5()
-        search = _ActiveSet(cp, basis)
+        search = _ActiveSet(cp)
         best, score = search.assess()
         n_entries = 0
         while score > _SCORE_TOL * abs(search.loglik):
@@ -1091,7 +1147,7 @@ class TestFitReml:
 
         monkeypatch.setattr(core._JointSystem, "factor", recording_factor)
         monkeypatch.setattr(RemlProblem, "solve", counting_solve)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.converged
         assert {"b:nvc", "c:nvc"} <= set(fit.inactive_terms)
         assert reuses
@@ -1139,7 +1195,7 @@ class TestKeptFactor:
         problem.solve(t)
         value, grad = problem.value_and_grad(t)
         assert len(dpotrf_calls) == 1
-        fresh_value, fresh_grad = RemlProblem(cp, basis).value_and_grad(t)
+        fresh_value, fresh_grad = RemlProblem(cp).value_and_grad(t)
         assert value == fresh_value
         np.testing.assert_array_equal(grad, fresh_grad)
 
@@ -1150,7 +1206,7 @@ class TestKeptFactor:
         t0 = interior_point(problem, [0.5, 0.5, 0.5])
         bad = t0.copy()
         bad[0] = math.nan
-        expected = RemlProblem(cp, basis).solve(t0)
+        expected = RemlProblem(cp).solve(t0)
         problem.solve(t0)
         before = len(dpotrf_calls)
         for _ in range(2):
@@ -1165,9 +1221,9 @@ class TestKeptFactor:
     def test_no_state_leaks_between_fits(self):
         _, cp, spec, basis = reml_problem_k1()
         _, cp_other, spec_other, basis_other = reml_problem_k5()
-        first = fit_reml(cp, spec, basis)
-        fit_reml(cp_other, spec_other, basis_other)
-        again = fit_reml(cp, spec, basis)
+        first = fit_reml(cp, spec)
+        fit_reml(cp_other, spec_other)
+        again = fit_reml(cp, spec)
         for name in ("restricted_loglik", "n_loglik_evals", "converged", "inactive_terms"):
             assert getattr(again, name) == getattr(first, name)
         for name in ("b_hat", "gamma"):
@@ -1210,7 +1266,7 @@ class TestSearchRobustness:
     @pytest.fixture(scope="class")
     def case(self):
         _, cp, spec, basis = reml_problem_k1()
-        return cp, spec, basis, fit_reml(cp, spec, basis)
+        return cp, spec, basis, fit_reml(cp, spec)
 
     def test_entry_trial_that_breaks_down_is_skipped(self, case, monkeypatch):
         cp, spec, basis, honest = case
@@ -1234,7 +1290,7 @@ class TestSearchRobustness:
 
         monkeypatch.setattr(_ActiveSet, "enter", entering)
         monkeypatch.setattr(RemlProblem, "solve", first_trial_breaks)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert len(broken) == 2  # both blocks entered past a breakdown
         assert fit.converged
         assert fit.inactive_terms == ()
@@ -1244,7 +1300,7 @@ class TestSearchRobustness:
         cp, spec, basis, _ = case
         monkeypatch.setattr(core, "_ENTRY_LOG_RATIOS", np.log([1e12]))
         monkeypatch.setattr(core, "_ENTRY_SMALL_LOG_RATIOS", np.log([1e13]))
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         # One score check, then the two trials of the best block's entry.
         assert fit.n_loglik_evals == 3
         assert fit.converged is False
@@ -1254,7 +1310,7 @@ class TestSearchRobustness:
     def test_budget_spent_inside_an_entry_ends_unconverged(self, case, monkeypatch):
         cp, spec, basis, _ = case
         monkeypatch.setattr(core, "_MAX_EVALS_TOTAL", 3)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         # A score check and one entry trial leave only the closing score
         # check, the 3rd, so the run after the entry does not start.
         assert fit.n_loglik_evals == 3
@@ -1262,7 +1318,7 @@ class TestSearchRobustness:
 
     def test_run_stops_at_its_share_on_the_best_point_it_evaluated(self, case, monkeypatch):
         cp, _, basis, _ = case
-        problem = RemlProblem(cp, basis)
+        problem = RemlProblem(cp)
         seen, value_and_grad = [], RemlProblem.value_and_grad
 
         def recording(self, t):
@@ -1285,12 +1341,12 @@ class TestSearchRobustness:
             raise NumericalBreakdown("forced breakdown of every gradient evaluation")
 
         monkeypatch.setattr(RemlProblem, "value_and_grad", broken)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.converged is False
         # The entries' points stand, and the reported numbers are theirs.
         assert fit.inactive_terms == ()
         assert math.isfinite(fit.restricted_loglik) and fit.restricted_loglik < honest.restricted_loglik
-        assert fit.restricted_loglik == pytest.approx(loglik_at(cp, spec, basis, fitted_ratios(fit)), rel=1e-12)
+        assert fit.restricted_loglik == pytest.approx(loglik_at(cp, spec, fitted_ratios(fit)), rel=1e-12)
 
 
 def reference_search(problem, t0, maxfun, ftol):
@@ -1442,7 +1498,7 @@ class TestPredictAndShares:
     def test_zero_variances_give_constant_coefficient(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=13)
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
-        res = restricted_loglik(cp, theta, basis.eigvals)
+        res = restricted_loglik(cp, theta)
         fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
         field = predict_coefficients(fit, basis, [None, nb])
         assert np.all(field.svc == 0.0) and np.all(field.nvc == 0.0)
@@ -1501,7 +1557,7 @@ class TestPredictAndShares:
             basis = moran_basis(sites, config.max_eigvecs)
             nbs = [spline_basis(X[:, k], spec.n_basis_nvc) if spec.has_nvc[k] else None for k in range(3)]
             cp = precompute_crossproducts(build_design(X, spec, basis, nbs), y)
-            res = restricted_loglik(cp, theta, basis.eigvals)
+            res = restricted_loglik(cp, theta)
             fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
             return res.loglik, predict_coefficients(fit, basis, nbs).total
 
@@ -1524,7 +1580,7 @@ class TestPredictAndShares:
 
         def field(basis):
             cp = precompute_crossproducts(build_design(inst.X, spec, basis, nbs), inst.y)
-            res = restricted_loglik(cp, theta, basis.eigvals)
+            res = restricted_loglik(cp, theta)
             fit = FittedModel(spec, theta, res.b_hat, res.gamma, res.loglik, 1, True, cp.n_obs, cp.blocks)
             return res.loglik, predict_coefficients(fit, basis, nbs)
 
@@ -1537,7 +1593,7 @@ class TestPredictAndShares:
         # The field is the bases times the fit's gamma; the reported variance
         # parameters are not rebuilt into a scaling.
         spec, basis, X, nb, y, design, cp = reml_problem(seed=15)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         other = VarianceParams(2.5, [4.0, 0.0], [-2.0, 0.0], [0.0, 0.01])
         assert other.tau2_s[0] != fit.theta.tau2_s[0] and other.alpha[0] != fit.theta.alpha[0]
         field = predict_coefficients(fit, basis, [None, nb])
@@ -1547,7 +1603,7 @@ class TestPredictAndShares:
 
     def test_decomposition_exact(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=15)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.converged
         field = predict_coefficients(fit, basis, [None, nb])
         np.testing.assert_array_equal(field.total, field.mean[None, :] + field.svc + field.nvc)
@@ -1556,7 +1612,7 @@ class TestPredictAndShares:
 
     def test_column_means_near_zero(self):
         spec, basis, X, nb, y, design, cp = reml_problem(n=50, seed=16)
-        fit = fit_reml(cp, spec, basis)
+        fit = fit_reml(cp, spec)
         assert fit.converged
         field = predict_coefficients(fit, basis, [None, nb])
         assert np.abs(field.svc[:, 0].mean()) < 1e-8

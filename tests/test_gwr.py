@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from snvc import gwr
-from snvc.errors import AllSitesCoincident, DegreesExhausted, NoFeasibleBandwidth, SingularLocalFit
+from snvc.errors import AllSitesCoincident, DegreesExhausted, DimensionMismatch, NoFeasibleBandwidth, SingularLocalFit
 from snvc.gwr import GwrFit, _adaptive_candidates, _problem, _solve_spd, _weights, gwr_fit_at, select_bandwidth
+from snvc.simlab import gen_toy
 from snvc.spatial import SiteSet
 
 
@@ -18,6 +19,32 @@ def make_problem(n=25, k=2, seed=0, local=True):
     slope = 1.0 + (0.3 * coords[:, 0] if local else 0.0)
     y = 2.0 + slope * X[:, 0] - 0.5 * X[:, 1] + 0.4 * rng.normal(size=n)
     return SiteSet(coords), X, y
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sites, X, y: gwr_fit_at(sites, X, y, "exponential_fixed", 2.0, False),
+        lambda sites, X, y: select_bandwidth(sites, X, y, "exponential_fixed", False),
+        lambda sites, X, y: select_bandwidth(sites, X, y, "exponential_adaptive", False),
+    ],
+    ids=["fit-at", "select-fixed", "select-adaptive"],
+)
+def test_broken_input_is_rejected(call):
+    # Unchecked, a NaN in y gave a fit with AICc nan, and 10 rows for 144
+    # sites failed inside numpy's reshape.
+    inst = gen_toy(3, grid=(12, 12))
+    y = inst.y.copy()
+    y[0] = np.nan
+    with pytest.raises(ValueError, match="X and y must be finite"):
+        call(inst.sites, inst.X, y)
+    X = inst.X.copy()
+    X[4, 1] = np.inf
+    with pytest.raises(ValueError, match="X and y must be finite"):
+        call(inst.sites, X, inst.y)
+    for X, y in ((inst.X[:10], inst.y[:10]), (inst.X, inst.y[:10]), (inst.X[:10], inst.y)):
+        with pytest.raises(DimensionMismatch, match=re.escape("X and y must have one row per site (144)")):
+            call(inst.sites, X, y)
 
 
 class TestGwrFitAt:

@@ -266,6 +266,21 @@ class TestPredictEstimator:
         assert [s.has_nvc for s in specs] == [(False,) * 3, (False, True, True), (False, True, True)]
         assert all(s.n_basis_nvc == 7 and s.spline_family == "thin_plate_1d" for s in specs)
 
+    def test_a_column_of_one_value_is_constant(self, monkeypatch):
+        # np.std of a column of 0.1s is about 1.4e-17, not 0; min == max is exact.
+        specs = []
+
+        def fit_snvc(X, y, spec, spatial):
+            specs.append(spec)
+            raise NumericalBreakdown("spec recorded")
+
+        monkeypatch.setattr(simlab, "fit_snvc", fit_snvc)
+        inst = gen_instance(ScenarioConfig(n_sites=40, seed=5), 0)
+        inst = dataclasses.replace(inst, X=np.column_stack([np.full(40, 0.1), inst.X[:, 1:]]))
+        with pytest.raises(NumericalBreakdown):
+            predict_estimator("NVC_M", inst)
+        assert specs[0].has_nvc == (False, True, True)
+
     def test_unknown_estimator_is_a_config_error(self):
         with pytest.raises(ConfigInvalid, match="XXX"):
             predict_estimator("XXX", gen_toy(5, grid=(6, 6)))

@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from snvc.errors import ConstantCovariate, CovariateRangeTooLarge, DataError, TooFewDistinctValues
+from snvc.errors import (
+    ConstantCovariate,
+    CovariateRangeTooLarge,
+    CovariateRangeTooSmall,
+    DataError,
+    TooFewDistinctValues,
+)
+from snvc.simlab import gen_toy
 from snvc.splines import spline_basis
 
 
@@ -27,8 +34,10 @@ def test_too_few_distinct_values():
         # Five distinct values among 105: every quantile but the last is 0.
         (np.r_[np.zeros(100), np.arange(1.0, 6.0)], {"n_basis": 3}, TooFewDistinctValues,
          "tied quantiles leave only 0 interior knots"),
+        (np.r_[np.arange(20.0), np.nan], {"n_basis": 5}, ValueError, "covariate values must be finite"),
+        (np.r_[np.arange(20.0), -np.inf], {"n_basis": 5}, ValueError, "covariate values must be finite"),
     ],
-    ids=["size", "family", "tied-quantiles"],
+    ids=["size", "family", "tied-quantiles", "nan", "inf"],
 )  # fmt: skip
 def test_input_checks(x, kwargs, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -40,9 +49,34 @@ def test_input_checks(x, kwargs, error, message):
 def test_columns_that_overflow_are_a_data_error(family, scale):
     # At 1e80 the natural cubic columns are finite but their squares, and so
     # their sd, overflow; at 1e110 (x - knot)^3 itself does.  Either way a
-    # column would be dropped or zeroed without an error.
+    # column would be NaN or zeroed without an error.
     x = scale * np.random.default_rng(0).uniform(0, 10, 144)
     with warnings.catch_warnings(), pytest.raises(CovariateRangeTooLarge, match="its spline columns overflow") as caught:
+        warnings.simplefilter("error")
+        spline_basis(x, n_basis=10, family=family)
+    assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
+def test_units_keep_every_column(family):
+    # Each column scales as a power of the covariate's span, so dividing by
+    # its own sd leaves it unchanged when x is scaled by a power of two.
+    x = gen_toy(3, grid=(12, 12)).X[:, 0]
+    base = spline_basis(x, n_basis=10, family=family)
+    assert base.n_components == 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in range(-60, 61, 4):
+            scaled = spline_basis(x * 2.0**a, n_basis=10, family=family)
+            assert scaled.values.shape == base.values.shape, a
+            assert scaled.values.flags.f_contiguous
+            assert np.abs(scaled.values - base.values).max() <= 1e-12, a
+
+
+@pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
+def test_columns_that_underflow_are_a_data_error(family):
+    x = 1e-110 * gen_toy(3, grid=(12, 12)).X[:, 0]
+    with warnings.catch_warnings(), pytest.raises(CovariateRangeTooSmall, match="spline columns underflows") as caught:
         warnings.simplefilter("error")
         spline_basis(x, n_basis=10, family=family)
     assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
