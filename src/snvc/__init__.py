@@ -40,7 +40,7 @@ from .spatial import (
     moran_coefficient,
     mst_range,
 )
-from .splines import NvcBasis, spline_basis
+from .splines import spline_basis
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "GeneratedInstance",
     "GwrFit",
     "ModelSpec",
-    "NvcBasis",
     "ScenarioConfig",
     "ScenarioReport",
     "SiteSet",

@@ -23,7 +23,6 @@ import numpy as np
 from ._compiled import blas, lapack
 from ._compiled import lbfgsb as _lbfgsb
 from .errors import (
-    ConstantCovariate,
     CrossproductOverflow,
     DimensionMismatch,
     EmptySpatialBasis,
@@ -32,7 +31,7 @@ from .errors import (
     TooFewDistinctValues,
 )
 from .spatial import SpatialBasis
-from .splines import NvcBasis, spline_basis
+from .splines import spline_basis
 
 # Profiled residual variances below this are treated as degenerate.
 VARIANCE_FLOOR = 1e-12
@@ -281,37 +280,64 @@ class CoefficientField:
     constant_coefficient: np.ndarray  # (K,) bool, no variation at all
 
 
-def build_design(
-    X: np.ndarray,
-    spec: ModelSpec,
-    spatial: SpatialBasis | None,
-    nvc_bases: list[NvcBasis | None],
-) -> DesignMatrix:
-    """Assemble the stacked design: X, then x_k-scaled spatial and spline blocks.
-
-    Raises
-    ------
-    EmptySpatialBasis
-        An SVC term is requested but the spatial basis has no component.
-    ValueError
-        X is not finite; the message names the covariate.
-    """
+def _check_X(X: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """``X`` as floats, once it is N x K for the K covariates of ``spec``."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.n_covariates:
         raise DimensionMismatch("X must be N x K with K matching the model spec")
-    finite = np.isfinite(X).all(axis=0)
-    if not finite.all():
-        raise ValueError(f"X must be finite; covariate {spec.covariate_names[np.argmin(finite)]!r} is not")
-    n = X.shape[0]
+    return X
 
-    any_svc = any(spec.has_svc)
-    if any_svc:
+
+def _check_bases(n: int, spec: ModelSpec, spatial: SpatialBasis | None, nvc_bases: list, blocks: tuple = ()) -> None:
+    """Check that the bases have ``n`` rows and serve every term of ``spec``; with
+    the ``blocks`` of a fit, that each has its block's columns (a spatial basis
+    may have more, such as the one the fit's basis was cut from)."""
+    if any(spec.has_svc):
         if spatial is None or spatial.n_components == 0:
             raise EmptySpatialBasis("SVC requested but the spatial basis is empty")
         if spatial.n_sites != n:
             raise DimensionMismatch("spatial basis rows must match X rows")
     if len(nvc_bases) != spec.n_covariates:
         raise DimensionMismatch("nvc_bases must have one entry per covariate")
+    for k in range(spec.n_covariates):
+        if spec.has_nvc[k]:
+            if nvc_bases[k] is None:
+                raise DimensionMismatch(f"covariate {k} has NVC enabled but no basis")
+            if nvc_bases[k].shape[0] != n:
+                raise DimensionMismatch("NVC basis rows must match X rows")
+    for blk in blocks:
+        width = spatial.n_components if blk.kind == "svc" else nvc_bases[blk.covariate].shape[1]
+        if width < blk.size or (blk.kind == "nvc" and width > blk.size):
+            raise DimensionMismatch(
+                f"the {blk.kind} basis of covariate {blk.covariate} has {width} columns; the fit used {blk.size}"
+            )
+
+
+def build_design(
+    X: np.ndarray,
+    spec: ModelSpec,
+    spatial: SpatialBasis | None,
+    nvc_bases: list[np.ndarray | None],
+) -> DesignMatrix:
+    """Assemble the stacked design: X, then x_k-scaled spatial and spline blocks.
+
+    ``nvc_bases`` holds each covariate's ``spline_basis`` array, None without an NVC term.
+
+    Raises
+    ------
+    EmptySpatialBasis
+        An SVC term is requested but the spatial basis has no component.
+    DimensionMismatch
+        X is not N x K, or a basis is missing or has other than N rows.
+    ValueError
+        X is not finite; the message names the covariate.
+    """
+    X = _check_X(X, spec)
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"X must be finite; covariate {spec.covariate_names[np.argmin(finite)]!r} is not")
+    n = X.shape[0]
+    _check_bases(n, spec, spatial, nvc_bases)
 
     blocks: list[BlockLayout] = []
     values: list[np.ndarray] = []
@@ -324,18 +350,13 @@ def build_design(
             offset += block.shape[1]
     for k in range(spec.n_covariates):
         if spec.has_nvc[k]:
-            basis = nvc_bases[k]
-            if basis is None:
-                raise DimensionMismatch(f"covariate {k} has NVC enabled but no basis")
-            if basis.values.shape[0] != n:
-                raise DimensionMismatch("NVC basis rows must match X rows")
-            block = X[:, k : k + 1] * basis.values
+            block = X[:, k : k + 1] * nvc_bases[k]
             blocks.append(BlockLayout(k, "nvc", offset, offset + block.shape[1]))
             values.append(block)
             offset += block.shape[1]
 
     E = np.hstack(values) if values else np.empty((n, 0))
-    return DesignMatrix(X=X, E=E, blocks=tuple(blocks), eigvals=spatial.eigvals if any_svc else np.empty(0))
+    return DesignMatrix(X=X, E=E, blocks=tuple(blocks), eigvals=spatial.eigvals if any(spec.has_svc) else np.empty(0))
 
 
 def precompute_crossproducts(Z: DesignMatrix, y: np.ndarray) -> Crossproducts:
@@ -1005,7 +1026,7 @@ def fit_reml(cp: Crossproducts, spec: ModelSpec) -> FittedModel:
 def predict_coefficients(
     fit: FittedModel,
     spatial: SpatialBasis | None,
-    nvc_bases: list[NvcBasis | None],
+    nvc_bases: list[np.ndarray | None],
 ) -> CoefficientField:
     """Per-site coefficient decomposition from the fitted effects.
 
@@ -1013,7 +1034,14 @@ def predict_coefficients(
     ``fit.gamma``, the non-spatial part its spline basis times its block; the
     total adds the constant mean.  Any fit is decomposed, converged or not;
     callers that need a converged fit check ``FittedModel.converged``.
+
+    The bases are checked as ``build_design`` checks them, and each must
+    have the columns of its block of the fit, a spatial basis at least.  A
+    longer spatial basis must lead with the fit's own eigenvectors: where
+    eigenvalues tie, a basis computed with another cap may span them
+    differently, which no check here can see.
     """
+    _check_bases(fit.n_obs, fit.spec, spatial, nvc_bases, fit.blocks)
     svc = np.zeros((fit.n_obs, fit.spec.n_covariates))
     nvc = np.zeros_like(svc)
     for blk in fit.blocks:
@@ -1021,7 +1049,7 @@ def predict_coefficients(
         if blk.kind == "svc":
             svc[:, k] = spatial.eigvecs[:, : blk.size] @ fit.gamma[blk.start : blk.stop]
         else:
-            nvc[:, k] = nvc_bases[k].values @ fit.gamma[blk.start : blk.stop]
+            nvc[:, k] = nvc_bases[k] @ fit.gamma[blk.start : blk.stop]
 
     mean = np.asarray(fit.b_hat, dtype=float)
     total = mean[None, :] + svc + nvc
@@ -1053,18 +1081,20 @@ def fit_snvc(
     Each covariate flagged in ``spec.has_nvc`` gets the spline basis of the
     spec's size and family; a column that cannot carry one raises
     ``spline_basis``'s error with the covariate's name in the message, as
-    ``build_design`` names a covariate that is not finite.  The
-    coefficient field is produced even for an unconverged fit; check
-    ``FittedModel.converged``.
+    ``build_design`` names a covariate that is not finite.  The basis is the
+    same in any units of the covariate, so extreme units are judged where
+    they are without NVC terms: by the X'X rank test or as
+    ``CrossproductOverflow``.  The coefficient field is produced even for an
+    unconverged fit; check ``FittedModel.converged``.
     """
-    X = np.asarray(X, dtype=float)
+    X = _check_X(X, spec)
     nvc_bases = [None] * spec.n_covariates
     for k, name in enumerate(spec.covariate_names):
         if not spec.has_nvc[k]:
             continue
         try:
             nvc_bases[k] = spline_basis(X[:, k], spec.n_basis_nvc, spec.spline_family)
-        except (ConstantCovariate, TooFewDistinctValues, ValueError) as exc:  # the range errors are ValueErrors
+        except (TooFewDistinctValues, ValueError) as exc:
             raise type(exc)(f"the NVC term of {name!r}: {exc}") from exc
     # The design, E above all, is freed before the REML search.
     cp = precompute_crossproducts(build_design(X, spec, spatial, nvc_bases), y)

@@ -50,14 +50,6 @@ class CoordinateRangeTooLarge(DataError, ValueError):
     """The coordinates span so wide a range that squared distances overflow."""
 
 
-class CovariateRangeTooLarge(DataError, ValueError):
-    """A covariate spans so wide a range that its spline columns or their spread overflow."""
-
-
-class CovariateRangeTooSmall(DataError, ValueError):
-    """A covariate spans so narrow a range that the spread of its spline columns underflows."""
-
-
 class CrossproductOverflow(DataError, ValueError):
     """The covariates or the response are so large that the design's crossproducts overflow."""
 
@@ -81,11 +73,7 @@ class ConstantVector(SnvcError):
 
 
 class TooFewDistinctValues(SnvcError):
-    """Covariate has too few distinct values to support the requested spline."""
-
-
-class ConstantCovariate(SnvcError):
-    """Covariate is constant; a non-spatial basis cannot be built from it."""
+    """Covariate has too few distinct values, or knots too nearly tied, for the requested spline; a constant has one."""
 
 
 class DimensionMismatch(SnvcError):

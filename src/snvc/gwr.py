@@ -35,8 +35,9 @@ KERNELS = ("exponential_fixed", "exponential_adaptive")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BW_REL_TOL = 1e-3
 
-# Adaptive searches over more neighbor counts than this scan an even grid of
-# this many counts, then refine around the grid winner.
+# An adaptive search scans an even grid of this many neighbor counts, which
+# lists every count when there are no more; over more, it then refines
+# around the grid winner.
 _MAX_EXHAUSTIVE = 256
 
 # A chunk of candidates stacks about 4 K^2 + 8 K doubles per site and
@@ -257,9 +258,6 @@ def select_bandwidth(
 
 
 def _adaptive_candidates(lo: int, hi: int) -> list[int]:
-    count = hi - lo + 1
-    if count <= _MAX_EXHAUSTIVE:
-        return list(range(lo, hi + 1))
     grid = np.unique(np.linspace(lo, hi, _MAX_EXHAUSTIVE).round().astype(int))
     return [int(m) for m in grid]
 

@@ -91,7 +91,7 @@ def gen_coefficients(
 
     spatial_part = standardize(c_bar @ rng.standard_normal(n))
     nvc_basis = spline_basis(x3, n_basis=10, family="thin_plate_1d")
-    nonspatial_part = standardize(nvc_basis.values @ rng.standard_normal(nvc_basis.n_components))
+    nonspatial_part = standardize(nvc_basis @ rng.standard_normal(nvc_basis.shape[1]))
     mix = w_s * spatial_part + (1.0 - w_s) * nonspatial_part
     beta3 = -2.0 + np.sqrt(tau2_3) * (standardize(mix) if mix.std(ddof=1) > 0 else mix)
     return np.column_stack([beta1, beta2, beta3])

@@ -27,8 +27,9 @@ def test_removed_helpers_are_gone():
     # restricted_loglik forms the eigenvalue weights from theta.alpha and the
     # basis eigenvalues, a spline curve is basis.values @ gamma, moran_basis
     # builds every basis, predict_estimator serves the toy as well as the
-    # scenario, build_proximity returns the N x N array itself, and an empty
-    # basis is always EmptySpatialBasis.
+    # scenario, build_proximity and spline_basis return the array itself, an
+    # empty basis is always EmptySpatialBasis, a spline basis is the same in
+    # any units, and a constant covariate has too few distinct values.
     for name in (
         "EigenScaling",
         "scale_eigenvalues",
@@ -39,6 +40,10 @@ def test_removed_helpers_are_gone():
         "ProximityMatrix",
         "rmse",
         "EmptyBasis",
+        "NvcBasis",
+        "CovariateRangeTooLarge",
+        "CovariateRangeTooSmall",
+        "ConstantCovariate",
     ):
         assert name not in snvc.__all__
         assert not hasattr(snvc, name)

@@ -423,19 +423,27 @@ class TestFitCommand:
             "message": "the crossproducts of the design overflow: the covariates or the response are too large",
         }
 
-    @pytest.mark.parametrize("x1_scale", [1e110, 1e160])
-    def test_spline_columns_that_overflow_are_a_data_error(self, tmp_path, capsys, x1_scale):
-        assert self.fit_toy(tmp_path, x1_scale=x1_scale, nvc="all") == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "CovariateRangeTooLarge"
-        assert err["message"].startswith("the NVC term of 'x1': covariate spans ")
+    def exit_with_and_without_nvc(self, tmp_path, capsys, x1_scale):
+        """The exit code and error class of ``snvc fit`` with ``--nvc all`` and with ``--nvc none``."""
+        out = []
+        for nvc in ("all", "none"):
+            code = self.fit_toy(tmp_path, x1_scale=x1_scale, nvc=nvc)
+            out.append((code, json.loads(capsys.readouterr().err)["error"]))
+        return out
 
-    def test_spline_columns_that_underflow_are_a_data_error(self, tmp_path, capsys):
-        assert self.fit_toy(tmp_path, x1_scale=1e-110, nvc="all") == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "CovariateRangeTooSmall"
-        assert err["message"].startswith("the NVC term of 'x1': covariate spans ")
-        assert err["message"].endswith(": the spread of its spline columns underflows")
+    @pytest.mark.parametrize(
+        "x1_scale, error",
+        [(1e110, (4, "SingularFixedBlock")), (1e160, (3, "CrossproductOverflow"))],
+        ids=["1e+110", "1e+160"],
+    )
+    def test_covariate_in_wide_units_fares_as_without_nvc(self, tmp_path, capsys, x1_scale, error):
+        # The spline basis is the same in any units, so X'X or its overflow
+        # judges the units with or without NVC terms.
+        assert self.exit_with_and_without_nvc(tmp_path, capsys, x1_scale) == [error, error]
+
+    def test_covariate_in_narrow_units_fares_as_without_nvc(self, tmp_path, capsys):
+        error = (4, "SingularFixedBlock")
+        assert self.exit_with_and_without_nvc(tmp_path, capsys, 1e-110) == [error, error]
 
     @pytest.mark.parametrize("value", [0.1, 1.0])
     def test_constant_covariate_is_a_data_error(self, tmp_path, capsys, value):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import math
 import re
@@ -39,8 +40,6 @@ from snvc.core import (
     BlockLayout,
 )
 from snvc.errors import (
-    CovariateRangeTooLarge,
-    CovariateRangeTooSmall,
     CrossproductOverflow,
     DataError,
     DimensionMismatch,
@@ -50,7 +49,7 @@ from snvc.errors import (
 )
 from snvc.simlab import ScenarioConfig, gen_instance, gen_toy
 from snvc.spatial import SiteSet, SpatialBasis, moran_basis
-from snvc.splines import NvcBasis, spline_basis
+from snvc.splines import spline_basis
 
 
 def make_spatial_problem(n, seed, n_eig=None):
@@ -118,12 +117,11 @@ class TestBuildDesign:
         rng, _, basis = make_spatial_problem(8, seed=2, n_eig=3)
         X = rng.normal(size=(8, 2))
         xn = rng.uniform(0, 5, 8)
-        nvc = spline_basis(np.concatenate([xn, xn]), n_basis=4).values[:8]
-        nb = NvcBasis(values=nvc, knots=np.arange(5.0))
+        nb = spline_basis(np.concatenate([xn, xn]), n_basis=4)[:8]
         spec = ModelSpec(("a", "b"), (True, True), (False, True), 4)
         design = build_design(X, spec, basis, [None, nb])
         # block order: svc(a), svc(b), nvc(b)
-        for bi, (k, src) in enumerate([(0, basis.eigvecs), (1, basis.eigvecs), (1, nb.values)]):
+        for bi, (k, src) in enumerate([(0, basis.eigvecs), (1, basis.eigvecs), (1, nb)]):
             blk = design.blocks[bi]
             block = design.E[:, blk.start : blk.stop]
             for i in range(8):
@@ -192,24 +190,34 @@ class TestCrossproducts:
         assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
         assert str(caught.value).endswith("the covariates or the response are too large")
 
-    @pytest.mark.parametrize("scale", [1e110, 1e160])
-    def test_spline_columns_that_overflow_are_a_data_error(self, scale):
-        # Unchecked, NaN spline columns would reach the design.
-        inst = gen_toy(3, grid=(12, 12))
-        spec = ModelSpec(("x1", "x2"), (False, False), (True, True))
-        with warnings.catch_warnings(), pytest.raises(CovariateRangeTooLarge) as caught:
-            warnings.simplefilter("error")
-            fit_snvc(inst.X * scale, inst.y, spec, None)
-        assert str(caught.value).startswith("the NVC term of 'x1': covariate spans ")
-        assert str(caught.value).endswith(": its spline columns overflow")
+    @staticmethod
+    def outcome_with_and_without_nvc(X, y, family="natural_cubic"):
+        """What ``fit_snvc`` makes of X and y with an NVC term on both columns and with none."""
+        outcomes = []
+        for nvc in (True, False):
+            spec = ModelSpec(("x1", "x2"), (False, False), (nvc, nvc), spline_family=family)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    _, field = fit_snvc(X, y, spec, None)
+                assert np.isfinite(field.total).all()
+                outcomes.append("fit")
+            except (CrossproductOverflow, SingularFixedBlock) as exc:
+                outcomes.append((type(exc), str(exc)))
+        return outcomes
 
-    def test_spline_columns_that_underflow_are_a_data_error(self):
+    @pytest.mark.parametrize("scale", [1e110, 1e160])
+    def test_covariates_in_wide_units_fare_as_without_nvc(self, scale):
+        # The spline basis is the same in any units, so only the crossproduct
+        # checks judge the units: the fit overflows at 1e160 either way.
         inst = gen_toy(3, grid=(12, 12))
-        spec = ModelSpec(("x1", "x2"), (False, False), (True, True), spline_family="thin_plate_1d")
-        with warnings.catch_warnings(), pytest.raises(CovariateRangeTooSmall) as caught:
-            warnings.simplefilter("error")
-            fit_snvc(inst.X * 1e-110, inst.y, spec, None)
-        assert str(caught.value).startswith("the NVC term of 'x1': covariate spans ")
+        with_nvc, without = self.outcome_with_and_without_nvc(inst.X * scale, inst.y)
+        assert with_nvc == without
+        assert (with_nvc == "fit") is (scale == 1e110)
+
+    def test_covariates_in_narrow_units_fare_as_without_nvc(self):
+        inst = gen_toy(3, grid=(12, 12))
+        assert self.outcome_with_and_without_nvc(inst.X * 1e-110, inst.y, "thin_plate_1d") == ["fit", "fit"]
 
     @pytest.mark.parametrize(
         "where, nvc, message",
@@ -317,7 +325,7 @@ def plain_crossproducts():
          DimensionMismatch, "nvc_bases must have one entry per covariate"),
         (lambda: build_design(np.ones((10, 1)), SPEC_NVC, None, [None]),
          DimensionMismatch, "covariate 0 has NVC enabled but no basis"),
-        (lambda: build_design(np.ones((10, 1)), SPEC_NVC, None, [NvcBasis(np.zeros((12, 3)), np.arange(5.0))]),
+        (lambda: build_design(np.ones((10, 1)), SPEC_NVC, None, [np.zeros((12, 3))]),
          DimensionMismatch, "NVC basis rows must match X rows"),
         (lambda: build_design(np.r_[np.ones((9, 1)), [[np.inf]]], SPEC_PLAIN, None, [None]),
          ValueError, "X must be finite; covariate 'x' is not"),
@@ -340,13 +348,19 @@ def plain_crossproducts():
          ValueError, "tau2_n[0] must be 0 when has_nvc is false"),
         (lambda: dataclasses.replace(svc_crossproducts(), eigvals=np.ones(2)),
          ValueError, "an SVC block has 3 columns but only 2 basis eigenvalues"),
+        (lambda: fit_snvc(gen_toy(3, grid=(12, 12)).X, np.zeros(144),
+                          ModelSpec(("a", "b", "c"), (False,) * 3, (False, False, True)), None),
+         DimensionMismatch, "X must be N x K with K matching the model spec"),
+        (lambda: fit_snvc(gen_toy(3, grid=(12, 12)).X[:, 0], np.zeros(144),
+                          ModelSpec(("a", "b"), (False,) * 2, (True,) * 2), None),
+         DimensionMismatch, "X must be N x K with K matching the model spec"),
     ],
     ids=[
         "design-X-shape", "design-spatial-rows", "design-nvc-count", "design-nvc-missing", "design-nvc-rows",
         "design-X-finite", "crossproducts-y-length", "crossproducts-y-finite", "crossproducts-too-few-rows",
         "theta-sigma2", "theta-tau2", "theta-alpha",
         "theta-sigma2-inf", "theta-alpha-nan", "theta-tau2-nan",
-        "theta-svc-off", "theta-nvc-off", "crossproducts-too-few-eigvals",
+        "theta-svc-off", "theta-nvc-off", "crossproducts-too-few-eigvals", "fit-X-columns", "fit-X-vector",
     ],
 )  # fmt: skip
 def test_input_checks(call, error, message):
@@ -388,7 +402,7 @@ def dense_reml_oracle(X, E, v, y):
 
 
 def v_diag_for(basis, nb, theta):
-    v = np.zeros(basis.n_components + nb.n_components)
+    v = np.zeros(basis.n_components + nb.shape[1])
     w = (basis.eigvals / basis.eigvals[0]) ** (theta.alpha[0] / 2.0)
     v[: basis.n_components] = np.sqrt(theta.tau2_s[0] / theta.sigma2) * w
     v[basis.n_components :] = np.sqrt(theta.tau2_n[1] / theta.sigma2)
@@ -914,7 +928,7 @@ class TestFitReml:
             # generate from the model itself: tau_s = tau_n = sigma = 1, alpha = 1
             w = np.sqrt((basis.eigvals / basis.eigvals[0]) ** 1.0)
             gamma_s = basis.eigvecs @ (w * rng.standard_normal(basis.n_components))
-            gamma_n = nb.values @ rng.standard_normal(nb.n_components)
+            gamma_n = nb @ rng.standard_normal(nb.shape[1])
             beta = 1.0 + gamma_s + gamma_n
             y = x * beta + rng.standard_normal(n)
             spec = ModelSpec(("x",), (True,), (True,), 6)
@@ -1494,7 +1508,45 @@ class TestToyFits:
                 assert fit.theta.alpha[k] in _ALPHA_GRID
 
 
+@functools.cache
+def toy_fit_with_both_terms():
+    """``gen_toy(3)`` on a 12 x 12 grid, SVC on x1 over the leading 30 eigenvectors of ``full`` and NVC on x2."""
+    inst = gen_toy(3, grid=(12, 12))
+    full = moran_basis(inst.sites)
+    basis = SpatialBasis(full.eigvecs[:, :30], full.eigvals[:30], full.range_r)
+    nbs = [None, spline_basis(inst.X[:, 1])]
+    spec = ModelSpec(("x1", "x2"), (True, False), (False, True))
+    fit = fit_reml(precompute_crossproducts(build_design(inst.X, spec, basis, nbs), inst.y), spec)
+    return inst, full, basis, nbs, fit
+
+
 class TestPredictAndShares:
+    @pytest.mark.parametrize(
+        "bases, error, message",
+        [
+            (lambda inst, basis, nbs: (None, nbs), EmptySpatialBasis, "SVC requested but the spatial basis is empty"),
+            (lambda inst, basis, nbs: (moran_basis(inst.sites, 10), nbs),
+             DimensionMismatch, "the svc basis of covariate 0 has 10 columns; the fit used 30"),
+            (lambda inst, basis, nbs: (moran_basis(SiteSet(inst.sites.coords[:100]), 30), nbs),
+             DimensionMismatch, "spatial basis rows must match X rows"),
+            (lambda inst, basis, nbs: (basis, [None, None]), DimensionMismatch, "covariate 1 has NVC enabled but no basis"),
+            (lambda inst, basis, nbs: (basis, [None, nbs[1][:, :5]]),
+             DimensionMismatch, "the nvc basis of covariate 1 has 5 columns; the fit used 10"),
+        ],
+        ids=["no-spatial-basis", "short-spatial-basis", "other-sites", "no-nvc-basis", "nvc-basis-width"],
+    )  # fmt: skip
+    def test_bases_are_checked_as_build_design_checks_them(self, bases, error, message):
+        inst, _, basis, nbs, fit = toy_fit_with_both_terms()
+        with pytest.raises(error, match=re.escape(message)):
+            predict_coefficients(fit, *bases(inst, basis, nbs))
+
+    def test_the_basis_a_fit_was_capped_from_gives_the_same_field(self):
+        _, full, basis, nbs, fit = toy_fit_with_both_terms()
+        assert full.n_components > basis.n_components
+        field, longer = predict_coefficients(fit, basis, nbs), predict_coefficients(fit, full, nbs)
+        for f in dataclasses.fields(field):
+            np.testing.assert_array_equal(getattr(longer, f.name), getattr(field, f.name))
+
     def test_zero_variances_give_constant_coefficient(self):
         spec, basis, X, nb, y, design, cp = reml_problem(seed=13)
         theta = VarianceParams(1.0, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])

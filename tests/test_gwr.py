@@ -7,7 +7,7 @@ import pytest
 
 from snvc import gwr
 from snvc.errors import AllSitesCoincident, DegreesExhausted, DimensionMismatch, NoFeasibleBandwidth, SingularLocalFit
-from snvc.gwr import GwrFit, _adaptive_candidates, _problem, _solve_spd, _weights, gwr_fit_at, select_bandwidth
+from snvc.gwr import _MAX_EXHAUSTIVE, GwrFit, _adaptive_candidates, _problem, _solve_spd, _weights, gwr_fit_at, select_bandwidth
 from snvc.simlab import gen_toy
 from snvc.spatial import SiteSet
 
@@ -328,6 +328,13 @@ class TestSelectBandwidth:
         for cand in range(5, 30):
             other = gwr_fit_at(sites, X, y, "exponential_adaptive", cand)
             assert fit.aicc <= other.aicc + 1e-9
+
+    @pytest.mark.parametrize("lo", [1, 5, 11])
+    def test_adaptive_grid_lists_every_count_up_to_its_size(self, lo):
+        # So a search over at most _MAX_EXHAUSTIVE counts scans them all and
+        # skips the refinement.
+        for count in range(1, _MAX_EXHAUSTIVE + 1):
+            assert _adaptive_candidates(lo, lo + count - 1) == list(range(lo, lo + count)), count
 
     def test_adaptive_coarse_grid_then_refinement(self):
         # 295 neighbor counts are more than are scanned one by one: an even

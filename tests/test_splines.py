@@ -4,19 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from snvc.errors import (
-    ConstantCovariate,
-    CovariateRangeTooLarge,
-    CovariateRangeTooSmall,
-    DataError,
-    TooFewDistinctValues,
-)
-from snvc.simlab import gen_toy
+from snvc.errors import TooFewDistinctValues
+from snvc.simlab import ScenarioConfig, gen_instance, gen_toy
 from snvc.splines import spline_basis
 
 
 def test_constant_covariate_rejected():
-    with pytest.raises(ConstantCovariate):
+    with pytest.raises(TooFewDistinctValues, match="covariate has 1 distinct values"):
         spline_basis(np.ones(50), n_basis=5)
 
 
@@ -34,27 +28,35 @@ def test_too_few_distinct_values():
         # Five distinct values among 105: every quantile but the last is 0.
         (np.r_[np.zeros(100), np.arange(1.0, 6.0)], {"n_basis": 3}, TooFewDistinctValues,
          "tied quantiles leave only 0 interior knots"),
+        # Thirteen distinct values, but the knots below the last are tied in
+        # all but their last bits: a column's spread underflows.
+        (np.r_[0.0, 1e-300 * np.arange(1, 12), 1.0], {}, TooFewDistinctValues,
+         "covariate spans 0 to 1: its knots are tied in all but their last bits"),
         (np.r_[np.arange(20.0), np.nan], {"n_basis": 5}, ValueError, "covariate values must be finite"),
         (np.r_[np.arange(20.0), -np.inf], {"n_basis": 5}, ValueError, "covariate values must be finite"),
     ],
-    ids=["size", "family", "tied-quantiles", "nan", "inf"],
+    ids=["size", "family", "tied-quantiles", "knot-tie", "nan", "inf"],
 )  # fmt: skip
 def test_input_checks(x, kwargs, error, message):
     with pytest.raises(error, match=re.escape(message)):
         spline_basis(x, **kwargs)
 
 
+def assert_same_basis_in_decimal_units(x, scale, family):
+    # A decimal factor rounds x itself, so the basis moves by rounding only.
+    base = spline_basis(x, n_basis=10, family=family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = spline_basis(scale * x, n_basis=10, family=family)
+    assert scaled.shape == base.shape
+    assert np.abs(scaled - base).max() <= 1e-12
+
+
 @pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
 @pytest.mark.parametrize("scale", [1e80, 1e110, 1e160])
-def test_columns_that_overflow_are_a_data_error(family, scale):
-    # At 1e80 the natural cubic columns are finite but their squares, and so
-    # their sd, overflow; at 1e110 (x - knot)^3 itself does.  Either way a
-    # column would be NaN or zeroed without an error.
-    x = scale * np.random.default_rng(0).uniform(0, 10, 144)
-    with warnings.catch_warnings(), pytest.raises(CovariateRangeTooLarge, match="its spline columns overflow") as caught:
-        warnings.simplefilter("error")
-        spline_basis(x, n_basis=10, family=family)
-    assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
+def test_wide_decimal_units_keep_the_basis(family, scale):
+    # Unscaled, (x - knot)^3 or the sum of its squares would overflow here.
+    assert_same_basis_in_decimal_units(np.random.default_rng(0).uniform(0, 10, 144), scale, family)
 
 
 @pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
@@ -63,37 +65,49 @@ def test_units_keep_every_column(family):
     # its own sd leaves it unchanged when x is scaled by a power of two.
     x = gen_toy(3, grid=(12, 12)).X[:, 0]
     base = spline_basis(x, n_basis=10, family=family)
-    assert base.n_components == 10
+    assert base.shape[1] == 10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in range(-60, 61, 4):
             scaled = spline_basis(x * 2.0**a, n_basis=10, family=family)
-            assert scaled.values.shape == base.values.shape, a
-            assert scaled.values.flags.f_contiguous
-            assert np.abs(scaled.values - base.values).max() <= 1e-12, a
+            assert scaled.shape == base.shape, a
+            assert scaled.flags.f_contiguous
+            assert np.abs(scaled - base).max() <= 1e-12, a
 
 
 @pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
-def test_columns_that_underflow_are_a_data_error(family):
-    x = 1e-110 * gen_toy(3, grid=(12, 12)).X[:, 0]
-    with warnings.catch_warnings(), pytest.raises(CovariateRangeTooSmall, match="spline columns underflows") as caught:
+@pytest.mark.parametrize("source", ["toy", "scenario"])
+def test_power_of_two_units_give_the_same_basis_bit_for_bit(family, source):
+    # x is scaled into (-1, 1) by a power of two before the knots are placed,
+    # and every later step commutes with that scaling.
+    if source == "toy":
+        x = gen_toy(3, grid=(12, 12)).X[:, 0]
+    else:
+        x = gen_instance(ScenarioConfig(n_sites=150, w_s=0.5, seed=3), 1).X[:, 2]
+    base = spline_basis(x, n_basis=10, family=family)
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spline_basis(x, n_basis=10, family=family)
-    assert isinstance(caught.value, DataError) and isinstance(caught.value, ValueError)
+        for a in range(-1000, 1001, 10):
+            np.testing.assert_array_equal(spline_basis(np.ldexp(x, a), n_basis=10, family=family), base, err_msg=a)
+
+
+@pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
+def test_narrow_decimal_units_keep_the_basis(family):
+    # Unscaled, the variance of a column would underflow here.
+    assert_same_basis_in_decimal_units(gen_toy(3, grid=(12, 12)).X[:, 0], 1e-110, family)
 
 
 @pytest.mark.parametrize("family", ["natural_cubic", "thin_plate_1d"])
 def test_columns_centered(family):
     rng = np.random.default_rng(0)
     basis = spline_basis(rng.uniform(0, 400, 300), n_basis=10, family=family)
-    assert np.abs(basis.values.mean(axis=0)).max() < 1e-12
+    assert np.abs(basis.mean(axis=0)).max() < 1e-12
 
 
-def test_knots_strictly_increasing_and_range_recorded():
-    rng = np.random.default_rng(1)
-    x = rng.uniform(-3, 7, 200)
-    basis = spline_basis(x, n_basis=8)
-    assert np.all(np.diff(basis.knots) > 0)
+def documented_knots(x, n_basis, family):
+    """The knots ``spline_basis`` documents: equally spaced quantiles of x, deduplicated."""
+    n_knots = n_basis + 1 if family == "natural_cubic" else n_basis
+    return np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
 
 
 def _piecewise_cubic_breaks(x, curve, knots):
@@ -128,9 +142,9 @@ def test_generated_curve_is_twice_continuously_differentiable(family):
     x = np.linspace(0.0, 400.0, 500)
     basis = spline_basis(x, n_basis=10, family=family)
     rng = np.random.default_rng(7)
-    curve = basis.values @ rng.standard_normal(basis.n_components)
+    curve = basis @ rng.standard_normal(basis.shape[1])
 
-    worst = _piecewise_cubic_breaks(x, curve, basis.knots)
+    worst = _piecewise_cubic_breaks(x, curve, documented_knots(x, 10, family))
     assert worst is not None
     scale_f = np.abs(curve).max()
     scale_d1 = np.abs(np.gradient(curve, x)).max()
@@ -144,10 +158,11 @@ def test_natural_spline_curvature_vanishes_at_boundary_knots():
     x = np.linspace(0.0, 400.0, 500)
     basis = spline_basis(x, n_basis=10, family="natural_cubic")
     rng = np.random.default_rng(3)
-    curve = basis.values @ rng.standard_normal(basis.n_components)
+    curve = basis @ rng.standard_normal(basis.shape[1])
+    knots = documented_knots(x, 10, "natural_cubic")
 
     d2_scale = np.abs(np.gradient(np.gradient(curve, x), x)).max()
-    for knot, seg in ((basis.knots[0], x <= basis.knots[1]), (basis.knots[-1], x >= basis.knots[-2])):
+    for knot, seg in ((knots[0], x <= knots[1]), (knots[-1], x >= knots[-2])):
         coef = np.polynomial.polynomial.polyfit(x[seg] - knot, curve[seg], deg=3)
         p = np.polynomial.polynomial.Polynomial(coef)
         assert abs(p.deriv(2)(0.0)) < 1e-6 * d2_scale
@@ -158,8 +173,8 @@ def test_variance_scales_linearly_in_tau():
     basis = spline_basis(rng.uniform(0, 400, 400), n_basis=10)
     sds = []
     for tau in (0.5, 1.0, 2.0):
-        draws = tau * rng.standard_normal((500, basis.n_components))
-        sds.append(np.std(draws @ basis.values.T))
+        draws = tau * rng.standard_normal((500, basis.shape[1]))
+        sds.append(np.std(draws @ basis.T))
     assert abs(sds[1] / sds[0] - 2.0) < 0.2
     assert abs(sds[2] / sds[1] - 2.0) < 0.2
 
@@ -170,4 +185,4 @@ def test_permutation_equivariance():
     perm = rng.permutation(150)
     a = spline_basis(x, n_basis=7)
     b = spline_basis(x[perm], n_basis=7)
-    np.testing.assert_allclose(b.values, a.values[perm], atol=1e-12)
+    np.testing.assert_allclose(b, a[perm], atol=1e-12)
